@@ -41,15 +41,23 @@ def _load_config(path: str):
     try:
         return parse_config(text)
     except ConfigError as e:
-        print("config rejected:", file=sys.stderr)
-        for err in e.errors:
-            print(f"  - {err}", file=sys.stderr)
+        _reject(e)
         raise SystemExit(1)
+
+
+def _reject(e: ConfigError):
+    print("config rejected:", file=sys.stderr)
+    for err in e.errors:
+        print(f"  - {err}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    summary, batch = run_experiment(cfg, seed_offset=args.seed_offset)
+    try:
+        summary, batch = run_experiment(cfg, seed_offset=args.seed_offset)
+    except ConfigError as e:
+        _reject(e)
+        return 1
     outdir = cfg.out_dir or _out_root(args.out)
     paths = emit_outputs(summary, batch, cfg, outdir)
     for name_pass in summary.data["criteria"]:

@@ -123,6 +123,10 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical.encode()).hexdigest()[:16]
 
     def seed_list(self, offset: int = 0) -> list[int]:
+        """The run's seeds, shifted by ``offset``; none may be negative."""
+        if self.base_seed + offset < 0:
+            raise ConfigError([f"seed offset {offset} makes seed "
+                               f"{self.base_seed + offset} negative"])
         return [self.base_seed + offset + i for i in range(self.seeds)]
 
 
@@ -171,6 +175,8 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("run.horizon must be >= 1")
     if values["run.seeds"] < 1:
         errors.append("run.seeds must be >= 1")
+    if values["run.base_seed"] < 0:
+        errors.append("run.base_seed must be >= 0")
     lam, nu = values["opt.lambda"], values["opt.nu"]
     if not 0.0 <= lam < 1.0:
         errors.append("opt.lambda must lie in [0, 1)")

@@ -18,6 +18,7 @@ from . import windows as win
 from .config import ExperimentConfig
 from .rates import estimate_exponent, rate_Phi_Psi
 from .runner import run_batch
+from .schedules import ScheduleExhaustedError
 from .trajectory import RecordingPolicy, RunBatch, decade_of, n_decades
 
 DIAG_TOL = 1e-8
@@ -67,10 +68,11 @@ def _monotone_medians(medians: list[float | None], strict: bool):
     return True
 
 
-def _window_verdicts(batch: RunBatch, partition, cfg: ExperimentConfig) -> dict:
-    problem, params, schedule = cfg.problem, cfg.params, cfg.schedule
-    K_obs, wl = win.verify_window_lengths(partition, schedule, cfg.window_delta)
-    K_T = win.applicability_index(partition, schedule, problem, params)
+def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
+    problem, params = cfg.problem, cfg.params
+    trace = batch.window
+    partition, K_T = trace.partition, trace.K_T
+    K_obs, wl = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
     out = {
         "n_windows": partition.n_windows,
         "K_delta": K_obs,
@@ -88,8 +90,7 @@ def _window_verdicts(batch: RunBatch, partition, cfg: ExperimentConfig) -> dict:
         "min_res_descent": None,
         "u_final_over_max": None,
     }
-    trace = batch.window
-    if trace is None or len(trace.s) == 0 or K_T is None:
+    if len(trace.s) == 0 or K_T is None:
         return out
     lo = trace.detail_lo
     W = partition.n_windows
@@ -224,7 +225,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSumm
     }
     criteria = []
     if partition is not None:
-        wv = _window_verdicts(batch, partition, cfg)
+        wv = _window_verdicts(batch, cfg)
         data["windows"] = wv
         data["window_T"] = partition.T
         criteria.append(("window_lengths", wv["length_violations_after_guarantee"] == 0))
@@ -275,7 +276,7 @@ def emit_outputs(summary: RunSummary, batch: RunBatch, cfg: ExperimentConfig,
                 k = int(k)
                 try:
                     a = cfg.schedule.step_size(k)
-                except Exception:
+                except ScheduleExhaustedError:
                     a = None
                 gap = batch.f[j, 0] - cfg.problem.f_star
                 dist = batch.dist[j, 0] if batch.dist is not None else None
@@ -292,10 +293,7 @@ def emit_outputs(summary: RunSummary, batch: RunBatch, cfg: ExperimentConfig,
 def _write_window_csv(path: str, batch: RunBatch, cfg: ExperimentConfig):
     """Per-window diagnostics for the first seed over the stored range."""
     trace = batch.window
-    T = cfg.window_T if cfg.window_T is not None \
-        else win.default_window(cfg.problem, cfg.params)
-    partition = win.build_partition(cfg.schedule, T, cfg.horizon)
-    K_T = win.applicability_index(partition, cfg.schedule, cfg.problem, cfg.params)
+    partition, K_T, T = trace.partition, trace.K_T, trace.partition.T
     lo = trace.detail_lo
     with open(path, "w") as fh:
         fh.write("k,gamma_k,gamma_next,Delta,s_k,d_k,u_k,M_k,gradM_norm,"

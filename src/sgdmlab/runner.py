@@ -27,22 +27,35 @@ from .trajectory import (RecordingPolicy, RunBatch, Trajectory, WindowTrace,
 STEP_NORM_TOL = 1e-12
 
 
+def _norms_sq(A):
+    """Squared Euclidean norms over the trailing axis."""
+    return np.einsum("...d,...d->...", A, A)
+
+
 def _norms(A):
     """Euclidean norms over the trailing axis."""
-    return np.sqrt(np.einsum("...d,...d->...", A, A))
+    return np.sqrt(_norms_sq(A))
 
 
 class _WindowAccumulator:
-    """Streaming per-window statistics over a run batch."""
+    """Streaming per-window statistics over a run batch.
 
-    def __init__(self, partition: win.WindowPartition, problem: Problem,
-                 params: MomentumParams, n_seeds: int, detail_lo: int,
-                 profile: bool, horizon: int, keep_boundaries: bool = False):
+    Each block of iterates is cut into the window segments it touches, and
+    every statistic of those windows comes from a fixed number of array
+    operations over the block (a segmented scan).  Only the first segment
+    carries state in from the previous block and only the last carries
+    state out; a single-step window is a segment of length one.
+    """
+
+    def __init__(self, partition: win.WindowPartition, K_T: int | None,
+                 problem: Problem, params: MomentumParams, n_seeds: int,
+                 detail_lo: int, profile: bool, horizon: int,
+                 keep_boundaries: bool = False):
         self.part = partition
+        self.K_T = K_T
         self.gammas = partition.gammas
         self.W = partition.n_windows
         self.problem = problem
-        self.params = params
         self.lam = params.lam
         self.zeta = merit_zeta(problem, params)
         self.detail_lo = detail_lo
@@ -63,7 +76,7 @@ class _WindowAccumulator:
         nd = n_decades(horizon)
         self.decade_d_sum = np.zeros((nd, S))
         self.decade_d_cnt = np.zeros(nd)
-        # running window state
+        # state of the open window, carried across block edges
         self.w = 1
         self.anchor_x = None
         self.anchor_z = None
@@ -78,48 +91,73 @@ class _WindowAccumulator:
         if self.boundary_x is not None:
             self.boundary_x[0] = X1
             self.boundary_xp[0] = X1   # x^0 = x^1
-        self._boundary_eval(1, self.anchor_x, self.anchor_z)
+        self._anchor_eval(np.array([1]), X1[None], X1[None], np.array([0]))
 
-    def _boundary_eval(self, bidx: int, ax: np.ndarray, az: np.ndarray):
+    def _anchor_eval(self, bidx: np.ndarray, xrows: np.ndarray, zrows: np.ndarray,
+                     rows: np.ndarray):
+        """Merit ledger at anchors ``bidx`` (ascending), which are the
+        iterates ``xrows[rows]`` and interpolations ``zrows[rows]``."""
         j = bidx - self.detail_lo
-        if not 0 <= j < len(self.zx_arr):
+        keep = slice(np.searchsorted(j, 0), np.searchsorted(j, len(self.zx_arr)))
+        j, rows = j[keep], rows[keep]
+        if not len(j):
             return
+        ax, az = xrows[rows], zrows[rows]
         diff = az - ax
         zx = _norms(diff)
         gzv = self.problem.grad_batch(az)
-        gz = _norms(gzv)
         fz = self.problem.f_batch(az)
         gblock = gzv + (2.0 * self.zeta) * diff
         self.zx_arr[j] = zx
         self.fz_arr[j] = fz
-        self.gz_arr[j] = gz
+        self.gz_arr[j] = _norms(gzv)
         self.merit_arr[j] = fz + self.zeta * zx**2
-        self.gm2_arr[j] = (4.0 * self.zeta**2) * zx**2 + np.einsum("sd,sd->s", gblock, gblock)
+        self.gm2_arr[j] = (4.0 * self.zeta**2) * zx**2 + _norms_sq(gblock)
 
-    def _close_window(self, w: int, ax_new: np.ndarray, az_new: np.ndarray,
-                      ax_prev: np.ndarray):
-        j = w - self.detail_lo
-        zmax = self.xmax if self.lam == 0.0 else self.zmax
-        if 0 <= j < len(self.s_arr):
-            self.s_arr[j] = self.smax
-            self.xdev_arr[j] = self.xmax
-            self.zdev_arr[j] = zmax
-        if self.boundary_step is not None:
-            self.boundary_step[w - 1] = _norms(ax_new - self.anchor_x)
-        if self.boundary_x is not None:
-            self.boundary_x[w] = ax_new
-            self.boundary_xp[w] = ax_prev
-        dec = int(decade_of(self.gammas[w - 1]))
-        self.decade_d_sum[dec] += np.maximum(self.xmax, zmax)
-        self.decade_d_cnt[dec] += 1
-        self.anchor_x = ax_new.copy()
-        self.anchor_z = az_new.copy()
-        self._boundary_eval(w + 1, self.anchor_x, self.anchor_z)
-        self.psum[:] = 0.0
-        self.smax[:] = 0.0
-        self.xmax[:] = 0.0
-        self.zmax[:] = 0.0
-        self.w = w + 1
+    def _segment_error_max(self, wrows: np.ndarray, lo: np.ndarray, ln: np.ndarray,
+                           seg_of_row: np.ndarray, carry_out: bool):
+        """Per segment, the max norm of the restarted prefix sums of its
+        rows of wrows, the first segment continuing from the carried partial
+        sum; with the last segment's final partial sum if asked.
+
+        Each sum stays sequential within its window, so it is bitwise equal
+        to a per-window cumsum.  The rows are laid out position-major with
+        the segments sorted by length, so the segments still running at
+        position p are a prefix of those at p - 1: one add per position
+        advances all of them, with no padding.
+        """
+        nseg = len(ln)
+        order = np.argsort(-ln, kind="stable")
+        rank = np.empty(nseg, dtype=np.int64)
+        rank[order] = np.arange(nseg)
+        running = np.cumsum(np.bincount(ln)[::-1])[::-1][1:]   # segments longer than p
+        start = np.concatenate([[0], np.cumsum(running)[:-1]])
+        dest = start[np.arange(len(wrows)) - lo[seg_of_row]] + rank[seg_of_row]
+        P = np.empty_like(wrows)
+        P[dest] = wrows
+        P[rank[0]] += self.psum
+        prev = 0
+        for p0, a in zip(start[1:].tolist(), running[1:].tolist()):
+            np.add(P[prev:prev + a], P[p0:p0 + a], out=P[p0:p0 + a])
+            prev = p0
+        smax = np.maximum.reduceat(_norms(P)[dest], lo, axis=0)
+        smax[0] = np.maximum(smax[0], self.smax)
+        psum = P[start[ln[-1] - 1] + rank[-1]].copy() if carry_out else None
+        return smax, psum
+
+    @staticmethod
+    def _segment_dev_max(rows: np.ndarray, anchor: np.ndarray, carried: np.ndarray,
+                         lo: np.ndarray, ln: np.ndarray, seg_of_row: np.ndarray):
+        """Per-row deviations ||row - anchor of its window|| for rows 1..n and
+        their per-segment maxima; the first segment continues from the
+        carried anchor and maximum."""
+        dev = np.take(rows, lo[seg_of_row], axis=0)
+        dev[:ln[0]] = anchor
+        np.subtract(rows[1:], dev, out=dev)
+        dev = _norms(dev)
+        dmax = np.maximum.reduceat(dev, lo, axis=0)
+        dmax[0] = np.maximum(dmax[0], carried)
+        return dev, dmax
 
     def process_block(self, b0: int, xrows: np.ndarray, zrows: np.ndarray,
                       wrows: np.ndarray, n: int):
@@ -127,62 +165,52 @@ class _WindowAccumulator:
         w0 = self.w
         if w0 > self.W:
             return
-        # fast path: the block is exactly a run of single-step windows
-        hi = w0 + n
-        if hi <= self.W + 1 and self.gammas[w0 - 1] == b0 \
-                and np.array_equal(self.gammas[w0 - 1:hi],
-                                   np.arange(b0, b0 + n + 1, dtype=np.int64)):
-            self._singles_block(b0, xrows, zrows, wrows, n)
-            return
-        t_lo = b0 + 1
+        G = self.gammas
         end = b0 + n
-        while t_lo <= end and self.w <= self.W:
-            w = self.w
-            gend = int(self.gammas[w])
-            t_hi = min(gend, end)
-            j0, j1 = t_lo - b0, t_hi - b0
-            seg_w = wrows[j0 - 1:j1]
-            P = np.cumsum(np.concatenate([self.psum[None], seg_w], axis=0), axis=0)[1:]
-            self.smax = np.maximum(self.smax, _norms(P).max(axis=0))
-            self.psum = P[-1]
-            dx = xrows[j0:j1 + 1] - self.anchor_x
-            self.xmax = np.maximum(self.xmax, _norms(dx).max(axis=0))
-            if self.lam != 0.0:
-                dz = zrows[j0:j1 + 1] - self.anchor_z
-                self.zmax = np.maximum(self.zmax, _norms(dz).max(axis=0))
-            if t_hi == gend:
-                self._close_window(w, xrows[j1], zrows[j1], xrows[j1 - 1])
-            t_lo = t_hi + 1
+        # windows w0..kc close in this block; an open window may follow
+        kc = min(int(np.searchsorted(G, end, side="right")) - 1, self.W)
+        open_tail = bool(kc < self.W and G[kc] < end)
+        ks = np.arange(w0, kc + 1 + open_tail)
+        lo = np.maximum(G[ks - 1] - b0, 0)     # segment rows lo+1 .. hi
+        hi = np.minimum(G[ks] - b0, n)
+        ln = hi - lo
+        seg_of_row = np.repeat(np.arange(len(ks)), ln)
 
-    def _singles_block(self, b0, xrows, zrows, wrows, n):
-        w0 = self.w
-        s_blk = _norms(wrows)                       # (n, S)
-        xdev = _norms(np.diff(xrows, axis=0))
-        zdev = xdev if self.lam == 0.0 else _norms(np.diff(zrows, axis=0))
-        d_blk = np.maximum(xdev, zdev)
-        dec = decade_of(np.arange(b0, b0 + n))
-        np.add.at(self.decade_d_sum, dec, d_blk)
-        np.add.at(self.decade_d_cnt, dec, 1.0)
-        lo = self.detail_lo
-        a0 = max(w0, lo)
-        a1 = min(w0 + n - 1, self.W)                # windows w0..w0+n-1
-        if a0 <= a1:
-            src = slice(a0 - w0, a1 - w0 + 1)
-            dst = slice(a0 - lo, a1 - lo + 1)
-            self.s_arr[dst] = s_blk[src]
-            self.xdev_arr[dst] = xdev[src]
-            self.zdev_arr[dst] = zdev[src]
-        # anchors created by the closed windows are boundaries w0+1..w0+n
-        for b in range(max(w0 + 1, lo), min(w0 + n, self.W + 1) + 1):
-            self._boundary_eval(b, xrows[b - w0], zrows[b - w0])
-        if self.boundary_step is not None:
-            self.boundary_step[w0 - 1:w0 - 1 + n] = xdev
-        if self.boundary_x is not None:
-            self.boundary_x[w0:w0 + n] = xrows[1:n + 1]
-            self.boundary_xp[w0:w0 + n] = xrows[0:n]
-        self.anchor_x = xrows[n].copy()
-        self.anchor_z = zrows[n].copy()
-        self.w = w0 + n
+        smax, psum = self._segment_error_max(wrows[:n], lo, ln, seg_of_row, open_tail)
+        xdev, xmax = self._segment_dev_max(xrows[:n + 1], self.anchor_x, self.xmax,
+                                           lo, ln, seg_of_row)
+        if self.lam == 0.0:
+            zmax = xmax
+        else:
+            _, zmax = self._segment_dev_max(zrows[:n + 1], self.anchor_z, self.zmax,
+                                            lo, ln, seg_of_row)
+
+        nc = len(ks) - open_tail                # closed windows
+        if nc:
+            kk, rc = ks[:nc], hi[:nc]
+            dst = kk - self.detail_lo
+            det = slice(np.searchsorted(dst, 0), nc)
+            self.s_arr[dst[det]] = smax[det]
+            self.xdev_arr[dst[det]] = xmax[det]
+            self.zdev_arr[dst[det]] = zmax[det]
+            if self.boundary_step is not None:
+                self.boundary_step[kk - 1] = xdev[rc - 1]
+            if self.boundary_x is not None:
+                self.boundary_x[kk] = xrows[rc]
+                self.boundary_xp[kk] = xrows[rc - 1]
+            dec = decade_of(G[kk - 1])
+            np.add.at(self.decade_d_sum, dec, np.maximum(xmax[:nc], zmax[:nc]))
+            np.add.at(self.decade_d_cnt, dec, 1.0)
+            self._anchor_eval(kk + 1, xrows, zrows, rc)
+            self.anchor_x = xrows[rc[-1]].copy()
+            self.anchor_z = zrows[rc[-1]].copy()
+            self.w = w0 + nc
+        if open_tail:
+            self.psum = psum
+            self.smax, self.xmax, self.zmax = smax[-1], xmax[-1], zmax[-1]
+        else:
+            self.psum = np.zeros_like(self.psum)
+            self.smax = self.xmax = self.zmax = np.zeros_like(self.smax)
 
     def finish(self) -> WindowTrace:
         return WindowTrace(
@@ -192,7 +220,8 @@ class _WindowAccumulator:
             merit=self.merit_arr, merit_grad_sq=self.gm2_arr,
             boundary_step=self.boundary_step,
             decade_d_sum=self.decade_d_sum, decade_d_cnt=self.decade_d_cnt,
-            boundary_x=self.boundary_x, boundary_x_prev=self.boundary_xp)
+            boundary_x=self.boundary_x, boundary_x_prev=self.boundary_xp,
+            partition=self.part, K_T=self.K_T)
 
 
 def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
@@ -228,14 +257,14 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     if partition is not None:
         if partition.horizon != horizon:
             raise ValueError("partition horizon must equal the run horizon")
+        K_T = win.applicability_index(partition, schedule, problem, params)
         if rp.window_profile or rp.window_detail == "full":
             detail_lo = 1
-        elif rp.window_detail == "off":
+        elif rp.window_detail == "off" or K_T is None:
             detail_lo = partition.n_windows + 1
         else:
-            kt = win.applicability_index(partition, schedule, problem, params)
-            detail_lo = kt if kt is not None else partition.n_windows + 1
-        acc = _WindowAccumulator(partition, problem, params, S, detail_lo,
+            detail_lo = K_T
+        acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
                                  keep_boundaries=rp.store_boundary_vectors)
 

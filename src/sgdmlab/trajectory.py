@@ -9,8 +9,12 @@ run so million-step trajectories stay small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .windows import WindowPartition
 
 
 class InsufficientRecordingError(ValueError):
@@ -86,6 +90,8 @@ class WindowTrace:
     decade_d_cnt: np.ndarray            # (n_decades,)
     boundary_x: np.ndarray | None = None        # x^{gamma_k}, (W+1, S, d)
     boundary_x_prev: np.ndarray | None = None   # x^{gamma_k - 1}
+    partition: WindowPartition | None = None    # the partition the run used
+    K_T: int | None = None                      # its applicability index
 
     @property
     def spread(self) -> np.ndarray:
@@ -112,7 +118,7 @@ class Trajectory:
     x_final: np.ndarray
     x_prev_final: np.ndarray
     diverged_at: int = 0                # step of divergence, 0 if none
-    box_exits: int = 0                  # steps with ||x||_inf above the L-box
+    box_exits: int = 0                  # steps with ||x|| (Euclidean) above the L-box
     window: WindowTrace | None = None
     X_hist: np.ndarray | None = None    # (horizon, d) when store_vectors
     E_hist: np.ndarray | None = None    # (horizon-1, d) when store_noise
@@ -165,7 +171,8 @@ class RunBatch:
                 decade_d_sum=w.decade_d_sum[:, i].copy(), decade_d_cnt=w.decade_d_cnt,
                 boundary_x=None if w.boundary_x is None else w.boundary_x[:, i].copy(),
                 boundary_x_prev=None if w.boundary_x_prev is None
-                else w.boundary_x_prev[:, i].copy())
+                else w.boundary_x_prev[:, i].copy(),
+                partition=w.partition, K_T=w.K_T)
         return Trajectory(
             seed=self.seeds[i], horizon=self.horizon, config=self.config,
             ks=self.ks,

@@ -141,6 +141,12 @@ class WindowLengthReport:
         return not self.violations_after_guarantee
 
 
+def _anchor_step_sizes(partition: WindowPartition, schedule: StepSchedule) -> np.ndarray:
+    """alpha_{gamma_k} for every window anchor, read from the schedule prefix
+    (an explicit schedule may hold exactly horizon - 1 values)."""
+    return schedule.prefix(partition.horizon - 1)[partition.gammas[:-1] - 1]
+
+
 def verify_window_lengths(partition: WindowPartition, schedule: StepSchedule,
                           delta: float) -> tuple[int | None, WindowLengthReport]:
     """Smallest window index after which delta*T <= Delta_k <= T holds for
@@ -149,21 +155,15 @@ def verify_window_lengths(partition: WindowPartition, schedule: StepSchedule,
         raise ValueError("delta must lie in [0, 1)")
     T = partition.T
     lengths = partition.deltas
-    viol = []
-    for k in range(partition.n_windows):
-        if not partition.complete[k]:
-            continue
-        if lengths[k] > T or lengths[k] < delta * T:
-            viol.append((k + 1, float(lengths[k])))
+    bad = np.nonzero(partition.complete & ((lengths > T) | (lengths < delta * T)))[0]
+    viol = list(zip((bad + 1).tolist(), lengths[bad].tolist()))
     K_obs = 1 if not viol else viol[-1][0] + 1
     if K_obs > partition.n_windows:
         K_obs = None
 
-    anchors = partition.gammas[:-1]
-    anchor_alphas = np.array([schedule.step_size(int(g)) for g in anchors])
-    small = np.nonzero(anchor_alphas <= (1.0 - delta) * T)[0]
+    small = np.nonzero(_anchor_step_sizes(partition, schedule) <= (1.0 - delta) * T)[0]
     K_gua = int(small[0]) + 1 if small.size else None
-    viol_after = [v for v in viol if K_gua is not None and v[0] >= K_gua]
+    viol_after = [] if K_gua is None else viol[int(np.searchsorted(bad, K_gua - 1)):]
     report = WindowLengthReport(
         T=T, delta=delta, K_delta=K_obs, K_guarantee=K_gua,
         violations=viol, violations_after_guarantee=viol_after,
@@ -185,8 +185,7 @@ def applicability_index(partition: WindowPartition, schedule: StepSchedule,
     """
     lam, nu, L = params.lam, params.nu, problem.L
     T = partition.T
-    anchors = partition.gammas[:-1]
-    a = np.array([schedule.step_size(int(g)) for g in anchors])
+    a = _anchor_step_sizes(partition, schedule)
     iota = min(0.1, nu * (1.0 - lam) / (1.0 + 2.0 * nu)) / 10.0
     ok = (a <= (1.0 - delta) * T) \
         & (L * nu * a <= lam * iota) \

@@ -180,6 +180,7 @@ def test_criterion_03_noise_dominated_step_lower_bound():
                    f"path={traj.step_norm_total:.3f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_04_window_lengths_across_matrix():
     t0 = time.time()
     worst = 0
@@ -198,6 +199,7 @@ def test_criterion_04_window_lengths_across_matrix():
                    f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_05_bounds_and_descent_across_matrix():
     results, elapsed = _matrix_results()
     bounds = sum(r["windows"]["bounds_violations"] for r in results.values())
@@ -211,6 +213,7 @@ def test_criterion_05_bounds_and_descent_across_matrix():
                    f"descent={descent}, ledger={ledger}, run {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_decade_medians_across_matrix():
     results, _ = _matrix_results()
     bad = []
@@ -227,6 +230,7 @@ def test_criterion_06_decade_medians_across_matrix():
                         f"failing configs: {bad}")
 
 
+@pytest.mark.slow
 def test_criterion_07_rate_reproduction_flat_sharpness():
     t0 = time.time()
     Phi, Psi = sl.rate_Phi_Psi(0.9, 0.5)
@@ -243,6 +247,7 @@ def test_criterion_07_rate_reproduction_flat_sharpness():
                    f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_rate_reproduction_quartic_sharpness():
     t0 = time.time()
     og = sl.optimal_gamma(0.75)

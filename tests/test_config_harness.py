@@ -81,6 +81,20 @@ run.horizon = 100
     assert ok.schedule.variant == "explicit"
 
 
+def test_negative_base_seed_rejected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + "run.base_seed = -1\n")
+    assert "run.base_seed" in str(exc.value)
+
+
+def test_seed_offset_making_a_seed_negative_rejected():
+    cfg = parse_config(MINIMAL + "run.base_seed = 2\nrun.seeds = 3\n")
+    assert cfg.seed_list(-2) == [0, 1, 2]
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg, seed_offset=-3)
+    assert "negative" in str(exc.value)
+
+
 def test_gaussian_sigma_is_total_budget():
     cfg = parse_config(MINIMAL + "noise.variant = gaussian\nnoise.sigma = 0.1\n")
     assert cfg.noise.sigma_sq(cfg.problem.dim) == pytest.approx(0.01)
@@ -177,6 +191,25 @@ def test_emit_outputs_stable_and_complete(tmp_path):
     assert doc["config_hash"] == cfg.config_hash
 
 
+def test_steps_csv_alpha_empty_past_explicit_schedule(tmp_path):
+    # an explicit schedule may hold exactly horizon - 1 values: the last
+    # record, k = horizon, has no step size
+    cfg = parse_config("""
+problem.name = quadratic
+problem.dim = 2
+schedule.variant = explicit
+schedule.values = 0.2,0.2,0.1,0.1,0.05,0.05,0.05
+run.horizon = 8
+out.formats = summary,step_csv,window_csv
+""")
+    summary, batch = run_experiment(cfg)
+    paths = emit_outputs(summary, batch, cfg, str(tmp_path))
+    rows = [r.split(",") for r in open(paths[1]).read().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 9))
+    assert [r[1] for r in rows[:-1]] == [repr(v) for v in cfg.schedule.values]
+    assert rows[-1][1] == ""
+
+
 def test_window_csv_rows_cover_stored_windows(tmp_path):
     cfg = _experiment_cfg("out.formats = window_csv\nwindow.profile = true\n")
     summary, batch = run_experiment(cfg)
@@ -208,6 +241,20 @@ run.seeds = 1
 
     assert main(["windows", str(cfg_path)]) == 0
     assert main(["check"]) == 0
+
+
+def test_cli_negative_seed_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\n"
+                        "run.horizon = 100\nrun.base_seed = 2\n")
+    assert main(["run", str(cfg_path), "--seed-offset", "-3",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    assert "negative" in capsys.readouterr().err
+    cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\n"
+                        "run.horizon = 100\nrun.base_seed = -1\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_two_on_violated_target(tmp_path):

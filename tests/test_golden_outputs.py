@@ -20,9 +20,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from sgdmlab import (applicability_index, build_partition, default_window,
-                     emit_outputs, parse_config, run_experiment)
-from sgdmlab.trajectory import RecordingPolicy
+from sgdmlab import (RecordingPolicy, applicability_index, build_partition,
+                     default_window, emit_outputs, parse_config, run_experiment)
 
 HORIZON = 20_001
 OUTPUTS = ("summary.json", "steps.csv", "windows.csv")
