@@ -76,20 +76,22 @@ class NoiseModel:
                 f"axis {self.axis} out of range for dimension {dim}")
 
 
-def _draw_block(model: NoiseModel, gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n consecutive draws, shape (n, dim)."""
-    if model.variant == "none":
-        return np.zeros((n, dim))
+def _draw_block(model: NoiseModel, gen: np.random.Generator, out: np.ndarray):
+    """Fill out, shape (n, dim), with n consecutive draws, in place."""
     if model.variant == "gaussian":
-        return model.sigma_c * gen.standard_normal((n, dim))
+        gen.standard_normal(out=out)
+        np.multiply(out, model.sigma_c, out=out)
+        return
+    if model.variant == "sphere":
+        # gaussian direction scaled onto the radius-sigma sphere
+        gen.standard_normal(out=out)
+        norms = np.sqrt(np.einsum("nd,nd->n", out, out))
+        np.multiply(out, model.sigma, out=out)
+        np.divide(out, norms[:, None], out=out)
+        return
+    out.fill(0.0)
     if model.variant == "axis_rademacher":
-        out = np.zeros((n, dim))
-        out[:, model.axis] = 2.0 * gen.integers(0, 2, size=n) - 1.0
-        return out
-    # sphere: gaussian direction scaled onto the radius-sigma sphere
-    v = gen.standard_normal((n, dim))
-    norms = np.sqrt(np.einsum("nd,nd->n", v, v))
-    return model.sigma * v / norms[:, None]
+        out[:, model.axis] = 2.0 * gen.integers(0, 2, size=len(out)) - 1.0
 
 
 class NoiseStream:
@@ -108,17 +110,22 @@ class NoiseStream:
         self.dim = dim
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self._buf = np.zeros((0, dim))
-        self._pos = 0
+        self._buf = np.empty((self._BLOCK, dim))   # refilled in place
+        self._pos = self._BLOCK
         self.position = 0  # number of vectors emitted so far
 
     def take(self, n: int) -> np.ndarray:
         """Next n error vectors, shape (n, dim)."""
-        out = np.empty((n, self.dim))
+        return self.take_into(np.empty((n, self.dim)))
+
+    def take_into(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (shape (n, dim), any strides) with the next n error
+        vectors, straight from the draw buffer."""
+        n = len(out)
         filled = 0
         while filled < n:
             if self._pos == len(self._buf):
-                self._buf = _draw_block(self.model, self._gen, self._BLOCK, self.dim)
+                _draw_block(self.model, self._gen, self._buf)
                 self._pos = 0
             m = min(n - filled, len(self._buf) - self._pos)
             out[filled:filled + m] = self._buf[self._pos:self._pos + m]
@@ -133,8 +140,7 @@ class NoiseStream:
 
     def reset(self):
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self._buf = np.zeros((0, self.dim))
-        self._pos = 0
+        self._pos = self._BLOCK
         self.position = 0
 
 

@@ -8,11 +8,17 @@ seed alone or inside a batch yields bitwise-identical records.
 
 Per-window statistics (aggregated error, iterate spread, merit ledger at
 anchors) are accumulated streaming so that million-step runs never hold
-full iterate histories; a block buffer of recent iterates serves the
-scalar record grid and the window segments.
+full iterate histories; a ring of block buffers serves the scalar record
+grid and the window segments.  The ring is shared by two processes: the
+caller runs the momentum steps, a forked child draws the noise ahead and
+consumes each finished block (a two-stage pipeline; it needs POSIX fork).
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import pickle
 
 import numpy as np
 
@@ -27,14 +33,14 @@ from .trajectory import (RecordingPolicy, RunBatch, Trajectory, WindowTrace,
 STEP_NORM_TOL = 1e-12
 
 
-def _norms_sq(A):
+def _norms_sq(A, out=None):
     """Squared Euclidean norms over the trailing axis."""
-    return np.einsum("...d,...d->...", A, A)
+    return np.einsum("...d,...d->...", A, A, out=out)
 
 
-def _norms(A):
+def _norms(A, out=None):
     """Euclidean norms over the trailing axis."""
-    return np.sqrt(_norms_sq(A))
+    return np.sqrt(_norms_sq(A, out), out=out)
 
 
 class _WindowAccumulator:
@@ -224,11 +230,236 @@ class _WindowAccumulator:
             partition=self.part, K_T=self.K_T)
 
 
+# ---------------------------------------------------------------------------
+# two-process block pipeline
+#
+# run_batch forks one child per call.  The parent runs the momentum steps
+# and the divergence scan, whose frozen rows set the next block's start.
+# The child draws every block's noise ahead into a slot of a ring shared
+# with the parent, then consumes the block's finished rows in order.  Block
+# j lives in slot j % RING_SLOTS; one token byte per block each way hands
+# the slot over, and the child's result comes back pickled at the end.
+
+RING_SLOTS = 3          # blocks in flight between the two processes
+_NOISE, _ROWS, _RESULT, _ERROR = b"N", b"R", b"D", b"X"
+
+
+class PipelineError(RuntimeError):
+    """A process of the block pipeline ended before finishing its side."""
+
+
+def _ring(slots: int, B: int, S: int, d: int):
+    """Noise slots (slots, B, S, d) and row slots (slots, B+1, S, d) in one
+    anonymous shared mapping, which a forked child shares with its parent."""
+    import mmap     # here and below: importing sgdmlab stays as light as before
+    ne, nr = slots * B * S * d, slots * (B + 1) * S * d
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(ne + nr, 1)), dtype=float)
+    return flat[:ne].reshape(slots, B, S, d), flat[ne:ne + nr].reshape(slots, B + 1, S, d)
+
+
+def _send(fh, tag: bytes, payload=None):
+    fh.write(tag)
+    if payload is not None:
+        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    fh.flush()
+
+
+def _recv(fh):
+    """The child's next message: None for a noise token, else its result.
+    The child's exception is raised here, and so is its early death."""
+    tag = fh.read(1)
+    if tag == _NOISE:
+        return None
+    if tag == _RESULT:
+        return pickle.load(fh)
+    if tag == _ERROR:
+        raise pickle.load(fh)
+    raise PipelineError("the child process of run_batch exited without its result")
+
+
+def _hand_over(rx, tx):
+    """Tell the child that the current block's rows are final."""
+    try:
+        tx.write(_ROWS)
+    except BrokenPipeError:
+        while _recv(rx) is None:        # raises what ended the child
+            pass
+        raise
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc with the child's traceback attached as a note; a RuntimeError
+    naming it instead if it does not survive a pickle round trip."""
+    import traceback
+    note = ("raised in the child process of run_batch:\n"
+            + "".join(traceback.format_exception(exc)))
+    try:
+        exc.add_note(note)
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        exc.add_note(note)
+    return exc
+
+
+@contextlib.contextmanager
+def _forked(child_main):
+    """Fork a child that runs child_main(rx, tx) and yield the parent's
+    (rx, tx) pipe ends.  The child sends its exception before it ends and
+    always ends with os._exit; the parent always reaps it, killing it first
+    when the parent's side raised."""
+    import signal
+    child_rx, parent_tx = os.pipe()
+    parent_rx, child_tx = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (child_rx, parent_tx, parent_rx, child_tx):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(parent_tx)
+            os.close(parent_rx)
+            with open(child_rx, "rb") as rx, open(child_tx, "wb") as tx:
+                try:
+                    child_main(rx, tx)
+                    status = 0
+                except BaseException as exc:    # the parent raises it; this process ends
+                    _send(tx, _ERROR, _portable(exc))
+        finally:
+            os._exit(status)
+    os.close(child_rx)
+    os.close(child_tx)
+    finished = False
+    try:
+        with open(parent_rx, "rb") as rx, open(parent_tx, "wb", buffering=0) as tx:
+            yield rx, tx
+        finished = True
+    finally:
+        if not finished:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+class _BlockConsumer:
+    """The child's side of run_batch.
+
+    It draws each block's noise into the block's ring slot ahead of the
+    step loop, then consumes the finished rows block by block, in order:
+    interpolation rows, step norms, window statistics and the scalar
+    record grid.  Its result is what the run recorded from the rows.
+    """
+
+    def __init__(self, problem: Problem, params: MomentumParams,
+                 streams: list[NoiseStream], alphas: np.ndarray,
+                 blocks: list[tuple[int, int]], E_ring: np.ndarray, row_ring: np.ndarray,
+                 X1: np.ndarray, grid: np.ndarray, acc: _WindowAccumulator | None,
+                 track_step_norms: bool):
+        self.problem, self.lam, self.streams = problem, params.lam, streams
+        self.alphas, self.blocks = alphas, blocks
+        self.E_ring, self.row_ring = E_ring, row_ring
+        self.X1, self.grid, self.acc = X1, grid, acc
+        # the buffers below are first written in the child
+        G, S = len(grid), len(streams)
+        self.rec_f = np.empty((G, S))
+        self.rec_g = np.empty((G, S))
+        self.rec_xz = np.empty((G, S))
+        self.rec_dist = np.empty((G, S)) if problem.x_star is not None else None
+        self.sn_ok = np.zeros(S, dtype=np.int64) if track_step_norms else None
+        self.sn_total = np.zeros(S) if track_step_norms else None
+        self.gp = 0                     # next record-grid point
+        self.prev_row = None            # last-but-one row of the previous block
+        self.zbuf = np.empty_like(row_ring[0])
+        self.tmp = np.empty_like(row_ring[0])
+
+    def run(self, rx, tx):
+        blocks, ahead = self.blocks, len(self.E_ring)
+        for j in range(min(ahead, len(blocks))):
+            self._draw(j)
+            _send(tx, _NOISE)
+        if self.acc is not None:
+            self.acc.start(self.X1)
+        if len(self.grid) and self.grid[0] == 1:
+            self._record(self.X1, None)
+        for j in range(len(blocks)):
+            if rx.read(1) != _ROWS:
+                raise PipelineError("the parent of run_batch ended before its last block")
+            self._consume(j)
+            if j + ahead < len(blocks):
+                self._draw(j + ahead)
+                _send(tx, _NOISE)
+        trace = self.acc.finish() if self.acc is not None else None
+        if trace is not None:
+            trace.partition = None      # the parent holds it already
+        _send(tx, _RESULT, (self.rec_f, self.rec_g, self.rec_xz, self.rec_dist,
+                            trace, self.sn_ok, self.sn_total))
+
+    def _draw(self, j: int):
+        E = self.E_ring[j % len(self.E_ring), :self.blocks[j][1]]
+        for s, stream in enumerate(self.streams):
+            stream.take_into(E[:, s])
+
+    def _consume(self, j: int):
+        b0, n = self.blocks[j]
+        slot = j % len(self.E_ring)
+        rows = self.row_ring[slot, :n + 1]
+        lam = self.lam
+        # interpolation rows: z^t = x^t/(1-lam) - lam x^{t-1}/(1-lam); block
+        # temporaries live in buffers kept across blocks, not fresh pages
+        if lam == 0.0:
+            zrows = rows
+        else:
+            c1 = 1.0 / (1.0 - lam)
+            zrows, lagged = self.zbuf[:n + 1], self.tmp[:n + 1]
+            np.multiply(rows, c1, out=zrows)
+            np.multiply(rows[:-1], lam * c1, out=lagged[1:])
+            np.multiply(rows[0] if b0 == 1 else self.prev_row, lam * c1, out=lagged[0])
+            np.subtract(zrows, lagged, out=zrows)
+            if b0 == 1:
+                zrows[0] = rows[0]      # the run starts from a standstill
+            self.prev_row = rows[n - 1].copy()
+
+        a = self.alphas[b0 - 1:b0 - 1 + n, None]
+        if self.sn_ok is not None:
+            dn = _norms(np.diff(rows, axis=0))
+            self.sn_ok += (dn >= a - STEP_NORM_TOL).sum(axis=0)
+            self.sn_total += dn.sum(axis=0)
+
+        if self.acc is not None:
+            wrows = np.multiply(self.E_ring[slot, :n], a[..., None], out=self.tmp[:n])
+            self.acc.process_block(b0, rows, zrows, wrows, n)
+
+        grid = self.grid
+        while self.gp < len(grid) and grid[self.gp] <= b0 + n:
+            row = int(grid[self.gp] - b0)
+            self._record(rows[row], rows[row - 1] if lam != 0.0 else None)
+
+    def _record(self, xk: np.ndarray, xprev: np.ndarray | None):
+        """Scalar records of the next grid point at iterate xk; ||x - z||
+        from the previous iterate xprev, 0 at k = 1 and without momentum."""
+        gp, problem, lam = self.gp, self.problem, self.lam
+        self.rec_f[gp] = problem.f_batch(xk)
+        self.rec_g[gp] = _norms(problem.grad_batch(xk))
+        self.rec_xz[gp] = 0.0 if xprev is None else lam / (1.0 - lam) * _norms(xk - xprev)
+        if self.rec_dist is not None:
+            self.rec_dist[gp] = _norms(xk - problem.x_star)
+        self.gp += 1
+
+
 def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
               noise: NoiseModel, seeds, horizon: int, x0=None,
               recording: RecordingPolicy | None = None,
               partition: win.WindowPartition | None = None) -> RunBatch:
-    """Run one trajectory per seed, vectorized across seeds."""
+    """Run one trajectory per seed, vectorized across seeds.
+
+    The work is split over two processes (POSIX fork): this one runs the
+    momentum steps and the divergence scan, a forked child draws the noise
+    and consumes the finished blocks; see _BlockConsumer.  As with any
+    fork, call it from a process whose other threads hold no locks the
+    child could need.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rp = recording or RecordingPolicy()
@@ -246,13 +477,6 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     config = {"problem": problem, "params": params, "schedule": schedule,
               "noise": noise, "x0": x0.copy(), "horizon": horizon}
 
-    grid = record_grid(horizon, rp)
-    G = len(grid)
-    rec_f = np.empty((G, S))
-    rec_g = np.empty((G, S))
-    rec_xz = np.empty((G, S))
-    rec_dist = np.empty((G, S)) if problem.x_star is not None else None
-
     acc = None
     if partition is not None:
         if partition.horizon != horizon:
@@ -264,19 +488,16 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             detail_lo = partition.n_windows + 1
         else:
             detail_lo = K_T
+        # its arrays are first written in the child, so they take no pages here
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
                                  keep_boundaries=rp.store_boundary_vectors)
 
     lam, nu = params.lam, params.nu
-    c2 = lam / (1.0 - lam) if lam != 0.0 else 0.0
-    streams = [NoiseStream(noise, d, s) for s in seeds]
-
     X = np.tile(x0, (S, 1))
     Xp = X.copy()
     active = np.ones(S, dtype=bool)
-    all_active = True
-    mask_col = active[:, None].astype(float)
+    frozen = None                       # (S, 1) mask of frozen seeds, once any
     diverged_at = np.zeros(S, dtype=np.int64)
     box_exits = np.zeros(S, dtype=np.int64)
     box = problem.box_radius
@@ -286,103 +507,75 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     E_hist = np.empty((steps, S, d)) if rp.store_noise else None
     if X_hist is not None:
         X_hist[0] = X
-    sn_ok = np.zeros(S, dtype=np.int64) if rp.track_step_norms else None
-    sn_total = np.zeros(S) if rp.track_step_norms else None
-
-    if acc is not None:
-        acc.start(X)
-
-    # records at k = 1
-    gp = 0
-    if G and grid[0] == 1:
-        rec_f[0] = problem.f_batch(X)
-        rec_g[0] = _norms(problem.grad_batch(X))
-        rec_xz[0] = 0.0
-        if rec_dist is not None:
-            rec_dist[0] = _norms(X - problem.x_star)
-        gp = 1
 
     B = max(rp.block_size, 2)
-    xrows = np.empty((B + 1, S, d))
-    prev_row = None
-    for b0 in range(1, steps + 1, B):
-        n = min(B, steps + 1 - b0)
-        E = np.stack([st.take(n) for st in streams], axis=1)   # (n, S, d)
-        if E_hist is not None:
-            E_hist[b0 - 1:b0 - 1 + n] = E
-        xrows[0] = X
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                dX = X - Xp
-                xl = X + nu * dX if nu else X
-                g = problem.grad_batch(xl) - E[i]
-                dXn = lam * dX - alphas[b0 - 1 + i] * g
-                if not all_active:
-                    np.multiply(dXn, mask_col, out=dXn)
-                Xn = xrows[i + 1]
-                np.add(X, dXn, out=Xn)
-                Xp = X
-                X = Xn
-        rows = xrows[:n + 1]
-        # divergence scan: non-finite values or norm beyond the cap
-        with np.errstate(invalid="ignore", over="ignore"):
-            rnorm = _norms(rows[1:])                           # (n, S)
-            bad = ~np.isfinite(rows[1:]).all(axis=2) | ~np.isfinite(rnorm) | (rnorm > cap)
-        if bad.any():
-            for s_idx in np.nonzero(bad.any(axis=0) & active)[0]:
-                ib = int(np.argmax(bad[:, s_idx])) + 1
-                diverged_at[s_idx] = b0 + ib - 1
-                rows[ib:, s_idx] = rows[ib - 1, s_idx]
-                active[s_idx] = False
-            all_active = False
-            mask_col = active[:, None].astype(float)
-            X = rows[n].copy()
-            Xp = rows[n - 1].copy()
-            rnorm = _norms(rows[1:])
-        if np.isfinite(box):
-            box_exits += (rnorm > box).sum(axis=0)
+    blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
+    E_ring, row_ring = _ring(max(min(RING_SLOTS, len(blocks)), 1),
+                             max(min(B, steps), 1), S, d)
+    # built here, drawn from in the child only: numpy.random then loads once
+    # per process, not once per child
+    streams = [NoiseStream(noise, d, s) for s in seeds]
+    consumer = _BlockConsumer(problem, params, streams, alphas, blocks,
+                              E_ring, row_ring, X, record_grid(horizon, rp), acc,
+                              rp.track_step_norms)
 
-        if X_hist is not None:
-            X_hist[b0:b0 + n] = rows[1:]
-
-        # interpolation rows: z^t = x^t/(1-lam) - lam x^{t-1}/(1-lam)
-        if lam == 0.0:
-            zrows = rows
-        else:
-            c1 = 1.0 / (1.0 - lam)
-            lagged = np.empty_like(rows)
-            lagged[1:] = rows[:-1]
-            lagged[0] = rows[0] if b0 == 1 else prev_row
-            zrows = rows * c1 - (lam * c1) * lagged
-            if b0 == 1:
-                zrows[0] = rows[0]      # the run starts from a standstill
-            prev_row = rows[n - 1].copy()
-
-        if sn_ok is not None:
-            dn = _norms(np.diff(rows, axis=0))
-            sn_ok += (dn >= alphas[b0 - 1:b0 - 1 + n, None] - STEP_NORM_TOL).sum(axis=0)
-            sn_total += dn.sum(axis=0)
-
-        if acc is not None:
-            wrows = E * alphas[b0 - 1:b0 - 1 + n, None, None]
-            acc.process_block(b0, rows, zrows, wrows, n)
-
-        while gp < G and grid[gp] <= b0 + n:
-            row = int(grid[gp] - b0)
-            xk = rows[row]
-            rec_f[gp] = problem.f_batch(xk)
-            rec_g[gp] = _norms(problem.grad_batch(xk))
-            rec_xz[gp] = c2 * _norms(xk - rows[row - 1]) if lam != 0.0 else 0.0
-            if rec_dist is not None:
-                rec_dist[gp] = _norms(xk - problem.x_star)
-            gp += 1
+    grad = problem.grad_batch
+    sub, mul, add = np.subtract, np.multiply, np.add
+    alist = alphas.tolist()
+    dX, g = np.empty((S, d)), np.empty((S, d))
+    xl = np.empty((S, d)) if nu else None
+    rnorm_buf = np.empty((len(row_ring[0]) - 1, S))
+    with _forked(consumer.run) as (rx, tx):
+        for j, (b0, n) in enumerate(blocks):
+            _recv(rx)                   # this block's noise is in its slot
+            slot = j % len(E_ring)
+            E, rows = E_ring[slot, :n], row_ring[slot, :n + 1]
+            if E_hist is not None:
+                E_hist[b0 - 1:b0 - 1 + n] = E
+            rows[0] = X
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(n):
+                    sub(X, Xp, out=dX)
+                    if nu:
+                        add(X, mul(dX, nu, out=xl), out=xl)
+                    sub(grad(xl if nu else X), E[i], out=g)
+                    mul(dX, lam, out=dX)
+                    sub(dX, mul(g, alist[b0 - 1 + i], out=g), out=dX)
+                    if frozen is not None:
+                        np.copyto(dX, 0.0, where=frozen)
+                    Xn = rows[i + 1]
+                    add(X, dX, out=Xn)
+                    Xp = X
+                    X = Xn
+            # divergence scan: a NaN or +-inf coordinate makes its row's norm
+            # non-finite; a finite norm may still exceed the cap
+            with np.errstate(invalid="ignore", over="ignore"):
+                rnorm = _norms(rows[1:], out=rnorm_buf[:n])        # (n, S)
+                bad = ~np.isfinite(rnorm) | (rnorm > cap)
+            if bad.any():
+                for s_idx in np.nonzero(bad.any(axis=0) & active)[0]:
+                    ib = int(np.argmax(bad[:, s_idx])) + 1
+                    diverged_at[s_idx] = b0 + ib - 1
+                    rows[ib:, s_idx] = rows[ib - 1, s_idx]
+                    active[s_idx] = False
+                frozen = ~active[:, None]
+                X = rows[n].copy()
+                Xp = rows[n - 1].copy()
+                rnorm = _norms(rows[1:], out=rnorm)
+            if np.isfinite(box):
+                box_exits += (rnorm > box).sum(axis=0)
+            if X_hist is not None:
+                X_hist[b0:b0 + n] = rows[1:]
+            _hand_over(rx, tx)
+        rec_f, rec_g, rec_xz, rec_dist, trace, sn_ok, sn_total = _recv(rx)
+    if trace is not None:
+        trace.partition = partition
 
     return RunBatch(
-        seeds=seeds, horizon=horizon, config=config, ks=grid,
+        seeds=seeds, horizon=horizon, config=config, ks=consumer.grid,
         f=rec_f, grad_norm=rec_g, dist=rec_dist, xz=rec_xz,
         x_final=X.copy(), x_prev_final=Xp.copy(),
-        diverged_at=diverged_at, box_exits=box_exits,
-        window=acc.finish() if acc is not None else None,
+        diverged_at=diverged_at, box_exits=box_exits, window=trace,
         X_hist=X_hist, E_hist=E_hist,
         step_norm_ok=sn_ok, step_norm_total=sn_total)
 
