@@ -13,6 +13,11 @@ first asserts from the partition that the config still covers it:
   nesterov / nesterov_profile -- lam=nu=0.5: multi-step windows, K_T never
       reached; the profile run writes every window to windows.csv.
   sgd_matrix -- the acceptance matrix's quadratic/SGD/gamma=0.9 config.
+  ep_sgd / ep_hb -- even_power p=2 d=1 with the window profile, as plain
+      SGD and as heavy ball lam=0.9 (every window one step): the step
+      kernel's two update bodies on the one-dimensional gradient.
+  ep_d2_p15 -- even_power d=2 p=1.5, heavy ball lam=0.5, with the window
+      profile: the gradient's general norm-and-power branch.
 """
 
 import hashlib
@@ -37,6 +42,15 @@ def _text(dim, mu_l, lam, nu, alpha, seeds, extra=""):
             f"out.formats = summary,step_csv,window_csv\n" + extra)
 
 
+def _even_power_text(dim, p, lam, alpha, seeds):
+    return (f"problem.name = even_power\nproblem.dim = {dim}\nproblem.p = {p}\n"
+            f"opt.lambda = {lam}\nopt.nu = 0.0\n"
+            f"schedule.alpha = {alpha}\nschedule.gamma = 0.9\n"
+            f"noise.variant = gaussian\nnoise.sigma = 0.1\n"
+            f"run.horizon = {HORIZON}\nrun.seeds = {seeds}\nrun.base_seed = 20240501\n"
+            f"out.formats = summary,step_csv,window_csv\nwindow.profile = true\n")
+
+
 # name -> (config text, (n_windows, multi-step windows, K_T, straddling windows))
 CONFIGS = {
     "hb_multi": (_text(4, 1.0, 0.5, 0.0, 0.1, 3), (577, 448, 507, 9)),
@@ -49,6 +63,9 @@ CONFIGS = {
     "nesterov_profile": (_text(4, 1.0, 0.5, 0.5, 0.1, 3, "window.profile = true\n"),
                          (1974, 1368, None, 9)),
     "sgd_matrix": (_text(10, 1.0, 0.0, 0.0, 0.5, 3), (376, 300, 301, 9)),
+    "ep_sgd": (_even_power_text(1, 2.0, 0.0, 0.2, 3), (3089, 2004, None, 8)),
+    "ep_hb": (_even_power_text(1, 2.0, 0.9, 0.2, 3), (20000, 0, None, 0)),
+    "ep_d2_p15": (_even_power_text(2, 1.5, 0.5, 0.2, 3), (6886, 3656, None, 7)),
 }
 
 DIGESTS = {
@@ -86,6 +103,21 @@ DIGESTS = {
         "summary.json": "46a0593ef6508a6e68c6b19db22c81aaa42bd301211c12478099268a5b4b9d8f",
         "steps.csv": "b5cb5d22c556d6b22267badc3a9c075e5ce6087cff6de45c4a0b80cc73e85e5d",
         "windows.csv": "3e0dce89c8be1ed4200d8541ba1a603f24da1c6b98beb51993019f4bb45456e6",
+    },
+    "ep_sgd": {
+        "summary.json": "ca7cd23c5d8a7671e08cdaf37a5bcbe3a9acfeb7959368a0f3c5fb0304baa517",
+        "steps.csv": "b3a8c5ee92447bc7af11f16ba65f8ef69c1831292bff31e8c75d41e8115006d7",
+        "windows.csv": "017c2e7d28cacb700901b0ac6b96d42c5c7dde967f75d8b2558c166aeff62b20",
+    },
+    "ep_hb": {
+        "summary.json": "d4efc9a28ef4185df7e1ea3699797c13080415cfcc1f276b5bbbe06d2519affa",
+        "steps.csv": "a539b1e7bedb3677eae1f0ff02499e2bfca08346f1b851f96e121edc858c329d",
+        "windows.csv": "dc3f406b71830a5b6c7d4d9d5be8cf45156a53da1887ce8bcf37979adea31c3e",
+    },
+    "ep_d2_p15": {
+        "summary.json": "921471be8a5a4f7aa36d87d854ca5bd267c05c9464d8a0f8d53342615c258113",
+        "steps.csv": "131e4435786ac319a006fe10cac89e3b6b13d50bedec7a0381090096fba20685",
+        "windows.csv": "ae01ed49549b24584f7a3c6ea93f147db285d1d19bfb4e6bbdf1c915d64c7885",
     },
 }
 
