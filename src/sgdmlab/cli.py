@@ -82,8 +82,8 @@ def _cmd_windows(args) -> int:
     print(f"first indices: {partition.gammas[:6].tolist()}")
     print(f"K_delta (observed) = {K_obs}, K_guarantee = {rep.K_guarantee}, "
           f"K_T = {K_T}")
-    print(f"length violations: {len(rep.violations)} total, "
-          f"{len(rep.violations_after_guarantee)} past the guarantee index")
+    print(f"length violations: {rep.n_violations} total, "
+          f"{rep.n_violations_after_guarantee} past the guarantee index")
     return 0 if rep.ok else 2
 
 

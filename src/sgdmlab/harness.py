@@ -77,8 +77,8 @@ def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
         "n_windows": partition.n_windows,
         "K_delta": K_obs,
         "K_guarantee": wl.K_guarantee,
-        "length_violations": len(wl.violations),
-        "length_violations_after_guarantee": len(wl.violations_after_guarantee),
+        "length_violations": wl.n_violations,
+        "length_violations_after_guarantee": wl.n_violations_after_guarantee,
         "K_T": K_T,
         "vacuous": True,
         "n_applicable": 0,

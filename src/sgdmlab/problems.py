@@ -32,7 +32,10 @@ class Problem:
     name: str
     dim: int
     f_batch: Callable[[np.ndarray], np.ndarray]      # (..., d) -> (...)
-    grad_batch: Callable[[np.ndarray], np.ndarray]   # (..., d) -> (..., d)
+    # grad_batch(x, out=None): (..., d) -> (..., d).  Given out (x's shape
+    # and dtype, not overlapping x), the gradient is written into it and
+    # out is returned; the step loop reuses one buffer this way.
+    grad_batch: Callable[..., np.ndarray]
     L: float
     f_star: float
     x_star: np.ndarray | None
@@ -93,8 +96,8 @@ def _make_quadratic(dim, mu=1.0, l=None, **_):
     def f_batch(x):
         return 0.5 * np.einsum("...d,d->...", x * x, h)
 
-    def grad_batch(x):
-        return x * h
+    def grad_batch(x, out=None):
+        return np.multiply(x, h, out=out)
 
     return Problem(
         name="quadratic", dim=dim, f_batch=f_batch, grad_batch=grad_batch,
@@ -113,11 +116,20 @@ def _make_even_power(dim, p=2.0, box_radius=1.5, **_):
         r2 = np.einsum("...d,...d->...", x, x)
         return r2**p
 
-    def grad_batch(x):
+    c = 2 * p
+
+    def grad_batch(x, out=None):
+        # (2p) ||x||^(2p-2) x as ((2p) * r2 ** (p-1)) * x with r2 = ||x||^2
         if p == 1:
-            return 2.0 * x
-        r2 = np.einsum("...d,...d->...", x, x)
-        return (2 * p) * r2[..., None] ** (p - 1) * x
+            return np.multiply(2.0, x, out=out)
+        if dim == 1:
+            r2 = np.multiply(x, x, out=out)     # the one-term sum of squares
+        else:
+            r2 = np.einsum("...d,...d->...", x, x)[..., None]
+        if p != 2:                              # r2 ** 1 is r2
+            r2 **= p - 1
+        np.multiply(r2, c, out=r2)
+        return np.multiply(r2, x, out=out)
 
     if p == 1:
         L, box = 2.0, math.inf
@@ -137,9 +149,10 @@ def _make_sin_toy(dim, **_):
     def f_batch(x):
         return np.sin(x[..., 0])
 
-    def grad_batch(x):
-        g = np.zeros_like(x)
-        g[..., 0] = np.cos(x[..., 0])
+    def grad_batch(x, out=None):
+        g = np.empty_like(x) if out is None else out
+        np.cos(x[..., 0], out=g[..., 0])
+        g[..., 1] = 0.0
         return g
 
     # sharpness certified near x_1 = -pi/2 (mod 2 pi):
@@ -159,11 +172,12 @@ def _make_rosenbrock(dim, a=1.0, b=100.0, box_radius=2.0, **_):
         x1, x2 = x[..., 0], x[..., 1]
         return (a - x1) ** 2 + b * (x2 - x1**2) ** 2
 
-    def grad_batch(x):
+    def grad_batch(x, out=None):
         x1, x2 = x[..., 0], x[..., 1]
-        g = np.empty_like(x)
-        g[..., 0] = -2 * (a - x1) - 4 * b * x1 * (x2 - x1**2)
-        g[..., 1] = 2 * b * (x2 - x1**2)
+        g = np.empty_like(x) if out is None else out
+        r = x2 - x1**2
+        g[..., 0] = -2 * (a - x1) - 4 * b * x1 * r
+        np.multiply(2 * b, r, out=g[..., 1])
         return g
 
     # L on the sup-norm box: Gershgorin bound on the Hessian rows
@@ -192,9 +206,11 @@ def _make_shifted_quartic(dim, a=1.0, box_radius=2.0, **_):
     def f_batch(x):
         return (x[..., 0] - a) ** 4
 
-    def grad_batch(x):
-        g = np.empty_like(x)
-        g[..., 0] = 4 * (x[..., 0] - a) ** 3
+    def grad_batch(x, out=None):
+        g = np.empty_like(x) if out is None else out
+        t = np.subtract(x[..., 0], a, out=g[..., 0])
+        t **= 3
+        np.multiply(4, t, out=t)
         return g
 
     return Problem(

@@ -448,6 +448,52 @@ class _BlockConsumer:
         self.gp += 1
 
 
+class _Steps:
+    """The momentum step kernel: advances every seed through one block.
+
+    Rows 1..n of ``rows`` receive x^{t+1} = x^t - a_t (grad f(x_look) - e_t)
+    + lam (x^t - x^{t-1}) from x^t = rows[0]; seeds in ``frozen`` stay put.
+    The buffers are allocated once per run.  Plain SGD (lam = nu = 0) runs
+    x^{t+1} = x^t - a_t (grad f(x^t) - e_t) without the momentum terms: the
+    same values, up to the sign of an exact zero.
+    """
+
+    def __init__(self, grad, params: MomentumParams, S: int, d: int):
+        self.grad, self.lam, self.nu = grad, params.lam, params.nu
+        self.g = np.empty((S, d))
+        self.dX = np.empty((S, d))
+        self.xl = np.empty((S, d))
+        self.run = self._sgd if self.lam == 0.0 and self.nu == 0.0 else self._momentum
+
+    def _sgd(self, X, Xp, E, rows, alist, frozen):
+        grad, g, sub, mul = self.grad, self.g, np.subtract, np.multiply
+        for e, Xn, a in zip(E, rows[1:], alist):
+            sub(grad(X, g), e, out=g)
+            mul(g, a, out=g)
+            if frozen is not None:
+                np.copyto(g, 0.0, where=frozen)
+            sub(X, g, out=Xn)
+            X = Xn
+        return X, rows[-2]              # x^{t-1} is only needed at the end
+
+    def _momentum(self, X, Xp, E, rows, alist, frozen):
+        grad, g, dX, xl, lam, nu = self.grad, self.g, self.dX, self.xl, self.lam, self.nu
+        sub, mul, add = np.subtract, np.multiply, np.add
+        for e, Xn, a in zip(E, rows[1:], alist):
+            sub(X, Xp, out=dX)
+            if nu:
+                add(X, mul(dX, nu, out=xl), out=xl)
+            sub(grad(xl if nu else X, g), e, out=g)
+            mul(dX, lam, out=dX)
+            sub(dX, mul(g, a, out=g), out=dX)
+            if frozen is not None:
+                np.copyto(dX, 0.0, where=frozen)
+            add(X, dX, out=Xn)
+            Xp = X
+            X = Xn
+        return X, Xp
+
+
 def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
               noise: NoiseModel, seeds, horizon: int, x0=None,
               recording: RecordingPolicy | None = None,
@@ -493,7 +539,6 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                                  rp.window_profile, horizon,
                                  keep_boundaries=rp.store_boundary_vectors)
 
-    lam, nu = params.lam, params.nu
     X = np.tile(x0, (S, 1))
     Xp = X.copy()
     active = np.ones(S, dtype=bool)
@@ -519,11 +564,8 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                               E_ring, row_ring, X, record_grid(horizon, rp), acc,
                               rp.track_step_norms)
 
-    grad = problem.grad_batch
-    sub, mul, add = np.subtract, np.multiply, np.add
+    kernel = _Steps(problem.grad_batch, params, S, d)
     alist = alphas.tolist()
-    dX, g = np.empty((S, d)), np.empty((S, d))
-    xl = np.empty((S, d)) if nu else None
     rnorm_buf = np.empty((len(row_ring[0]) - 1, S))
     with _forked(consumer.run) as (rx, tx):
         for j, (b0, n) in enumerate(blocks):
@@ -534,19 +576,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                 E_hist[b0 - 1:b0 - 1 + n] = E
             rows[0] = X
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(n):
-                    sub(X, Xp, out=dX)
-                    if nu:
-                        add(X, mul(dX, nu, out=xl), out=xl)
-                    sub(grad(xl if nu else X), E[i], out=g)
-                    mul(dX, lam, out=dX)
-                    sub(dX, mul(g, alist[b0 - 1 + i], out=g), out=dX)
-                    if frozen is not None:
-                        np.copyto(dX, 0.0, where=frozen)
-                    Xn = rows[i + 1]
-                    add(X, dX, out=Xn)
-                    Xp = X
-                    X = Xn
+                X, Xp = kernel.run(X, Xp, E, rows, alist[b0 - 1:b0 - 1 + n], frozen)
             # divergence scan: a NaN or +-inf coordinate makes its row's norm
             # non-finite; a finite norm may still exceed the cap
             with np.errstate(invalid="ignore", over="ignore"):

@@ -97,10 +97,9 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
             rest = alphas[g - 1:horizon - 1]
             below = np.nonzero(rest <= T)[0]
             stop = g + int(below[0]) if below.size else horizon
-            for j in range(g, stop):
-                gammas.append(j + 1)
-                deltas.append(a[j - 1])
-                complete.append(True)
+            gammas.extend(range(g + 1, stop + 1))
+            deltas.extend(a[g - 1:stop - 1])
+            complete.extend([True] * (stop - g))
             g = stop
             continue
         s = 0.0
@@ -126,19 +125,45 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
 
 @dataclass
 class WindowLengthReport:
-    """Observed and guaranteed stabilization of window lengths."""
+    """Observed and guaranteed stabilization of window lengths.
+
+    The complete windows whose length leaves [delta*T, T] are held as two
+    arrays; ``violations`` lists them as (window, length) pairs on request.
+    """
 
     T: float
     delta: float
     K_delta: int | None                # observed: bounds hold from here on
     K_guarantee: int | None            # first window with alpha <= (1-delta)T
-    violations: list[tuple[int, float]]             # all complete-window violations
-    violations_after_guarantee: list[tuple[int, float]]
+    violation_windows: np.ndarray      # 1-based indices, ascending
+    violation_lengths: np.ndarray      # their accumulated step sizes
+    first_after_guarantee: int         # first entry at or past K_guarantee (or none)
     n_checked: int
 
     @property
+    def n_violations(self) -> int:
+        return len(self.violation_windows)
+
+    @property
+    def n_violations_after_guarantee(self) -> int:
+        return self.n_violations - self.first_after_guarantee
+
+    def _pairs(self, start: int = 0) -> list[tuple[int, float]]:
+        return list(zip(self.violation_windows[start:].tolist(),
+                        self.violation_lengths[start:].tolist()))
+
+    @property
+    def violations(self) -> list[tuple[int, float]]:
+        """All complete-window violations as (window, length) pairs."""
+        return self._pairs()
+
+    @property
+    def violations_after_guarantee(self) -> list[tuple[int, float]]:
+        return self._pairs(self.first_after_guarantee)
+
+    @property
     def ok(self) -> bool:
-        return not self.violations_after_guarantee
+        return self.n_violations_after_guarantee == 0
 
 
 def _anchor_step_sizes(partition: WindowPartition, schedule: StepSchedule) -> np.ndarray:
@@ -156,18 +181,17 @@ def verify_window_lengths(partition: WindowPartition, schedule: StepSchedule,
     T = partition.T
     lengths = partition.deltas
     bad = np.nonzero(partition.complete & ((lengths > T) | (lengths < delta * T)))[0]
-    viol = list(zip((bad + 1).tolist(), lengths[bad].tolist()))
-    K_obs = 1 if not viol else viol[-1][0] + 1
+    K_obs = int(bad[-1]) + 2 if bad.size else 1
     if K_obs > partition.n_windows:
         K_obs = None
 
     small = np.nonzero(_anchor_step_sizes(partition, schedule) <= (1.0 - delta) * T)[0]
     K_gua = int(small[0]) + 1 if small.size else None
-    viol_after = [] if K_gua is None else viol[int(np.searchsorted(bad, K_gua - 1)):]
+    after = len(bad) if K_gua is None else int(np.searchsorted(bad, K_gua - 1))
     report = WindowLengthReport(
         T=T, delta=delta, K_delta=K_obs, K_guarantee=K_gua,
-        violations=viol, violations_after_guarantee=viol_after,
-        n_checked=int(partition.complete.sum()))
+        violation_windows=bad + 1, violation_lengths=lengths[bad],
+        first_after_guarantee=after, n_checked=int(partition.complete.sum()))
     return K_obs, report
 
 

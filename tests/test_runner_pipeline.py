@@ -41,9 +41,10 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
-def _nan_below(x):
+def _nan_below(x, out=None):
     """grad of ||x||^2/2, with coordinate 1 NaN wherever x_0 < 0.01."""
-    g = x.copy()
+    g = np.empty_like(x) if out is None else out
+    g[...] = x
     g[..., 1] = np.where(x[..., 0] < 0.01, np.nan, x[..., 1])
     return g
 
@@ -104,12 +105,12 @@ def test_parent_exception_kills_and_reaps_child():
     parent = os.getpid()
     calls = []
 
-    def grad_batch(x):
+    def grad_batch(x, out=None):
         if os.getpid() == parent:       # the step loop runs in the parent
             calls.append(1)
             if len(calls) == 100:
                 raise FloatingPointError("step kernel failed")
-        return QUAD.grad_batch(x)
+        return QUAD.grad_batch(x, out)
 
     prob = dataclasses.replace(QUAD, grad_batch=grad_batch)
     rp = RecordingPolicy(block_size=16)
