@@ -34,7 +34,8 @@ class Problem:
     f_batch: Callable[[np.ndarray], np.ndarray]      # (..., d) -> (...)
     # grad_batch(x, out=None): (..., d) -> (..., d).  Given out (x's shape
     # and dtype, not overlapping x), the gradient is written into it and
-    # out is returned; the step loop reuses one buffer this way.
+    # out is returned; the step loop reuses one buffer this way.  Without
+    # out the result is a new float64 array, for integer x too.
     grad_batch: Callable[..., np.ndarray]
     L: float
     f_star: float
@@ -120,6 +121,8 @@ def _make_even_power(dim, p=2.0, box_radius=1.5, **_):
 
     def grad_batch(x, out=None):
         # (2p) ||x||^(2p-2) x as ((2p) * r2 ** (p-1)) * x with r2 = ||x||^2
+        if out is None:
+            x = np.asarray(x, dtype=float)      # r2 is updated in place below
         if p == 1:
             return np.multiply(2.0, x, out=out)
         if dim == 1:
@@ -150,7 +153,7 @@ def _make_sin_toy(dim, **_):
         return np.sin(x[..., 0])
 
     def grad_batch(x, out=None):
-        g = np.empty_like(x) if out is None else out
+        g = np.empty(np.shape(x)) if out is None else out
         np.cos(x[..., 0], out=g[..., 0])
         g[..., 1] = 0.0
         return g
@@ -174,7 +177,7 @@ def _make_rosenbrock(dim, a=1.0, b=100.0, box_radius=2.0, **_):
 
     def grad_batch(x, out=None):
         x1, x2 = x[..., 0], x[..., 1]
-        g = np.empty_like(x) if out is None else out
+        g = np.empty(np.shape(x)) if out is None else out
         r = x2 - x1**2
         g[..., 0] = -2 * (a - x1) - 4 * b * x1 * r
         np.multiply(2 * b, r, out=g[..., 1])
@@ -207,7 +210,7 @@ def _make_shifted_quartic(dim, a=1.0, box_radius=2.0, **_):
         return (x[..., 0] - a) ** 4
 
     def grad_batch(x, out=None):
-        g = np.empty_like(x) if out is None else out
+        g = np.empty(np.shape(x)) if out is None else out
         t = np.subtract(x[..., 0], a, out=g[..., 0])
         t **= 3
         np.multiply(4, t, out=t)

@@ -91,3 +91,14 @@ def test_gradient_matches_oracle_bitwise(name, dim, params, oracle, data):
     assert np.array_equal(_bits(out), _bits(want))
     assert single.shape == (dim,)
     assert np.array_equal(_bits(single), _bits(want[0]))
+
+
+@pytest.mark.parametrize("name,dim,params,oracle", CASES,
+                         ids=[f"{c[0]}-d{c[1]}-{c[2].get('p', '')}" for c in CASES])
+def test_integer_input_gives_float_gradient(name, dim, params, oracle):
+    # small integers: every product and sum is exact, in int64 as in float64
+    prob = make_problem(name, dim, **params)
+    x = np.arange(-3, 3 * dim - 3).reshape(3, dim)
+    got = prob.grad_batch(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(_bits(got), _bits(oracle(x.astype(float))))
