@@ -20,11 +20,10 @@ from .optimizer import (MomentumParams, IterateState, StepRecord, DivergenceErro
 from .trajectory import (RecordingPolicy, Trajectory, RunBatch, WindowTrace,
                          InsufficientRecordingError)
 from .runner import run_batch, run_trajectory
-from .windows import (WindowPartition, WindowCapError, default_window,
-                      bounds_window_cap, build_partition, verify_window_lengths,
-                      applicability_index, aggregate_errors, iterate_spread,
-                      check_iterate_bounds, check_descent, cauchy_profile,
-                      summability_profile, tail_error_sums)
+from .windows import (WindowPartition, WindowCapError, WindowReport, default_window,
+                      build_partition, verify_window_lengths, applicability_index,
+                      aggregate_errors, iterate_spread, judge_windows, check_windows,
+                      cauchy_profile, summability_profile, tail_error_sums)
 from .rates import (RatePrediction, EmpiricalRate, OptimalGamma, LogRateDecision,
                     ChungCheck, rate_psi_phi, rate_Phi_Psi, transition_theta,
                     tadic_Phi, optimal_gamma, log_rate_case, estimate_exponent,

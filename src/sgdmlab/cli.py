@@ -73,12 +73,10 @@ def _cmd_windows(args) -> int:
     if cfg.horizon < 2:
         print("error: windows need run.horizon >= 2", file=sys.stderr)
         return 1
-    T = cfg.window_T if cfg.window_T is not None \
-        else win.default_window(cfg.problem, cfg.params)
-    partition = win.build_partition(cfg.schedule, T, cfg.horizon)
+    partition = win.build_partition(cfg.schedule, cfg.window_T, cfg.horizon)
     K_obs, rep = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
     K_T = win.applicability_index(partition, cfg.schedule, cfg.problem, cfg.params)
-    print(f"T = {T:g}, windows = {partition.n_windows}, horizon = {cfg.horizon}")
+    print(f"T = {cfg.window_T:g}, windows = {partition.n_windows}, horizon = {cfg.horizon}")
     print(f"first indices: {partition.gammas[:6].tolist()}")
     print(f"K_delta (observed) = {K_obs}, K_guarantee = {rep.K_guarantee}, "
           f"K_T = {K_T}")

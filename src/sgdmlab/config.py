@@ -103,7 +103,7 @@ class ExperimentConfig:
     seeds: int
     base_seed: int
     window_enabled: bool
-    window_T: float | None
+    window_T: float                     # window.t, else default_window
     window_delta: float
     window_profile: bool
     points_per_decade: int
@@ -296,7 +296,8 @@ def parse_config(text: str) -> ExperimentConfig:
         schedule=schedule, noise=noise, x0=x0,
         horizon=values["run.horizon"], seeds=values["run.seeds"],
         base_seed=values["run.base_seed"],
-        window_enabled=values["window.enabled"], window_T=wT,
+        window_enabled=values["window.enabled"],
+        window_T=wT if wT is not None else default_window(problem, MomentumParams(lam, nu)),
         window_delta=values["window.delta"], window_profile=values["window.profile"],
         points_per_decade=values["record.points_per_decade"],
         stride=values["record.stride"], store_vectors=values["record.store_vectors"],

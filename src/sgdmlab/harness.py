@@ -28,6 +28,7 @@ MONOTONE_SLACK = 1e-9
 @dataclass
 class RunSummary:
     data: dict
+    report: win.WindowReport | None = None      # window verdict, not serialized
 
     @property
     def passed(self) -> bool:
@@ -68,10 +69,10 @@ def _monotone_medians(medians: list[float | None], strict: bool):
     return True
 
 
-def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
-    problem, params = cfg.problem, cfg.params
-    trace = batch.window
-    partition, K_T = trace.partition, trace.K_T
+def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig,
+                     rep: win.WindowReport) -> dict:
+    """The window report reduced over the seeds that did not diverge."""
+    partition = batch.window.partition
     K_obs, wl = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
     out = {
         "n_windows": partition.n_windows,
@@ -79,7 +80,7 @@ def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
         "K_guarantee": wl.K_guarantee,
         "length_violations": wl.n_violations,
         "length_violations_after_guarantee": wl.n_violations_after_guarantee,
-        "K_T": K_T,
+        "K_T": rep.K_T,
         "vacuous": True,
         "n_applicable": 0,
         "bounds_violations": 0,
@@ -90,41 +91,24 @@ def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
         "min_res_descent": None,
         "u_final_over_max": None,
     }
-    if len(trace.s) == 0 or K_T is None:
-        return out
-    lo = trace.detail_lo
-    W = partition.n_windows
-    idx = np.arange(lo, W + 1)
-    complete = partition.complete[lo - 1:]
-    app = complete & (idx >= K_T)
     seed_ok = batch.diverged_at == 0
-    if not app.any() or not seed_ok.any():
+    if not rep.applicable.any() or not seed_ok.any():
         return out
-    T, lam, L = partition.T, params.lam, problem.L
-    s, spread = trace.s, trace.spread
-    zx, gz = trace.zx, trace.gz
-    M, gm2 = trace.merit, trace.merit_grad_sq
-    rs, sc_s = win.spread_residual(T, lam, s, zx[:-1], gz[:-1], spread)
-    rg, sc_g = win.gap_residual(T, lam, s, zx[:-1], gz[:-1], zx[1:])
-    rd, sc_d = win.descent_residual(T, lam, L, s, spread, M[:-1], M[1:], gm2[:-1])
-    sel = np.ix_(app, seed_ok)
-    nb = int((rs[sel] < -DIAG_TOL * sc_s[sel]).sum() + (rg[sel] < -DIAG_TOL * sc_g[sel]).sum())
-    ndv = int((rd[sel] < -DIAG_TOL * sc_d[sel]).sum())
-    u = win.tail_error_sums_batch(s, T, lam)
-    ledger = M + u
-    start = max(K_T - lo, 0)
-    led = ledger[start:][:, seed_ok]
-    slack = DIAG_TOL * (1.0 + np.abs(led[:-1]))
-    nled = int((led[1:] > led[:-1] + slack).sum())
-    umax = u[start:][:, seed_ok].max(axis=0)
-    uend = u[-2][seed_ok] if len(u) >= 2 else umax * 0
+    sel = np.ix_(rep.applicable, seed_ok)
+    u = rep.u
+    umax = u[rep.start:][:, seed_ok].max(axis=0)
+    uend = u[-2][seed_ok]                   # an applicable window: len(u) >= 2
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(umax > 0, uend / umax, 0.0)
     out.update(
-        vacuous=False, n_applicable=int(app.sum()),
-        bounds_violations=nb, descent_violations=ndv, ledger_violations=nled,
-        min_res_spread=float(rs[sel].min()), min_res_gap=float(rg[sel].min()),
-        min_res_descent=float(rd[sel].min()),
+        vacuous=False, n_applicable=rep.n_applicable,
+        bounds_violations=int(rep.bad_spread[:, seed_ok].sum()
+                              + rep.bad_gap[:, seed_ok].sum()),
+        descent_violations=int(rep.bad_descent[:, seed_ok].sum()),
+        ledger_violations=int(rep.ledger_rise[:, seed_ok].sum()),
+        min_res_spread=float(rep.res_spread[sel].min()),
+        min_res_gap=float(rep.res_gap[sel].min()),
+        min_res_descent=float(rep.res_descent[sel].min()),
         u_final_over_max=float(np.median(ratio)))
     return out
 
@@ -205,9 +189,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSumm
         window_profile=cfg.window_profile)
     partition = None
     if cfg.window_enabled and cfg.horizon >= 2:
-        T = cfg.window_T if cfg.window_T is not None \
-            else win.default_window(cfg.problem, cfg.params)
-        partition = win.build_partition(cfg.schedule, T, cfg.horizon)
+        partition = win.build_partition(cfg.schedule, cfg.window_T, cfg.horizon)
     seeds = cfg.seed_list(seed_offset)
     batch = run_batch(cfg.problem, cfg.params, cfg.schedule, cfg.noise, seeds,
                       cfg.horizon, x0=cfg.x0, recording=policy, partition=partition)
@@ -224,8 +206,13 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSumm
         "box_exit_steps": [int(v) for v in batch.box_exits],
     }
     criteria = []
+    report = None
     if partition is not None:
-        wv = _window_verdicts(batch, cfg)
+        w = batch.window
+        report = win.judge_windows(partition, w.K_T, w.detail_lo, cfg.params.lam,
+                                   cfg.problem.L, w.s, w.spread, w.zx, w.gz, w.merit,
+                                   w.merit_grad_sq, DIAG_TOL)
+        wv = _window_verdicts(batch, cfg, report)
         data["windows"] = wv
         data["window_T"] = partition.T
         criteria.append(("window_lengths", wv["length_violations_after_guarantee"] == 0))
@@ -247,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSumm
         }
     data["criteria"] = [{"name": n, "passed": bool(p)} for n, p in criteria]
     data["overall_pass"] = all(p for _, p in criteria)
-    return RunSummary(data), batch
+    return RunSummary(data, report), batch
 
 
 def _fmt(v) -> str:
@@ -283,41 +270,32 @@ def emit_outputs(summary: RunSummary, batch: RunBatch, cfg: ExperimentConfig,
                 fh.write(f"{k},{_fmt(a)},{_fmt(gap)},{_fmt(batch.grad_norm[j, 0])},"
                          f"{_fmt(dist)}\n")
         written.append(path)
-    if "window_csv" in cfg.out_formats and batch.window is not None:
+    if "window_csv" in cfg.out_formats and summary.report is not None:
         path = os.path.join(outdir, "windows.csv")
-        _write_window_csv(path, batch, cfg)
+        _write_window_csv(path, batch, summary.report)
         written.append(path)
     return written
 
 
-def _write_window_csv(path: str, batch: RunBatch, cfg: ExperimentConfig):
+def _write_window_csv(path: str, batch: RunBatch, rep: win.WindowReport):
     """Per-window diagnostics for the first seed over the stored range."""
     trace = batch.window
-    partition, K_T, T = trace.partition, trace.K_T, trace.partition.T
-    lo = trace.detail_lo
+    partition = trace.partition
     with open(path, "w") as fh:
         fh.write("k,gamma_k,gamma_next,Delta,s_k,d_k,u_k,M_k,gradM_norm,"
                  "res_36,res_37,res_descent,applicable_flag\n")
-        if len(trace.s) == 0:
-            return
-        lam, L = cfg.params.lam, cfg.problem.L
         s = trace.s[:, 0]
         spread = trace.spread[:, 0]
-        zx, gz = trace.zx[:, 0], trace.gz[:, 0]
         M, gm2 = trace.merit[:, 0], trace.merit_grad_sq[:, 0]
-        rs, _ = win.spread_residual(T, lam, s, zx[:-1], gz[:-1], spread)
-        rg, _ = win.gap_residual(T, lam, s, zx[:-1], gz[:-1], zx[1:])
-        rd, _ = win.descent_residual(T, lam, L, s, spread, M[:-1], M[1:], gm2[:-1])
-        u = win.tail_error_sums(s, T, lam)
-        for j in range(len(s)):
-            k = lo + j
+        u = rep.u[:, 0]
+        rs, rg, rd = rep.res_spread[:, 0], rep.res_gap[:, 0], rep.res_descent[:, 0]
+        for j, k in enumerate(rep.windows.tolist()):
             g0, g1 = partition.window_range(k)
-            app = int(partition.complete[k - 1] and K_T is not None and k >= K_T)
             fh.write(",".join([
                 str(k), str(g0), str(g1), _fmt(partition.deltas[k - 1]),
                 _fmt(s[j]), _fmt(spread[j]), _fmt(u[j]), _fmt(M[j]),
                 _fmt(math.sqrt(gm2[j])), _fmt(rs[j]), _fmt(rg[j]), _fmt(rd[j]),
-                str(app)]) + "\n")
+                str(int(rep.applicable[j]))]) + "\n")
 
 
 def emit_rate_curves(thetas, gammas, outdir: str) -> list[str]:

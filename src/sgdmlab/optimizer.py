@@ -140,17 +140,3 @@ def merit_gradient(problem: Problem, params: MomentumParams, x, z
     gz = problem.grad(z) + 2.0 * zeta * (z - x)
     return gx, gz
 
-
-def merit_value_batch(problem: Problem, params: MomentumParams, X, Z) -> np.ndarray:
-    zeta = merit_zeta(problem, params)
-    diff = Z - X
-    return problem.f_batch(Z) + zeta * np.einsum("...d,...d->...", diff, diff)
-
-
-def merit_grad_sq_batch(problem: Problem, params: MomentumParams, X, Z) -> np.ndarray:
-    """||grad M||^2 over a batch, from the two blocks."""
-    zeta = merit_zeta(problem, params)
-    diff = Z - X
-    gz = problem.grad_batch(Z) + (2.0 * zeta) * diff
-    return (4.0 * zeta**2) * np.einsum("...d,...d->...", diff, diff) \
-        + np.einsum("...d,...d->...", gz, gz)

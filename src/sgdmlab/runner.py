@@ -72,7 +72,6 @@ class _WindowAccumulator:
         self.zdev_arr = np.zeros((Wd, S))
         nb = Wd + 1 if Wd > 0 else 0
         self.zx_arr = np.zeros((nb, S))
-        self.fz_arr = np.zeros((nb, S))
         self.gz_arr = np.zeros((nb, S))
         self.merit_arr = np.zeros((nb, S))
         self.gm2_arr = np.zeros((nb, S))
@@ -115,7 +114,6 @@ class _WindowAccumulator:
         fz = self.problem.f_batch(az)
         gblock = gzv + (2.0 * self.zeta) * diff
         self.zx_arr[j] = zx
-        self.fz_arr[j] = fz
         self.gz_arr[j] = _norms(gzv)
         self.merit_arr[j] = fz + self.zeta * zx**2
         self.gm2_arr[j] = (4.0 * self.zeta**2) * zx**2 + _norms_sq(gblock)
@@ -222,7 +220,7 @@ class _WindowAccumulator:
         return WindowTrace(
             n_windows=self.W, detail_lo=self.detail_lo,
             s=self.s_arr, xdev=self.xdev_arr, zdev=self.zdev_arr,
-            zx=self.zx_arr, f_z=self.fz_arr, gz=self.gz_arr,
+            zx=self.zx_arr, gz=self.gz_arr,
             merit=self.merit_arr, merit_grad_sq=self.gm2_arr,
             boundary_step=self.boundary_step,
             decade_d_sum=self.decade_d_sum, decade_d_cnt=self.decade_d_cnt,

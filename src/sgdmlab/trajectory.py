@@ -81,7 +81,6 @@ class WindowTrace:
     xdev: np.ndarray                    # max ||x^t - x^anchor|| in window
     zdev: np.ndarray                    # max ||z^t - z^anchor|| in window
     zx: np.ndarray                      # ||z - x|| at anchors, (Wd+1, S)
-    f_z: np.ndarray                     # f(z) at anchors
     gz: np.ndarray                      # ||grad f(z)|| at anchors
     merit: np.ndarray                   # M(x, z) at anchors
     merit_grad_sq: np.ndarray           # ||grad M||^2 at anchors
@@ -97,10 +96,6 @@ class WindowTrace:
     def spread(self) -> np.ndarray:
         """d_k = max of the x- and z-deviation maxima."""
         return np.maximum(self.xdev, self.zdev)
-
-    def tail_windows(self) -> np.ndarray:
-        """Window indices (1-based) covered by the detail arrays."""
-        return np.arange(self.detail_lo, self.n_windows + 1)
 
 
 @dataclass
@@ -165,7 +160,7 @@ class RunBatch:
                 n_windows=w.n_windows, detail_lo=w.detail_lo,
                 s=w.s[:, i].copy(), xdev=w.xdev[:, i].copy(),
                 zdev=w.zdev[:, i].copy(), zx=w.zx[:, i].copy(),
-                f_z=w.f_z[:, i].copy(), gz=w.gz[:, i].copy(),
+                gz=w.gz[:, i].copy(),
                 merit=w.merit[:, i].copy(), merit_grad_sq=w.merit_grad_sq[:, i].copy(),
                 boundary_step=None if w.boundary_step is None else w.boundary_step[:, i].copy(),
                 decade_d_sum=w.decade_d_sum[:, i].copy(), decade_d_cnt=w.decade_d_cnt,

@@ -9,8 +9,9 @@ window's accumulated length lands in [delta*T, T].
 Per window the diagnostics track the aggregated error s_k (max norm of
 step-weighted partial error sums), the iterate spread d_k (max deviation
 of x and of the interpolation z from the window anchor), and the merit
-ledger at the anchors, and check the spread / interpolation-gap / descent
-inequalities from the applicability index K_T on.
+ledger at the anchors; ``judge_windows`` checks the spread /
+interpolation-gap / descent inequalities and the ledger from the
+applicability index K_T on.
 """
 
 from __future__ import annotations
@@ -40,12 +41,6 @@ def default_window(problem: Problem, params: MomentumParams) -> float:
         raise ValueError("problem needs L > 0")
     lam, nu = params.lam, params.nu
     return (1.0 - lam) ** 3 / (50.0 * problem.L * (1.0 + 2.0 * nu) ** 2)
-
-
-def bounds_window_cap(problem: Problem, params: MomentumParams) -> float:
-    """Cap for the spread/gap inequalities: (1-lam)^2 / (20 L (1+2 nu))."""
-    lam, nu = params.lam, params.nu
-    return (1.0 - lam) ** 2 / (20.0 * problem.L * (1.0 + 2.0 * nu))
 
 
 @dataclass(frozen=True)
@@ -219,7 +214,7 @@ def applicability_index(partition: WindowPartition, schedule: StepSchedule,
 
 
 # ---------------------------------------------------------------------------
-# residual cores (array-valued; shared by the trajectory ops and the harness)
+# residual cores and the window verdict (array-valued, one seed or a batch)
 
 def spread_residual(T, lam, s, zx, gz, spread):
     """RHS - LHS of the spread bound  d_k^2 <= 1.5 zx^2 + 15 (T^2 gz^2 + s^2)/(1-lam)^2."""
@@ -245,19 +240,94 @@ def descent_residual(T, lam, L, s, spread, merit, merit_next, merit_grad_sq):
 
 
 def tail_error_sums(s: np.ndarray, T: float, lam: float) -> np.ndarray:
-    """u_k = 8/((1-lam) T) * suffix sums of s_i^2, truncated at the horizon.
-    Returned with one trailing zero so it aligns with window anchors."""
-    sq = np.asarray(s, dtype=float) ** 2
-    suf = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-    return 8.0 / ((1.0 - lam) * T) * suf
-
-
-def tail_error_sums_batch(s: np.ndarray, T: float, lam: float) -> np.ndarray:
-    """Seed-batched tail_error_sums over (windows, seeds) arrays."""
+    """u_k = 8/((1-lam) T) * suffix sums of s_i^2 along axis 0, truncated at
+    the horizon, for (windows,) or (windows, seeds) arrays.  Returned with
+    one trailing row of zeros so it aligns with window anchors."""
     sq = np.asarray(s, dtype=float) ** 2
     suf = np.concatenate([np.cumsum(sq[::-1], axis=0)[::-1],
-                          np.zeros((1, sq.shape[1]))], axis=0)
+                          np.zeros((1,) + sq.shape[1:])])
     return 8.0 / ((1.0 - lam) * T) * suf
+
+
+@dataclass
+class WindowReport:
+    """The window verdict over windows lo..W, for one seed ((window,)
+    arrays) or a seed batch ((window, seed) arrays).
+
+    Residuals are RHS - LHS for every window; only the ``applicable``
+    windows (complete, at or past K_T) are asserted, and the ``bad_*``
+    masks flag those whose residual is below -tol * scale.  The ledger
+    M + u lives on anchors lo..W+1; ``ledger_rise[j]`` flags a rise from
+    anchor lo+j to lo+j+1, counted from anchor K_T (offset ``start``) on.
+    """
+
+    K_T: int | None
+    windows: np.ndarray                 # lo..W
+    applicable: np.ndarray              # (window,)
+    res_spread: np.ndarray
+    res_gap: np.ndarray
+    res_descent: np.ndarray
+    bad_spread: np.ndarray
+    bad_gap: np.ndarray
+    bad_descent: np.ndarray
+    u: np.ndarray                       # tail error sums at anchors, truncated
+    ledger: np.ndarray                  # M_k + u_k at anchors
+    ledger_rise: np.ndarray
+    start: int                          # anchor offset the ledger is checked from
+
+    @property
+    def n_applicable(self) -> int:
+        return int(self.applicable.sum())
+
+    def _listed(self, mask, values, *name) -> list[tuple]:
+        return [(int(self.windows[ix[0]]), *map(int, ix[1:]), *name, float(values[ix]))
+                for ix in zip(*np.nonzero(mask))]
+
+    @property
+    def violations(self) -> list[tuple]:
+        """Asserted violations as (window, [seed,] inequality, residual)."""
+        return (self._listed(self.bad_spread, self.res_spread, "spread")
+                + self._listed(self.bad_gap, self.res_gap, "gap")
+                + self._listed(self.bad_descent, self.res_descent, "descent"))
+
+    @property
+    def ledger_violations(self) -> list[tuple]:
+        """Ledger rises as (anchor, [seed,] rise)."""
+        return self._listed(self.ledger_rise, np.diff(self.ledger, axis=0))
+
+
+def judge_windows(partition: WindowPartition, K_T: int | None, lo: int,
+                  lam: float, L: float, s, spread, zx, gz, merit, merit_grad_sq,
+                  tol: float) -> WindowReport:
+    """The spread, interpolation-gap and descent residuals of windows
+    lo..W and the M + u ledger, judged from the applicability index K_T on
+    (None: nothing is applicable).
+
+    ``s`` and ``spread`` hold windows lo..W; ``zx``, ``gz``, ``merit`` and
+    ``merit_grad_sq`` hold anchors lo..W+1.  Each is (window,) for one
+    seed or (window, seed) for a batch; a batch report's columns equal
+    the one-seed reports bitwise.
+    """
+    T, W = partition.T, partition.n_windows
+    K = W + 1 if K_T is None else K_T
+    idx = np.arange(lo, W + 1)
+    applicable = partition.complete[lo - 1:] & (idx >= K)
+    app = applicable.reshape((-1,) + (1,) * (np.ndim(s) - 1))
+    rs, sc_s = spread_residual(T, lam, s, zx[:-1], gz[:-1], spread)
+    rg, sc_g = gap_residual(T, lam, s, zx[:-1], gz[:-1], zx[1:])
+    rd, sc_d = descent_residual(T, lam, L, s, spread, merit[:-1], merit[1:],
+                                merit_grad_sq[:-1])
+    u = tail_error_sums(s, T, lam)
+    ledger = merit + u
+    start = max(K - lo, 0)
+    rise = ledger[1:] > ledger[:-1] + tol * (1.0 + np.abs(ledger[:-1]))
+    rise[:start] = False
+    return WindowReport(
+        K_T=K_T, windows=idx, applicable=applicable,
+        res_spread=rs, res_gap=rg, res_descent=rd,
+        bad_spread=app & (rs < -tol * sc_s), bad_gap=app & (rg < -tol * sc_g),
+        bad_descent=app & (rd < -tol * sc_d),
+        u=u, ledger=ledger, ledger_rise=rise, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -361,105 +431,23 @@ def _window_quantities(traj: Trajectory, partition: WindowPartition,
     return (1, s, spread, zx, gz, merit, merit_grad_sq)
 
 
-@dataclass
-class BoundsReport:
-    K_T: int | None
-    windows: np.ndarray                 # window indices carrying residuals
-    res_spread: np.ndarray
-    res_gap: np.ndarray
-    applicable: np.ndarray              # complete windows at or past K_T
-    violations: list[tuple[int, str, float]]
-    n_applicable: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_iterate_bounds(traj: Trajectory, partition: WindowPartition,
-                         problem: Problem, params: MomentumParams,
-                         tol: float = 1e-8) -> BoundsReport:
-    """Residuals of the spread and interpolation-gap bounds per window.
+def check_windows(traj: Trajectory, partition: WindowPartition,
+                  problem: Problem, params: MomentumParams,
+                  tol: float = 1e-8) -> WindowReport:
+    """The window verdict of one trajectory (see ``judge_windows``).
 
     Windows at or past the applicability index must have residual
-    >= -tol * scale; earlier windows are reported, not asserted.
-    """
-    cap = bounds_window_cap(problem, params)
-    if partition.T > cap * (1 + 1e-12):
-        raise WindowCapError(f"window budget {partition.T:g} exceeds cap {cap:g}")
-    schedule = traj.config["schedule"]
-    K_T = applicability_index(partition, schedule, problem, params)
-    lo, s, spread, zx, gz, merit, gm2 = _window_quantities(traj, partition, problem, params)
-    W = partition.n_windows
-    idx = np.arange(lo, W + 1)
-    rs, sc_s = spread_residual(partition.T, params.lam, s, zx[:-1], gz[:-1], spread)
-    rg, sc_g = gap_residual(partition.T, params.lam, s, zx[:-1], gz[:-1], zx[1:])
-    complete = partition.complete[lo - 1:]
-    applicable = complete & (idx >= (K_T if K_T is not None else W + 1))
-    violations = []
-    for j in np.nonzero(applicable)[0]:
-        if rs[j] < -tol * sc_s[j]:
-            violations.append((int(idx[j]), "spread", float(rs[j])))
-        if rg[j] < -tol * sc_g[j]:
-            violations.append((int(idx[j]), "gap", float(rg[j])))
-    return BoundsReport(K_T=K_T, windows=idx, res_spread=rs, res_gap=rg,
-                        applicable=applicable, violations=violations,
-                        n_applicable=int(applicable.sum()))
-
-
-@dataclass
-class DescentReport:
-    K_T: int | None
-    windows: np.ndarray
-    res_descent: np.ndarray
-    applicable: np.ndarray
-    violations: list[tuple[int, float]]
-    ledger: np.ndarray                  # M_k + u_k at anchors lo..W+1
-    ledger_violations: list[tuple[int, float]]
-    u: np.ndarray                       # tail error sums, trailing zero
-    truncated: bool                     # u over the finite horizon only
-    n_applicable: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.ledger_violations
-
-
-def check_descent(traj: Trajectory, partition: WindowPartition,
-                  problem: Problem, params: MomentumParams,
-                  tol: float = 1e-8) -> DescentReport:
-    """Approximate-descent residuals and the M + u ledger.
-
-    Past the applicability index the residual must be >= -tol*(1+|M_k|)
-    and the ledger sequence M_k + u_k must be non-increasing.
+    >= -tol * scale and the ledger M + u must not rise from there on;
+    earlier windows are reported, not asserted.  The budget may not
+    exceed ``default_window``, the cap under which every bound applies.
     """
     cap = default_window(problem, params)
     if partition.T > cap * (1 + 1e-12):
         raise WindowCapError(f"window budget {partition.T:g} exceeds cap {cap:g}")
-    schedule = traj.config["schedule"]
-    K_T = applicability_index(partition, schedule, problem, params)
+    K_T = applicability_index(partition, traj.config["schedule"], problem, params)
     lo, s, spread, zx, gz, merit, gm2 = _window_quantities(traj, partition, problem, params)
-    W = partition.n_windows
-    idx = np.arange(lo, W + 1)
-    rd, sc = descent_residual(partition.T, params.lam, problem.L,
-                              s, spread, merit[:-1], merit[1:], gm2[:-1])
-    complete = partition.complete[lo - 1:]
-    applicable = complete & (idx >= (K_T if K_T is not None else W + 1))
-    violations = [(int(idx[j]), float(rd[j]))
-                  for j in np.nonzero(applicable)[0] if rd[j] < -tol * sc[j]]
-    u = tail_error_sums(s, partition.T, params.lam)
-    ledger = merit + u
-    ledger_violations = []
-    if K_T is not None:
-        start = max(K_T - lo, 0)
-        for j in range(start, len(ledger) - 1):
-            slack = tol * (1.0 + abs(ledger[j]))
-            if ledger[j + 1] > ledger[j] + slack:
-                ledger_violations.append((int(lo + j), float(ledger[j + 1] - ledger[j])))
-    return DescentReport(K_T=K_T, windows=idx, res_descent=rd,
-                         applicable=applicable, violations=violations,
-                         ledger=ledger, ledger_violations=ledger_violations,
-                         u=u, truncated=True, n_applicable=int(applicable.sum()))
+    return judge_windows(partition, K_T, lo, params.lam, problem.L,
+                         s, spread, zx, gz, merit, gm2, tol)
 
 
 @dataclass

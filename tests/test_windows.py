@@ -5,8 +5,8 @@ import pytest
 
 from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
                      WindowCapError, aggregate_errors, applicability_index,
-                     build_partition, cauchy_profile, check_descent,
-                     check_iterate_bounds, default_window, iterate_spread,
+                     build_partition, cauchy_profile, check_windows,
+                     default_window, iterate_spread,
                      make_problem, run_trajectory, summability_profile,
                      tail_error_sums, verify_window_lengths)
 
@@ -195,13 +195,12 @@ def test_pinned_trajectory_residuals_exactly_zero():
     rp = RecordingPolicy(window_detail="full")
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 60001,
                           x0=np.zeros(2), recording=rp, partition=part)
-    rb = check_iterate_bounds(traj, part, prob, params)
-    rd = check_descent(traj, part, prob, params)
-    assert rb.K_T is not None and rb.n_applicable > 0
-    assert np.array_equal(rb.res_spread, np.zeros_like(rb.res_spread))
-    assert np.array_equal(rb.res_gap, np.zeros_like(rb.res_gap))
-    assert np.array_equal(rd.res_descent, np.zeros_like(rd.res_descent))
-    assert np.array_equal(rd.ledger, np.zeros_like(rd.ledger))
+    rep = check_windows(traj, part, prob, params)
+    assert rep.K_T is not None and rep.n_applicable > 0
+    assert np.array_equal(rep.res_spread, np.zeros_like(rep.res_spread))
+    assert np.array_equal(rep.res_gap, np.zeros_like(rep.res_gap))
+    assert np.array_equal(rep.res_descent, np.zeros_like(rep.res_descent))
+    assert np.array_equal(rep.ledger, np.zeros_like(rep.ledger))
 
 
 def test_streaming_windows_match_vector_oracles():
@@ -214,14 +213,12 @@ def test_streaming_windows_match_vector_oracles():
     d_scan = iterate_spread(bare, part, params.lam)
     assert np.array_equal(d_stream, d_scan)
     # residual reports agree between the streaming trace and stored vectors
-    rb1 = check_iterate_bounds(traj, part, prob, params)
-    rb2 = check_iterate_bounds(bare, part, prob, params)
-    assert np.allclose(rb1.res_spread, rb2.res_spread, rtol=1e-12, atol=1e-15)
-    assert np.allclose(rb1.res_gap, rb2.res_gap, rtol=1e-12, atol=1e-15)
-    rd1 = check_descent(traj, part, prob, params)
-    rd2 = check_descent(bare, part, prob, params)
-    assert np.allclose(rd1.res_descent, rd2.res_descent, rtol=1e-12, atol=1e-15)
-    assert np.allclose(rd1.ledger, rd2.ledger, rtol=1e-12, atol=1e-15)
+    rep1 = check_windows(traj, part, prob, params)
+    rep2 = check_windows(bare, part, prob, params)
+    assert np.allclose(rep1.res_spread, rep2.res_spread, rtol=1e-12, atol=1e-15)
+    assert np.allclose(rep1.res_gap, rep2.res_gap, rtol=1e-12, atol=1e-15)
+    assert np.allclose(rep1.res_descent, rep2.res_descent, rtol=1e-12, atol=1e-15)
+    assert np.allclose(rep1.ledger, rep2.ledger, rtol=1e-12, atol=1e-15)
 
 
 def test_detail_boundary_at_single_step_block_edge():
@@ -242,10 +239,10 @@ def test_detail_boundary_at_single_step_block_edge():
     rp = RecordingPolicy(store_vectors=True, store_noise=True, block_size=64)
     traj = run_trajectory(prob, params, sched, NoiseModel.gaussian(0.05), 9,
                           horizon, recording=rp, partition=part)
-    rb_stream = check_iterate_bounds(traj, part, prob, params)
+    rb_stream = check_windows(traj, part, prob, params)
     import dataclasses
     bare = dataclasses.replace(traj, window=None)
-    rb_vec = check_iterate_bounds(bare, part, prob, params)
+    rb_vec = check_windows(bare, part, prob, params)
     i0 = K_T - traj.window.detail_lo
     assert np.allclose(rb_stream.res_spread[i0:], rb_vec.res_spread[K_T - 1:],
                        rtol=1e-12, atol=1e-15)
@@ -277,15 +274,13 @@ def test_spread_with_lam_zero_uses_iterates_only():
 
 def test_bounds_and_descent_reports_on_clean_run():
     prob, params, sched, part, traj = _short_run(lam=0.0, nu=0.0, horizon=40001)
-    rb = check_iterate_bounds(traj, part, prob, params)
-    rd = check_descent(traj, part, prob, params)
-    assert rb.K_T is not None and rb.K_T == rd.K_T
-    assert rb.n_applicable > 10
-    assert rb.violations == []
-    assert rd.violations == []
-    assert rd.ledger_violations == []
+    rep = check_windows(traj, part, prob, params)
+    assert rep.K_T is not None
+    assert rep.n_applicable > 10
+    assert rep.violations == []
+    assert rep.ledger_violations == []
     # ledger tail decreases toward the optimum
-    assert rd.ledger[-1] <= rd.ledger[max(rd.K_T - rd.windows[0], 0)]
+    assert rep.ledger[-1] <= rep.ledger[max(rep.K_T - rep.windows[0], 0)]
 
 
 def test_descent_monotone_for_deterministic_heavy_ball():
@@ -297,13 +292,12 @@ def test_descent_monotone_for_deterministic_heavy_ball():
     rp = RecordingPolicy(window_detail="full")
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 20001,
                           recording=rp, partition=part)
-    rb = check_iterate_bounds(traj, part, prob, params)
-    assert rb.violations == []
-    assert np.all(rb.res_spread[rb.applicable] >= 0)
-    assert np.all(rb.res_gap[rb.applicable] >= 0)
-    rd = check_descent(traj, part, prob, params)
-    assert rd.K_T is not None
-    led = rd.ledger[rd.K_T - 1:]
+    rep = check_windows(traj, part, prob, params)
+    assert rep.violations == []
+    assert np.all(rep.res_spread[rep.applicable] >= 0)
+    assert np.all(rep.res_gap[rep.applicable] >= 0)
+    assert rep.K_T is not None
+    led = rep.ledger[rep.K_T - 1:]
     drops = np.diff(led)
     assert np.all(drops <= 1e-12 * (1 + np.abs(led[:-1])))
     # strict decrease until the numerical floor
@@ -315,14 +309,12 @@ def test_window_cap_enforced():
     prob = make_problem("quadratic", 1, mu=1.0)
     params = MomentumParams.heavy_ball(0.9)
     sched = StepSchedule.polynomial(0.05, 0.0, 0.9)
-    part = build_partition(sched, 1.0, 500)   # far above both caps
+    part = build_partition(sched, 1.0, 500)   # far above the cap
     rp = RecordingPolicy(window_detail="full", store_noise=True, store_vectors=True)
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 500,
                           recording=rp, partition=part)
     with pytest.raises(WindowCapError):
-        check_iterate_bounds(traj, part, prob, params)
-    with pytest.raises(WindowCapError):
-        check_descent(traj, part, prob, params)
+        check_windows(traj, part, prob, params)
 
 
 def test_applicability_index_rules():
@@ -415,8 +407,8 @@ def test_summability_plateau_and_negative_control():
 
 def test_tail_sums_vanish_on_converging_run():
     prob, params, sched, part, traj = _short_run(lam=0.0, nu=0.0, horizon=30001)
-    rd = check_descent(traj, part, prob, params)
-    u = rd.u[:-1]
+    rep = check_windows(traj, part, prob, params)
+    u = rep.u[:-1]
     assert np.all(np.diff(u) <= 0)
     assert u[-1] < 0.01 * u.max()
 
