@@ -8,21 +8,19 @@ slope-fitting harness.
 """
 
 from .schedules import (StepSchedule, ScheduleExhaustedError, InvalidRangeError,
-                        ScheduleValidity, step_size, partial_sum_delta,
-                        validate_schedule)
-from .noise import NoiseModel, NoiseStream, DimensionMismatchError, sample_noise
+                        ScheduleValidity, validate_schedule)
+from .noise import NoiseModel, NoiseStream, DimensionMismatchError
 from .problems import (Problem, UnknownProblemError, OutOfRegionError,
-                       make_problem, problem_names, problem_eval,
+                       make_problem, problem_names,
                        fd_gradient_check, loja_residual)
-from .optimizer import (MomentumParams, IterateState, StepRecord, DivergenceError,
-                        sgdm_step, auxiliary_z, merit_zeta, merit_value,
+from .optimizer import (MomentumParams, auxiliary_z, merit_zeta, merit_value,
                         merit_gradient)
 from .trajectory import (RecordingPolicy, Trajectory, RunBatch, WindowTrace,
                          InsufficientRecordingError)
 from .runner import run_batch, run_trajectory
 from .windows import (WindowPartition, WindowCapError, WindowReport, default_window,
                       build_partition, verify_window_lengths, applicability_index,
-                      aggregate_errors, iterate_spread, judge_windows, check_windows,
+                      judge_windows, check_windows,
                       cauchy_profile, summability_profile, tail_error_sums)
 from .rates import (RatePrediction, EmpiricalRate, OptimalGamma, LogRateDecision,
                     ChungCheck, rate_psi_phi, rate_Phi_Psi, transition_theta,

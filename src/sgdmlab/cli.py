@@ -7,7 +7,9 @@ Subcommands:
   check              -- fast self-test of the core formulas
 
 Exit codes: 0 all targeted checks pass, 1 usage or config error,
-2 at least one diagnostic or target violation.
+2 at least one diagnostic or target violation.  ``run`` prints
+``[vacuous]`` for a window criterion no window was applicable to; that
+alone does not change the exit code.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .config import ConfigError, parse_config
 from .harness import emit_outputs, emit_rate_curves, run_experiment
 
 OUT_ENV = "SGDMLAB_OUT"
+# window criteria that assert nothing when no window is applicable
+VACUOUS_CRITERIA = ("iterate_bounds", "descent")
 
 
 def _out_root(explicit: str | None) -> str:
@@ -60,9 +64,12 @@ def _cmd_run(args) -> int:
         return 1
     outdir = cfg.out_dir or _out_root(args.out)
     paths = emit_outputs(summary, batch, cfg, outdir)
-    for name_pass in summary.data["criteria"]:
-        status = "pass" if name_pass["passed"] else "FAIL"
-        print(f"[{status}] {name_pass['name']}")
+    vacuous = summary.data.get("windows", {}).get("vacuous", False)
+    for c in summary.data["criteria"]:
+        status = "pass" if c["passed"] else "FAIL"
+        if status == "pass" and vacuous and c["name"] in VACUOUS_CRITERIA:
+            status = "vacuous"
+        print(f"[{status}] {c['name']}")
     for p in paths:
         print(f"wrote {p}")
     return 0 if summary.passed else 2

@@ -143,11 +143,3 @@ class NoiseStream:
         self._pos = self._BLOCK
         self.position = 0
 
-
-def sample_noise(model: NoiseModel, stream: NoiseStream, dim: int) -> np.ndarray:
-    """One draw from the model; deterministic given the stream position."""
-    if dim != stream.dim:
-        raise DimensionMismatchError(
-            f"stream built for dimension {stream.dim}, asked for {dim}")
-    model.check_dim(dim)
-    return stream.draw()

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, NoiseStream, sample_noise
 from .problems import Problem
 
 
@@ -51,69 +50,13 @@ class MomentumParams:
         return cls(float(lam), float(lam))
 
 
-@dataclass
-class IterateState:
-    """Step counter k >= 1 with the current and previous iterate.
-
-    At k = 1 both iterates coincide (the run starts from a standstill).
-    """
-
-    k: int
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-
-    @classmethod
-    def initial(cls, x0) -> "IterateState":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(k=1, x_prev=x0.copy(), x_curr=x0.copy())
-
-
-@dataclass
-class StepRecord:
-    k: int
-    alpha: float
-    g: np.ndarray
-    e: np.ndarray
-    f_curr: float
-    grad_norm_curr: float
-
-
-class DivergenceError(RuntimeError):
-    """Non-finite values encountered inside a single-step evaluation."""
-
-
-def sgdm_step(state: IterateState, params: MomentumParams, alpha_k: float,
-              problem: Problem, noise: NoiseModel, stream: NoiseStream
-              ) -> tuple[IterateState, StepRecord]:
-    """One momentum step; returns the advanced state and a step record."""
-    if alpha_k <= 0:
-        raise ValueError("alpha_k must be > 0")
-    x, xp = state.x_curr, state.x_prev
-    dx = x - xp
-    x_look = x + params.nu * dx if params.nu else x
-    e = sample_noise(noise, stream, problem.dim)
-    g = problem.grad(x_look) - e
-    x_next = x + (params.lam * dx - alpha_k * g)
-    if not np.all(np.isfinite(x_next)):
-        raise DivergenceError(f"non-finite iterate at step {state.k}")
-    rec = StepRecord(k=state.k, alpha=alpha_k, g=g, e=e,
-                     f_curr=problem.f(x), grad_norm_curr=float(np.linalg.norm(problem.grad(x))))
-    return IterateState(k=state.k + 1, x_prev=x, x_curr=x_next), rec
-
-
-def auxiliary_z(state_or_x, lam: float, x_prev=None) -> np.ndarray:
-    """Momentum-free interpolation z = x/(1-lam) - lam*x_prev/(1-lam).
-
-    Accepts either an IterateState or an (x_curr, x_prev) pair.
-    """
+def auxiliary_z(x, lam: float, x_prev) -> np.ndarray:
+    """Momentum-free interpolation z = x/(1-lam) - lam*x_prev/(1-lam)."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1)")
-    if isinstance(state_or_x, IterateState):
-        x, xp = state_or_x.x_curr, state_or_x.x_prev
-    else:
-        x, xp = np.asarray(state_or_x, dtype=float), np.asarray(x_prev, dtype=float)
+    x, xp = np.asarray(x, dtype=float), np.asarray(x_prev, dtype=float)
     if lam == 0.0:
-        return x.copy() if hasattr(x, "copy") else x
+        return x.copy()
     c = 1.0 / (1.0 - lam)
     return x * c - (lam * c) * xp
 

@@ -248,11 +248,6 @@ def problem_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def problem_eval(problem: Problem, x) -> tuple[float, np.ndarray]:
-    """Consistent (f, grad) pair from one evaluation point."""
-    return problem.f(x), problem.grad(x)
-
-
 def fd_gradient_check(problem: Problem, x, h: float) -> float:
     """Worst per-coordinate relative deviation of central differences."""
     if h <= 0:

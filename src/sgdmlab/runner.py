@@ -2,8 +2,8 @@
 
 Trajectories are pure functions of (seed, config): every seed owns a
 counter-addressed noise stream, the batched update applies the same
-elementwise operations as the single-step reference, and independent
-seeds evolve side by side in one array without interacting.  Running a
+elementwise operations to every seed's row, and independent seeds
+evolve side by side in one array without interacting.  Running a
 seed alone or inside a batch yields bitwise-identical records.
 
 Per-window statistics (aggregated error, iterate spread, merit ledger at
@@ -526,12 +526,10 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
         if partition.horizon != horizon:
             raise ValueError("partition horizon must equal the run horizon")
         K_T = win.applicability_index(partition, schedule, problem, params)
-        if rp.window_profile or rp.window_detail == "full":
+        if rp.window_profile:
             detail_lo = 1
-        elif rp.window_detail == "off" or K_T is None:
-            detail_lo = partition.n_windows + 1
         else:
-            detail_lo = K_T
+            detail_lo = partition.n_windows + 1 if K_T is None else K_T
         # its arrays are first written in the child, so they take no pages here
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,

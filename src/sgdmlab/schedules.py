@@ -115,14 +115,6 @@ class StepSchedule:
         return total
 
 
-def step_size(schedule: StepSchedule, k: int) -> float:
-    return schedule.step_size(k)
-
-
-def partial_sum_delta(schedule: StepSchedule, m: int, n: int) -> float:
-    return schedule.partial_sum(m, n)
-
-
 @dataclass(frozen=True)
 class ScheduleValidity:
     """Outcome of a summability check.

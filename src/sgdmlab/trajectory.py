@@ -33,11 +33,10 @@ class RecordingPolicy:
                           at every window boundary
     track_step_norms   -- per-step ||x_{k+1} - x_k|| summary (count of steps
                           at least alpha_k, and the total path length)
-    window_detail      -- "auto": store per-window detail from the computed
-                          applicability index on; "full": from window 1;
-                          "off": streaming aggregates only
-    window_profile     -- keep per-window boundary displacement norms for
-                          the Cauchy profile (implies window_detail="full")
+    window_profile     -- keep per-window detail from window 1 on and the
+                          boundary displacement norms for the Cauchy
+                          profile; without it, per-window detail starts at
+                          the applicability index K_T (none if K_T is None)
     divergence_cap     -- abort a seed once ||x|| exceeds this
     """
 
@@ -47,7 +46,6 @@ class RecordingPolicy:
     store_noise: bool = False
     store_boundary_vectors: bool = False
     track_step_norms: bool = False
-    window_detail: str = "auto"
     window_profile: bool = False
     divergence_cap: float = 1e12
     block_size: int = 2048

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseStream
-from .optimizer import MomentumParams, merit_zeta
+from .optimizer import MomentumParams
 from .problems import Problem
 from .schedules import StepSchedule, ScheduleExhaustedError
-from .trajectory import InsufficientRecordingError, Trajectory
+from .trajectory import InsufficientRecordingError, Trajectory, WindowTrace
 
 
 class WindowCapError(ValueError):
@@ -333,108 +332,22 @@ def judge_windows(partition: WindowPartition, K_T: int | None, lo: int,
 # ---------------------------------------------------------------------------
 # trajectory-facing diagnostics
 
-def _require_same_horizon(traj: Trajectory, partition: WindowPartition):
+def _window_trace(traj: Trajectory, partition: WindowPartition) -> WindowTrace:
+    """The streaming window trace ``traj`` recorded over ``partition``."""
     if traj.horizon != partition.horizon:
         raise ValueError("partition horizon does not match trajectory horizon")
-
-
-def _z_rows(X: np.ndarray, lam: float) -> np.ndarray:
-    """Interpolation sequence from the iterate history; z^1 = x^1."""
-    if lam == 0.0:
-        return X
-    c = 1.0 / (1.0 - lam)
-    Z = np.empty_like(X)
-    Z[0] = X[0]
-    Z[1:] = X[1:] * c - (lam * c) * X[:-1]
-    return Z
-
-
-def aggregate_errors(traj: Trajectory, partition: WindowPartition) -> np.ndarray:
-    """s_k = max_{t in Gamma_k} || sum_{i=gamma_k}^{t-1} alpha_i e^i || per window.
-
-    Uses the stored noise log when present, otherwise replays the stream.
-    """
-    _require_same_horizon(traj, partition)
-    schedule: StepSchedule = traj.config["schedule"]
-    alphas = schedule.prefix(traj.horizon - 1)
-    if traj.E_hist is not None:
-        fetch = lambda lo, n: traj.E_hist[lo - 1:lo - 1 + n]
-    else:
-        noise = traj.config.get("noise")
-        problem = traj.config.get("problem")
-        if noise is None or problem is None:
-            raise InsufficientRecordingError("no noise log and no replayable stream")
-        stream = NoiseStream(noise, problem.dim, traj.seed)
-        fetch = lambda lo, n: stream.take(n)
-    out = np.empty(partition.n_windows)
-    for k in range(partition.n_windows):
-        lo, hi = partition.gammas[k], partition.gammas[k + 1]
-        n = int(hi - lo)
-        E = fetch(int(lo), n)
-        W = E * alphas[lo - 1:hi - 1, None]
-        P = np.cumsum(W, axis=0)
-        out[k] = np.sqrt(np.einsum("nd,nd->n", P, P)).max()
-    return out
-
-
-def iterate_spread(traj: Trajectory, partition: WindowPartition, lam: float) -> np.ndarray:
-    """d_k = max over the window of the deviations of x and z from the anchor."""
-    _require_same_horizon(traj, partition)
-    if traj.window is not None and traj.window.detail_lo == 1 \
-            and traj.window.n_windows == partition.n_windows:
-        return traj.window.spread.copy()
-    if traj.X_hist is None:
-        raise InsufficientRecordingError(
-            "iterate spread needs stored vectors or streaming window detail")
-    X = traj.X_hist
-    Z = _z_rows(X, lam)
-    out = np.empty(partition.n_windows)
-    for k in range(partition.n_windows):
-        lo, hi = int(partition.gammas[k]), int(partition.gammas[k + 1])
-        dx = X[lo:hi] - X[lo - 1]
-        dz = Z[lo:hi] - Z[lo - 1]
-        mx = np.sqrt(np.einsum("nd,nd->n", dx, dx)).max()
-        mz = np.sqrt(np.einsum("nd,nd->n", dz, dz)).max()
-        out[k] = max(mx, mz)
-    return out
-
-
-def _window_quantities(traj: Trajectory, partition: WindowPartition,
-                       problem: Problem, params: MomentumParams):
-    """(lo, s, spread, zx, gz, merit, merit_grad_sq) for windows lo..W and
-    anchors lo..W+1; from the streaming trace when available, else from the
-    stored iterate history."""
-    _require_same_horizon(traj, partition)
     w = traj.window
-    if w is not None and w.n_windows == partition.n_windows and w.s.shape[0] > 0 \
-            and w.zx.shape[0] == w.s.shape[0] + 1:
-        return (w.detail_lo, w.s, w.spread, w.zx, w.gz, w.merit, w.merit_grad_sq)
-    if traj.X_hist is None:
+    if w is None or w.n_windows != partition.n_windows:
         raise InsufficientRecordingError(
-            "window diagnostics need streaming window detail or stored vectors")
-    lam = params.lam
-    X = traj.X_hist
-    Z = _z_rows(X, lam)
-    s = aggregate_errors(traj, partition)
-    spread = iterate_spread(traj, partition, lam)
-    anchors = partition.gammas - 1          # rows of the anchor iterates
-    ax = X[anchors]
-    az = Z[anchors]
-    diff = az - ax
-    zx = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-    gzv = problem.grad_batch(az)
-    gz = np.sqrt(np.einsum("nd,nd->n", gzv, gzv))
-    zeta = merit_zeta(problem, params)
-    merit = problem.f_batch(az) + zeta * zx**2
-    gblock = gzv + (2.0 * zeta) * diff
-    merit_grad_sq = (4.0 * zeta**2) * zx**2 + np.einsum("nd,nd->n", gblock, gblock)
-    return (1, s, spread, zx, gz, merit, merit_grad_sq)
+            "window diagnostics need the streaming trace of a run over this partition")
+    return w
 
 
 def check_windows(traj: Trajectory, partition: WindowPartition,
                   problem: Problem, params: MomentumParams,
                   tol: float = 1e-8) -> WindowReport:
-    """The window verdict of one trajectory (see ``judge_windows``).
+    """The window verdict of one trajectory (see ``judge_windows``), read
+    from its streaming window trace.
 
     Windows at or past the applicability index must have residual
     >= -tol * scale and the ledger M + u must not rise from there on;
@@ -444,10 +357,10 @@ def check_windows(traj: Trajectory, partition: WindowPartition,
     cap = default_window(problem, params)
     if partition.T > cap * (1 + 1e-12):
         raise WindowCapError(f"window budget {partition.T:g} exceeds cap {cap:g}")
+    w = _window_trace(traj, partition)
     K_T = applicability_index(partition, traj.config["schedule"], problem, params)
-    lo, s, spread, zx, gz, merit, gm2 = _window_quantities(traj, partition, problem, params)
-    return judge_windows(partition, K_T, lo, params.lam, problem.L,
-                         s, spread, zx, gz, merit, gm2, tol)
+    return judge_windows(partition, K_T, w.detail_lo, params.lam, problem.L,
+                         w.s, w.spread, w.zx, w.gz, w.merit, w.merit_grad_sq, tol)
 
 
 @dataclass
@@ -461,38 +374,19 @@ class CauchyProfile:
 
 
 def cauchy_profile(traj: Trajectory, partition: WindowPartition) -> CauchyProfile:
-    """Boundary-sum partial sums and intra-window max deviations.
+    """Boundary-sum partial sums and intra-window max deviations, read from
+    a run recorded with a window profile.
 
     The per-step lower-bound summary (count of steps moving at least
     alpha_k, total path length) is attached when the run tracked it.
     """
-    _require_same_horizon(traj, partition)
-    w = traj.window
-    if w is not None and w.boundary_step is not None and w.detail_lo == 1 \
-            and w.n_windows == partition.n_windows:
-        bs = w.boundary_step
-        intra = w.xdev
-    elif w is not None and w.boundary_x is not None and w.detail_lo == 1 \
-            and w.n_windows == partition.n_windows:
-        diffs = w.boundary_x[1:] - w.boundary_x[:-1]
-        bs = np.sqrt(np.einsum("...d,...d->...", diffs, diffs))
-        intra = w.xdev
-    elif traj.X_hist is not None:
-        X = traj.X_hist
-        anchors = partition.gammas - 1
-        diffs = X[anchors[1:]] - X[anchors[:-1]]
-        bs = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
-        intra = np.empty(partition.n_windows)
-        for k in range(partition.n_windows):
-            lo, hi = int(partition.gammas[k]), int(partition.gammas[k + 1])
-            dx = X[lo:hi] - X[lo - 1]
-            intra[k] = np.sqrt(np.einsum("nd,nd->n", dx, dx)).max()
-    else:
-        raise InsufficientRecordingError(
-            "cauchy profile needs boundary vectors or a window profile")
+    w = _window_trace(traj, partition)
+    if w.boundary_step is None:
+        raise InsufficientRecordingError("cauchy profile needs a window profile")
+    bs = w.boundary_step
     return CauchyProfile(windows=np.arange(1, partition.n_windows + 1),
                          boundary_steps=bs, boundary_cumsum=np.cumsum(bs),
-                         intra_max=intra,
+                         intra_max=w.xdev,
                          step_norm_ok=traj.step_norm_ok,
                          step_norm_total=traj.step_norm_total)
 

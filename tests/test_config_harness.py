@@ -243,6 +243,27 @@ run.seeds = 1
     assert main(["check"]) == 0
 
 
+def test_cli_run_prints_vacuous_window_criteria(tmp_path, capsys):
+    # heavy ball at lambda = 0.9 reaches K_T only ~1e7 steps in
+    base = ("problem.name = quadratic\nproblem.dim = 2\nschedule.alpha = {a}\n"
+            "schedule.gamma = 0.9\nopt.lambda = {lam}\nrun.horizon = 2001\n"
+            "run.seeds = 1\n")
+    cfg_path = tmp_path / "hb.cfg"
+    cfg_path.write_text(base.format(a=0.5, lam=0.9))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "hb")]) == 0
+    out = capsys.readouterr().out
+    assert "[vacuous] iterate_bounds" in out and "[vacuous] descent" in out
+    assert "[pass] window_lengths" in out and "[pass] iterate_bounds" not in out
+    summary = json.loads((tmp_path / "hb" / "summary.json").read_text())
+    assert summary["windows"]["vacuous"] and summary["overall_pass"]
+    # SGD with small steps reaches K_T: the same criteria pass
+    cfg_path.write_text(base.format(a=0.05, lam=0.0))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "sgd")]) == 0
+    out = capsys.readouterr().out
+    assert "[pass] iterate_bounds" in out and "[pass] descent" in out
+    assert "[vacuous]" not in out
+
+
 def test_cli_negative_seed_exits_one(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgdmlab import DimensionMismatchError, NoiseModel, NoiseStream, sample_noise
+from sgdmlab import DimensionMismatchError, NoiseModel, NoiseStream
 
 
 def test_none_is_zero():
@@ -70,13 +70,12 @@ def test_stream_reset_replays():
     assert stream.position == 50
 
 
-def test_sample_noise_dimension_checks():
-    model = NoiseModel.gaussian(1.0)
-    stream = NoiseStream(model, 3, seed=1)
-    e = sample_noise(model, stream, 3)
-    assert e.shape == (3,)
+def test_stream_dimension_checks():
+    stream = NoiseStream(NoiseModel.gaussian(1.0), 3, seed=1)
+    assert stream.draw().shape == (3,)
+    assert stream.take(5).shape == (5, 3)
     with pytest.raises(DimensionMismatchError):
-        sample_noise(model, stream, 4)
+        NoiseStream(NoiseModel.gaussian(1.0), 0, seed=1)
 
 
 def test_invalid_model_parameters():

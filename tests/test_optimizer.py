@@ -2,43 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgdmlab import (IterateState, MomentumParams, NoiseModel, NoiseStream,
-                     RecordingPolicy, StepSchedule, auxiliary_z, make_problem,
-                     merit_gradient, merit_value, merit_zeta, run_batch,
-                     run_trajectory, sgdm_step)
+from sgdmlab import (MomentumParams, NoiseModel, NoiseStream, RecordingPolicy,
+                     StepSchedule, auxiliary_z, make_problem, merit_gradient,
+                     merit_value, merit_zeta, run_batch, run_trajectory)
 
 QUAD1 = make_problem("quadratic", 1, mu=1.0)
 
 
-def _step(params, x_curr, x_prev, alpha):
-    state = IterateState(k=1, x_prev=np.array([x_prev]), x_curr=np.array([x_curr]))
-    stream = NoiseStream(NoiseModel.none(), 1, seed=0)
-    new, rec = sgdm_step(state, params, alpha, QUAD1, NoiseModel.none(), stream)
-    return float(new.x_curr[0]), new, rec
-
-
-def test_step_reduces_to_gradient_descent():
-    x, state, rec = _step(MomentumParams.sgd(), 1.0, 1.0, 0.1)
-    assert x == pytest.approx(0.9, abs=1e-15)
-    assert state.k == 2
-    assert rec.f_curr == pytest.approx(0.5)
-
-
-def test_step_heavy_ball_hand_value():
-    x, _, _ = _step(MomentumParams.heavy_ball(0.5), 0.9, 1.0, 0.1)
-    # 0.9 - 0.09 + 0.5*(-0.1)
-    assert x == pytest.approx(0.76, abs=1e-15)
-
-
-def test_step_with_extrapolation_hand_value():
-    x, _, _ = _step(MomentumParams(0.5, 0.5), 0.9, 1.0, 0.1)
-    # lookahead 0.85, so 0.9 - 0.085 - 0.05
-    assert x == pytest.approx(0.765, abs=1e-15)
-
-
-def test_step_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        _step(MomentumParams.sgd(), 1.0, 1.0, 0.0)
+@pytest.mark.parametrize("params,x3", [
+    (MomentumParams.sgd(), 0.81),               # 0.9 - 0.09
+    (MomentumParams.heavy_ball(0.5), 0.76),     # 0.9 - 0.09 + 0.5*(-0.1)
+    (MomentumParams(0.5, 0.5), 0.765),         # lookahead 0.85: 0.9 - 0.085 - 0.05
+], ids=["sgd", "heavy_ball", "extrapolation"])
+def test_step_hand_values(params, x3):
+    # f = x^2/2 from x^1 = 1 at alpha = 0.1: the first step is plain
+    # gradient descent to x^2 = 0.9, the second one carries the momentum
+    t = run_trajectory(QUAD1, params, StepSchedule.constant(0.1), NoiseModel.none(), 0, 3,
+                       x0=np.ones(1), recording=RecordingPolicy(store_vectors=True))
+    assert t.X_hist[1, 0] == pytest.approx(0.9, abs=1e-15)
+    assert t.X_hist[2, 0] == pytest.approx(x3, abs=1e-15)
 
 
 def test_momentum_params_domain():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgdmlab import (OutOfRegionError, UnknownProblemError, fd_gradient_check,
-                     loja_residual, make_problem, problem_eval, problem_names)
+                     loja_residual, make_problem, problem_names)
 
 
 def _region_samples(problem, rng, n):
@@ -64,7 +64,8 @@ def test_quadratic_spectrum_constants():
     prob = make_problem("quadratic", 5, mu=0.5, l=2.0)
     assert prob.L == 2.0
     assert prob.C_f == pytest.approx(math.sqrt(1.0))
-    f, g = problem_eval(prob, np.zeros(5))
+    x = np.zeros(5)
+    f, g = prob.f(x), prob.grad(x)
     assert f == 0.0
     assert np.array_equal(g, np.zeros(5))
 
@@ -73,7 +74,8 @@ def test_even_power_identity():
     prob = make_problem("even_power", 1, p=2.0)
     assert prob.theta == 0.75
     assert prob.C_f == 4.0
-    f, g = problem_eval(prob, np.array([2.0]))
+    x = np.array([2.0])
+    f, g = prob.f(x), prob.grad(x)
     assert f == 16.0
     assert g[0] == 32.0
     # |f'| = 4|x|^3 = 4 f^{3/4} exactly
@@ -97,7 +99,8 @@ def test_sin_toy_values():
     g = prob.grad(np.array([0.5, 7.0]))
     assert g[0] == pytest.approx(math.cos(0.5), rel=1e-15)
     assert g[1] == 0.0
-    f, g = problem_eval(prob, np.array([-math.pi / 2, 3.0]))
+    x = np.array([-math.pi / 2, 3.0])
+    f, g = prob.f(x), prob.grad(x)
     assert f == pytest.approx(-1.0, rel=1e-15)
     assert np.allclose(g, 0.0, atol=1e-15)
     assert prob.f_star == -1.0
@@ -108,7 +111,8 @@ def test_shifted_quartic():
     prob = make_problem("shifted_quartic", 1, a=1.0)
     assert prob.theta == 0.75
     assert prob.C_f == 4.0
-    f, g = problem_eval(prob, np.array([2.0]))
+    x = np.array([2.0])
+    f, g = prob.f(x), prob.grad(x)
     assert f == 1.0 and g[0] == 4.0
 
 

@@ -5,25 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgdmlab import (InvalidRangeError, ScheduleExhaustedError, StepSchedule,
-                     partial_sum_delta, step_size, validate_schedule)
+                     validate_schedule)
 
 
 def test_polynomial_step_sizes():
     sched = StepSchedule.polynomial(1.0, 0.0, 1.0)
-    assert step_size(sched, 2) == 0.5
-    assert step_size(sched, 1) == 1.0
-    assert step_size(sched, 10) == 0.1
+    assert sched.step_size(2) == 0.5
+    assert sched.step_size(1) == 1.0
+    assert sched.step_size(10) == 0.1
 
 
 def test_constant_step_size_everywhere():
     sched = StepSchedule.constant(0.02)
-    assert step_size(sched, 10**6) == 0.02
-    assert step_size(sched, 1) == 0.02
+    assert sched.step_size(10**6) == 0.02
+    assert sched.step_size(1) == 0.02
 
 
 def test_polynomial_with_offset_and_sqrt_decay():
     sched = StepSchedule.polynomial(0.1, 9.0, 0.5)
-    assert step_size(sched, 1) == pytest.approx(0.1 / math.sqrt(10.0), rel=1e-15)
+    assert sched.step_size(1) == pytest.approx(0.1 / math.sqrt(10.0), rel=1e-15)
 
 
 def test_prefix_matches_step_size_bitwise():
@@ -36,9 +36,9 @@ def test_prefix_matches_step_size_bitwise():
 
 def test_explicit_exhausted():
     sched = StepSchedule.explicit([0.5, 0.25])
-    assert step_size(sched, 2) == 0.25
+    assert sched.step_size(2) == 0.25
     with pytest.raises(ScheduleExhaustedError):
-        step_size(sched, 3)
+        sched.step_size(3)
     with pytest.raises(ScheduleExhaustedError):
         sched.prefix(3)
 
@@ -65,11 +65,11 @@ def test_invalid_parameters():
 
 def test_partial_sum_basic():
     sched = StepSchedule.polynomial(1.0, 0.0, 1.0)
-    assert partial_sum_delta(sched, 7, 7) == 0.0
-    assert partial_sum_delta(sched, 2, 4) == pytest.approx(1 / 2 + 1 / 3, rel=1e-15)
-    assert partial_sum_delta(sched, 1, 2) == 1.0
+    assert sched.partial_sum(7, 7) == 0.0
+    assert sched.partial_sum(2, 4) == pytest.approx(1 / 2 + 1 / 3, rel=1e-15)
+    assert sched.partial_sum(1, 2) == 1.0
     with pytest.raises(InvalidRangeError):
-        partial_sum_delta(sched, 4, 2)
+        sched.partial_sum(4, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -78,8 +78,8 @@ def test_partial_sum_basic():
 def test_partial_sum_additivity(m, a, b, gamma):
     sched = StepSchedule.polynomial(0.7, 1.0, gamma)
     n, p = m + a, m + a + b
-    lhs = partial_sum_delta(sched, m, n) + partial_sum_delta(sched, n, p)
-    rhs = partial_sum_delta(sched, m, p)
+    lhs = sched.partial_sum(m, n) + sched.partial_sum(n, p)
+    rhs = sched.partial_sum(m, p)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
 

@@ -1,6 +1,6 @@
 """Property tests: the streaming window engine against the stored-history
-oracles (aggregate_errors, iterate_spread, cauchy_profile and the anchor
-quantities recomputed from the iterate history).
+oracles in ``oracles.py`` (aggregate_errors, iterate_spread, cauchy_profile
+and the anchor quantities recomputed from the iterate history).
 
 Random momentum weights, polynomial or cliff-shaped explicit schedules
 and block sizes; some draws align a block edge with a window end, and
@@ -13,10 +13,10 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
-                     aggregate_errors, build_partition, cauchy_profile,
-                     default_window, iterate_spread, make_problem, run_batch)
-from sgdmlab.windows import _window_quantities
+                     build_partition, cauchy_profile, default_window, make_problem,
+                     run_batch)
 
 PROBLEM = make_problem("quadratic", 2, mu=0.5, l=2.0)
 HORIZON = 400
@@ -54,8 +54,8 @@ def test_streaming_engine_matches_history_oracles(lam, nu, schedule, diverge, bl
         ends = ends[ends >= 2]
         if len(ends):
             block = int(ends[edge % len(ends)])
-    rp = RecordingPolicy(store_vectors=True, store_noise=True, window_detail="full",
-                         window_profile=True, block_size=block, divergence_cap=1e3)
+    rp = RecordingPolicy(store_vectors=True, store_noise=True, window_profile=True,
+                         block_size=block, divergence_cap=1e3)
     batch = run_batch(PROBLEM, params, schedule, NoiseModel.gaussian(0.1), [5, 6],
                       HORIZON, recording=rp, partition=part)
     assert (batch.diverged_at > 0).all() == diverge
@@ -63,13 +63,14 @@ def test_streaming_engine_matches_history_oracles(lam, nu, schedule, diverge, bl
         traj = batch.trajectory(i)
         w = traj.window
         bare = dataclasses.replace(traj, window=None)
-        assert np.array_equal(w.s, aggregate_errors(traj, part))
-        assert np.array_equal(w.spread, iterate_spread(bare, part, lam))
+        assert np.array_equal(w.s, oracles.aggregate_errors(traj, part))
+        assert np.array_equal(w.spread, oracles.iterate_spread(bare, part, lam))
         cp_stream = cauchy_profile(traj, part)
-        cp_hist = cauchy_profile(bare, part)
+        cp_hist = oracles.cauchy_profile(bare, part)
         assert np.array_equal(cp_stream.boundary_steps, cp_hist.boundary_steps)
         assert np.array_equal(cp_stream.intra_max, cp_hist.intra_max)
-        lo, s, spread, zx, gz, merit, gm2 = _window_quantities(bare, part, PROBLEM, params)
+        lo, s, spread, zx, gz, merit, gm2 = oracles.window_quantities(bare, part, PROBLEM,
+                                                                      params)
         assert lo == w.detail_lo == 1
         assert np.array_equal(w.zx, zx)
         assert np.array_equal(w.gz, gz)

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
-                     WindowCapError, aggregate_errors, applicability_index,
+from oracles import aggregate_errors, iterate_spread, window_quantities
+from sgdmlab import (InsufficientRecordingError, MomentumParams, NoiseModel,
+                     RecordingPolicy, StepSchedule, WindowCapError, applicability_index,
                      build_partition, cauchy_profile, check_windows,
-                     default_window, iterate_spread,
+                     default_window, judge_windows,
                      make_problem, run_trajectory, summability_profile,
                      tail_error_sums, verify_window_lengths)
 
@@ -103,8 +105,7 @@ def _short_run(lam=0.6, nu=0.2, seed=3, horizon=2001, sigma_c=0.08):
     noise = NoiseModel.gaussian(sigma_c)
     T = default_window(prob, params)
     part = build_partition(sched, T, horizon)
-    rp = RecordingPolicy(store_vectors=True, store_noise=True,
-                         window_detail="full", window_profile=True)
+    rp = RecordingPolicy(store_vectors=True, store_noise=True, window_profile=True)
     traj = run_trajectory(prob, params, sched, noise, seed, horizon,
                           recording=rp, partition=part)
     return prob, params, sched, part, traj
@@ -177,7 +178,7 @@ def test_aggregate_errors_replays_stream_without_log():
     sched = StepSchedule.polynomial(0.2, 0.0, 0.8)
     noise = NoiseModel.sphere(0.15)
     part = build_partition(sched, default_window(prob, params), 2001)
-    rp = RecordingPolicy(window_detail="full")   # no store_noise
+    rp = RecordingPolicy(window_profile=True)   # no store_noise
     traj = run_trajectory(prob, params, sched, noise, 21, 2001,
                           recording=rp, partition=part)
     assert traj.E_hist is None
@@ -192,7 +193,7 @@ def test_pinned_trajectory_residuals_exactly_zero():
     params = MomentumParams.heavy_ball(0.5)
     sched = StepSchedule.polynomial(0.001, 0.0, 0.75)
     part = build_partition(sched, default_window(prob, params), 60001)
-    rp = RecordingPolicy(window_detail="full")
+    rp = RecordingPolicy(window_profile=True)
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 60001,
                           x0=np.zeros(2), recording=rp, partition=part)
     rep = check_windows(traj, part, prob, params)
@@ -203,18 +204,55 @@ def test_pinned_trajectory_residuals_exactly_zero():
     assert np.array_equal(rep.ledger, np.zeros_like(rep.ledger))
 
 
+def test_check_windows_vacuous_when_K_T_out_of_reach():
+    # K_T lies far past the horizon: the trace stores no window detail and
+    # the verdict asserts nothing
+    prob = make_problem("quadratic", 2)
+    params = MomentumParams.heavy_ball(0.9)
+    sched = StepSchedule.polynomial(0.5, 0.0, 0.9)
+    part = build_partition(sched, default_window(prob, params), 2001)
+    traj = run_trajectory(prob, params, sched, NoiseModel.gaussian(0.05), 0, 2001,
+                          partition=part)
+    assert traj.window.s.shape[0] == 0
+    rep = check_windows(traj, part, prob, params)
+    assert rep.K_T is None
+    assert rep.n_applicable == 0
+    assert rep.violations == [] and rep.ledger_violations == []
+
+
+def test_diagnostics_need_the_streaming_trace():
+    prob = make_problem("quadratic", 2)
+    params = MomentumParams.sgd()
+    sched = StepSchedule.polynomial(0.05, 0.0, 0.9)
+    part = build_partition(sched, default_window(prob, params), 501)
+    rp = RecordingPolicy(store_vectors=True, store_noise=True)
+    bare = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 501, recording=rp)
+    with pytest.raises(InsufficientRecordingError):
+        check_windows(bare, part, prob, params)
+    traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 501, recording=rp,
+                          partition=part)
+    check_windows(traj, part, prob, params)
+    with pytest.raises(InsufficientRecordingError):   # no window profile
+        cauchy_profile(traj, part)
+
+
+def _oracle_report(traj, part, prob, params):
+    """judge_windows on the quantities recomputed from the stored history."""
+    K_T = applicability_index(part, traj.config["schedule"], prob, params)
+    lo, s, spread, zx, gz, merit, gm2 = window_quantities(traj, part, prob, params)
+    return judge_windows(part, K_T, lo, params.lam, prob.L, s, spread, zx, gz, merit,
+                         gm2, 1e-8)
+
+
 def test_streaming_windows_match_vector_oracles():
     prob, params, sched, part, traj = _short_run()
     assert np.array_equal(traj.window.s, aggregate_errors(traj, part))
-    d_stream = traj.window.spread
-    # strip the trace to force the direct-scan path
-    import dataclasses
+    # strip the trace: the oracles read the stored history only
     bare = dataclasses.replace(traj, window=None)
-    d_scan = iterate_spread(bare, part, params.lam)
-    assert np.array_equal(d_stream, d_scan)
+    assert np.array_equal(traj.window.spread, iterate_spread(bare, part, params.lam))
     # residual reports agree between the streaming trace and stored vectors
     rep1 = check_windows(traj, part, prob, params)
-    rep2 = check_windows(bare, part, prob, params)
+    rep2 = _oracle_report(bare, part, prob, params)
     assert np.allclose(rep1.res_spread, rep2.res_spread, rtol=1e-12, atol=1e-15)
     assert np.allclose(rep1.res_gap, rep2.res_gap, rtol=1e-12, atol=1e-15)
     assert np.allclose(rep1.res_descent, rep2.res_descent, rtol=1e-12, atol=1e-15)
@@ -240,9 +278,8 @@ def test_detail_boundary_at_single_step_block_edge():
     traj = run_trajectory(prob, params, sched, NoiseModel.gaussian(0.05), 9,
                           horizon, recording=rp, partition=part)
     rb_stream = check_windows(traj, part, prob, params)
-    import dataclasses
     bare = dataclasses.replace(traj, window=None)
-    rb_vec = check_windows(bare, part, prob, params)
+    rb_vec = _oracle_report(bare, part, prob, params)
     i0 = K_T - traj.window.detail_lo
     assert np.allclose(rb_stream.res_spread[i0:], rb_vec.res_spread[K_T - 1:],
                        rtol=1e-12, atol=1e-15)
@@ -289,7 +326,7 @@ def test_descent_monotone_for_deterministic_heavy_ball():
     sched = StepSchedule.polynomial(0.02, 0.0, 0.75)
     T = default_window(prob, params)
     part = build_partition(sched, T, 20001)
-    rp = RecordingPolicy(window_detail="full")
+    rp = RecordingPolicy(window_profile=True)
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 20001,
                           recording=rp, partition=part)
     rep = check_windows(traj, part, prob, params)
@@ -310,7 +347,7 @@ def test_window_cap_enforced():
     params = MomentumParams.heavy_ball(0.9)
     sched = StepSchedule.polynomial(0.05, 0.0, 0.9)
     part = build_partition(sched, 1.0, 500)   # far above the cap
-    rp = RecordingPolicy(window_detail="full", store_noise=True, store_vectors=True)
+    rp = RecordingPolicy(window_profile=True, store_noise=True, store_vectors=True)
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 500,
                           recording=rp, partition=part)
     with pytest.raises(WindowCapError):
@@ -363,7 +400,7 @@ def test_boundary_vectors_stored_exactly_at_partition_indices():
     sched = StepSchedule.polynomial(0.25, 0.0, 0.8)
     part = build_partition(sched, default_window(prob, params), 1501)
     rp = RecordingPolicy(store_vectors=True, store_noise=True,
-                         store_boundary_vectors=True, window_detail="full")
+                         store_boundary_vectors=True, window_profile=True)
     traj = run_trajectory(prob, params, sched, NoiseModel.gaussian(0.08), 3, 1501,
                           recording=rp, partition=part)
     bx, bxp = traj.window.boundary_x, traj.window.boundary_x_prev
@@ -390,7 +427,7 @@ def test_summability_plateau_and_negative_control():
     sched = StepSchedule.polynomial(0.5, 0.0, 0.9)
     noise = NoiseModel.gaussian(0.1 / math.sqrt(10))
     part = build_partition(sched, default_window(prob, params), 100_001)
-    rp = RecordingPolicy(window_detail="full")
+    rp = RecordingPolicy(window_profile=True)
     batch = sl.run_batch(prob, params, sched, noise, range(100, 108), 100_001,
                          recording=rp, partition=part)
     unit, beyond = [], []
