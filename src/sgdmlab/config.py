@@ -93,7 +93,6 @@ _OUT_FORMATS = ("summary", "step_csv", "window_csv")
 class ExperimentConfig:
     """Validated experiment description with the built component objects."""
 
-    raw: dict
     problem: Problem
     params: MomentumParams
     schedule: StepSchedule
@@ -258,6 +257,11 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"out.formats: unknown format {fmt!r}")
     if "dist" in targets and problem is not None and problem.x_star is None:
         errors.append("rate target 'dist' needs a problem with a known minimizer")
+    if not values["rate.tail_decades"] > 0:
+        errors.append("rate.tail_decades must be > 0")
+    for key in ("record.stride", "record.points_per_decade"):
+        if values[key] < 0:
+            errors.append(f"{key} must be >= 0")
 
     if schedule is not None:
         if schedule.variant == "explicit" \
@@ -292,7 +296,7 @@ def parse_config(text: str) -> ExperimentConfig:
     canonical = "\n".join(f"{k} = {values[k]!r}" for k in sorted(_SCHEMA)
                           if values[k] is not None)
     return ExperimentConfig(
-        raw=values, problem=problem, params=MomentumParams(lam, nu),
+        problem=problem, params=MomentumParams(lam, nu),
         schedule=schedule, noise=noise, x0=x0,
         horizon=values["run.horizon"], seeds=values["run.seeds"],
         base_seed=values["run.base_seed"],

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import windows as win
-from .config import ExperimentConfig
-from .rates import estimate_exponent, rate_Phi_Psi
+from .config import ConfigError, ExperimentConfig
+from .rates import _MIN_TAIL_POINTS, estimate_exponent, rate_Phi_Psi
 from .runner import run_batch
 from .schedules import ScheduleExhaustedError
-from .trajectory import RecordingPolicy, RunBatch, decade_of, n_decades
+from .trajectory import RecordingPolicy, RunBatch, decade_of, n_decades, record_grid
 
 DIAG_TOL = 1e-8
 MONOTONE_SLACK = 1e-9
@@ -143,10 +143,13 @@ def _decade_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _rate_tail_start(cfg: ExperimentConfig) -> float:
+    """First step index of the rate fits: the last rate.tail_decades decades."""
+    return max(cfg.horizon / 10**cfg.rate_tail_decades, 1)
+
+
 def _rate_fits(batch: RunBatch, cfg: ExperimentConfig) -> dict:
-    horizon = cfg.horizon
-    lo_k = horizon / 10**cfg.rate_tail_decades
-    m = batch.ks >= max(lo_k, 1)
+    m = batch.ks >= _rate_tail_start(cfg)
     ks = batch.ks[m]
     series = {}
     if "f_gap" in cfg.rate_targets:
@@ -187,6 +190,12 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSumm
         store_boundary_vectors=cfg.store_boundary_vectors,
         track_step_norms=cfg.track_step_norms,
         window_profile=cfg.window_profile)
+    if cfg.rate_targets:
+        lo_k = _rate_tail_start(cfg)
+        n_tail = int((record_grid(cfg.horizon, policy) >= lo_k).sum())
+        if n_tail < _MIN_TAIL_POINTS:
+            raise ConfigError([f"rate fits need {_MIN_TAIL_POINTS} record points at "
+                               f"k >= {lo_k:g}; the record grid has {n_tail}"])
     partition = None
     if cfg.window_enabled and cfg.horizon >= 2:
         partition = win.build_partition(cfg.schedule, cfg.window_T, cfg.horizon)
@@ -208,10 +217,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSumm
     criteria = []
     report = None
     if partition is not None:
-        w = batch.window
-        report = win.judge_windows(partition, w.K_T, w.detail_lo, cfg.params.lam,
-                                   cfg.problem.L, w.s, w.spread, w.zx, w.gz, w.merit,
-                                   w.merit_grad_sq, DIAG_TOL)
+        report = win.check_windows(batch, DIAG_TOL)
         wv = _window_verdicts(batch, cfg, report)
         data["windows"] = wv
         data["window_T"] = partition.T

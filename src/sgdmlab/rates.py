@@ -169,6 +169,9 @@ class EmpiricalRate:
     clipped: bool                    # some values were at the floor
 
 
+_MIN_TAIL_POINTS = 10          # fewest points a slope is fitted to
+
+
 def estimate_exponent(ks, values, tail_fraction: float = 0.5) -> EmpiricalRate:
     """Least-squares slope of log(value) against log(k) over the trailing
     ``tail_fraction`` of the points; returns minus the slope."""
@@ -184,8 +187,8 @@ def estimate_exponent(ks, values, tail_fraction: float = 0.5) -> EmpiricalRate:
         raise ValueError("values must be non-negative")
     n = len(ks)
     n_tail = max(int(math.ceil(tail_fraction * n)), 0)
-    if n_tail < 10:
-        raise ValueError(f"need at least 10 tail points, got {n_tail}")
+    if n_tail < _MIN_TAIL_POINTS:
+        raise ValueError(f"need at least {_MIN_TAIL_POINTS} tail points, got {n_tail}")
     k_t = ks[n - n_tail:]
     v_t = values[n - n_tail:]
     clipped = bool(np.any(v_t < VALUE_FLOOR))

@@ -351,12 +351,12 @@ class _BlockConsumer:
     """
 
     def __init__(self, problem: Problem, params: MomentumParams,
-                 streams: list[NoiseStream], alphas: np.ndarray,
+                 streams: list[NoiseStream], schedule: StepSchedule,
                  blocks: list[tuple[int, int]], E_ring: np.ndarray, row_ring: np.ndarray,
                  X1: np.ndarray, grid: np.ndarray, acc: _WindowAccumulator | None,
                  track_step_norms: bool):
         self.problem, self.lam, self.streams = problem, params.lam, streams
-        self.alphas, self.blocks = alphas, blocks
+        self.schedule, self.blocks = schedule, blocks
         self.E_ring, self.row_ring = E_ring, row_ring
         self.X1, self.grid, self.acc = X1, grid, acc
         # the buffers below are first written in the child
@@ -419,7 +419,7 @@ class _BlockConsumer:
                 zrows[0] = rows[0]      # the run starts from a standstill
             self.prev_row = rows[n - 1].copy()
 
-        a = self.alphas[b0 - 1:b0 - 1 + n, None]
+        a = self.schedule.at(np.arange(b0, b0 + n))[:, None]
         if self.sn_ok is not None:
             dn = _norms(np.diff(rows, axis=0))
             self.sn_ok += (dn >= a - STEP_NORM_TOL).sum(axis=0)
@@ -463,9 +463,9 @@ class _Steps:
         self.xl = np.empty((S, d))
         self.run = self._sgd if self.lam == 0.0 and self.nu == 0.0 else self._momentum
 
-    def _sgd(self, X, Xp, E, rows, alist, frozen):
+    def _sgd(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, sub, mul = self.grad, self.g, np.subtract, np.multiply
-        for e, Xn, a in zip(E, rows[1:], alist):
+        for e, Xn, a in zip(E, rows[1:], step_sizes):
             sub(grad(X, g), e, out=g)
             mul(g, a, out=g)
             if frozen is not None:
@@ -474,10 +474,10 @@ class _Steps:
             X = Xn
         return X, rows[-2]              # x^{t-1} is only needed at the end
 
-    def _momentum(self, X, Xp, E, rows, alist, frozen):
+    def _momentum(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, dX, xl, lam, nu = self.grad, self.g, self.dX, self.xl, self.lam, self.nu
         sub, mul, add = np.subtract, np.multiply, np.add
-        for e, Xn, a in zip(E, rows[1:], alist):
+        for e, Xn, a in zip(E, rows[1:], step_sizes):
             sub(X, Xp, out=dX)
             if nu:
                 add(X, mul(dX, nu, out=xl), out=xl)
@@ -510,7 +510,8 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     seeds = [int(s) for s in seeds]
     S, d = len(seeds), problem.dim
     steps = horizon - 1
-    alphas = schedule.prefix(steps)
+    if steps:
+        schedule.at(np.array([steps]))  # an exhausted explicit list raises before the fork
     if x0 is None:
         x0 = np.ones(d)
     x0 = np.asarray(x0, dtype=float)
@@ -556,12 +557,11 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     # built here, drawn from in the child only: numpy.random then loads once
     # per process, not once per child
     streams = [NoiseStream(noise, d, s) for s in seeds]
-    consumer = _BlockConsumer(problem, params, streams, alphas, blocks,
+    consumer = _BlockConsumer(problem, params, streams, schedule, blocks,
                               E_ring, row_ring, X, record_grid(horizon, rp), acc,
                               rp.track_step_norms)
 
     kernel = _Steps(problem.grad_batch, params, S, d)
-    alist = alphas.tolist()
     rnorm_buf = np.empty((len(row_ring[0]) - 1, S))
     with _forked(consumer.run) as (rx, tx):
         for j, (b0, n) in enumerate(blocks):
@@ -572,7 +572,8 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                 E_hist[b0 - 1:b0 - 1 + n] = E
             rows[0] = X
             with np.errstate(over="ignore", invalid="ignore"):
-                X, Xp = kernel.run(X, Xp, E, rows, alist[b0 - 1:b0 - 1 + n], frozen)
+                X, Xp = kernel.run(X, Xp, E, rows,
+                                   schedule.at(np.arange(b0, b0 + n)).tolist(), frozen)
             # divergence scan: a NaN or +-inf coordinate makes its row's norm
             # non-finite; a finite norm may still exceed the cap
             with np.errstate(invalid="ignore", over="ignore"):
@@ -600,7 +601,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     return RunBatch(
         seeds=seeds, horizon=horizon, config=config, ks=consumer.grid,
         f=rec_f, grad_norm=rec_g, dist=rec_dist, xz=rec_xz,
-        x_final=X.copy(), x_prev_final=Xp.copy(),
+        x_final=X.copy(),
         diverged_at=diverged_at, box_exits=box_exits, window=trace,
         X_hist=X_hist, E_hist=E_hist,
         step_norm_ok=sn_ok, step_norm_total=sn_total)

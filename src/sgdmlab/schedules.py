@@ -8,6 +8,7 @@ window partition: delta(m, n) = sum_{i=m}^{n-1} alpha_i, with delta(m, m) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,48 +72,42 @@ class StepSchedule:
     def explicit(cls, values):
         return cls("explicit", values=tuple(float(v) for v in values))
 
-    def step_size(self, k: int) -> float:
-        """alpha_k for step index k >= 1."""
-        if k < 1:
+    def at(self, ks) -> np.ndarray:
+        """[alpha_k for k in ks] for an integer index array ks (each k >= 1);
+        the one evaluator every other read of the schedule goes through."""
+        ks = np.asarray(ks)
+        if ks.size and ks.min() < 1:
             raise ValueError("step index k must be >= 1")
         if self.variant == "polynomial":
-            # evaluated through the same vectorized kernel as prefix() so
-            # scalar and array queries agree bitwise
-            ks = np.array([float(k)])
-            return float((self.alpha / (ks + self.beta) ** self.gamma)[0])
+            return self.alpha / (ks + self.beta) ** self.gamma
         if self.variant == "constant":
-            return self.c
-        if k > len(self.values):
+            return np.full(ks.shape, self.c)
+        if ks.size and ks.max() > len(self.values):
             raise ScheduleExhaustedError(
-                f"explicit schedule has {len(self.values)} entries, step {k} requested"
-            )
-        return self.values[k - 1]
+                f"explicit schedule has {len(self.values)} entries, step {ks.max()} requested")
+        return self._values[ks - 1]
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        return np.asarray(self.values, dtype=float)
+
+    def step_size(self, k: int) -> float:
+        """alpha_k for step index k >= 1."""
+        return float(self.at(np.array([k]))[0])
 
     def prefix(self, n: int) -> np.ndarray:
         """Array [alpha_1, ..., alpha_n]."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        if self.variant == "polynomial":
-            ks = np.arange(1, n + 1, dtype=float)
-            return self.alpha / (ks + self.beta) ** self.gamma
-        if self.variant == "constant":
-            return np.full(n, self.c)
-        if n > len(self.values):
-            raise ScheduleExhaustedError(
-                f"explicit schedule has {len(self.values)} entries, {n} requested"
-            )
-        return np.asarray(self.values[:n], dtype=float)
+        return self.at(np.arange(1, n + 1))
 
     def partial_sum(self, m: int, n: int) -> float:
-        """delta(m, n) = sum_{i=m}^{n-1} alpha_i; zero when m == n."""
+        """delta(m, n) = sum_{i=m}^{n-1} alpha_i, summed in order; zero when m == n."""
         if m > n:
             raise InvalidRangeError(f"partial sum needs m <= n, got m={m}, n={n}")
         if m < 1:
             raise ValueError("indices must be >= 1")
-        total = 0.0
-        for i in range(m, n):
-            total += self.step_size(i)
-        return total
+        return float(np.cumsum(self.at(np.arange(m, n)))[-1]) if n > m else 0.0
 
 
 @dataclass(frozen=True)

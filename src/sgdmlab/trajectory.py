@@ -109,7 +109,6 @@ class Trajectory:
     dist: np.ndarray | None             # ||x - x_star||, when known
     xz: np.ndarray                      # ||x - z||
     x_final: np.ndarray
-    x_prev_final: np.ndarray
     diverged_at: int = 0                # step of divergence, 0 if none
     box_exits: int = 0                  # steps with ||x|| (Euclidean) above the L-box
     window: WindowTrace | None = None
@@ -136,7 +135,6 @@ class RunBatch:
     dist: np.ndarray | None
     xz: np.ndarray
     x_final: np.ndarray                 # (S, d)
-    x_prev_final: np.ndarray
     diverged_at: np.ndarray             # (S,)
     box_exits: np.ndarray               # (S,)
     window: WindowTrace | None = None
@@ -172,7 +170,7 @@ class RunBatch:
             f=self.f[:, i].copy(), grad_norm=self.grad_norm[:, i].copy(),
             dist=None if self.dist is None else self.dist[:, i].copy(),
             xz=self.xz[:, i].copy(),
-            x_final=self.x_final[i].copy(), x_prev_final=self.x_prev_final[i].copy(),
+            x_final=self.x_final[i].copy(),
             diverged_at=int(self.diverged_at[i]), box_exits=int(self.box_exits[i]),
             window=wt,
             X_hist=None if self.X_hist is None else self.X_hist[:, i].copy(),

@@ -23,7 +23,7 @@ import numpy as np
 from .optimizer import MomentumParams
 from .problems import Problem
 from .schedules import StepSchedule, ScheduleExhaustedError
-from .trajectory import InsufficientRecordingError, Trajectory, WindowTrace
+from .trajectory import InsufficientRecordingError, RunBatch, Trajectory, WindowTrace
 
 
 class WindowCapError(ValueError):
@@ -75,10 +75,8 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
         raise ValueError("horizon must be >= 2")
     try:
         alphas = schedule.prefix(horizon)
-    except ScheduleExhaustedError:
-        alphas = schedule.prefix(min(horizon - 1, len(schedule.values)))
-        if len(alphas) < horizon - 1:
-            raise
+    except ScheduleExhaustedError:     # an explicit list may end at alpha_{horizon-1}
+        alphas = schedule.prefix(horizon - 1)
     a = alphas.tolist()
     gammas = [1]
     deltas: list[float] = []
@@ -98,18 +96,14 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
             continue
         s = 0.0
         n = g
-        while n < horizon and n - 1 < len(a) and s + a[n - 1] <= T:
+        while n < horizon and s + a[n - 1] <= T:
             s += a[n - 1]
             n += 1
-        if n < horizon and n - 1 < len(a):
-            closed = True          # next step would exceed the budget
-        elif n == horizon:
-            closed = n - 1 < len(a) and s + a[n - 1] > T
-        else:
-            closed = False         # explicit schedule exhausted
         gammas.append(n)
         deltas.append(s)
-        complete.append(closed)
+        # closed when the next step would exceed the budget; a window that
+        # ends at the horizon is closed only if alpha_horizon is known
+        complete.append(n < horizon or (n - 1 < len(a) and s + a[n - 1] > T))
         g = n
     return WindowPartition(T=float(T), horizon=horizon,
                            gammas=np.asarray(gammas, dtype=np.int64),
@@ -160,12 +154,6 @@ class WindowLengthReport:
         return self.n_violations_after_guarantee == 0
 
 
-def _anchor_step_sizes(partition: WindowPartition, schedule: StepSchedule) -> np.ndarray:
-    """alpha_{gamma_k} for every window anchor, read from the schedule prefix
-    (an explicit schedule may hold exactly horizon - 1 values)."""
-    return schedule.prefix(partition.horizon - 1)[partition.gammas[:-1] - 1]
-
-
 def verify_window_lengths(partition: WindowPartition, schedule: StepSchedule,
                           delta: float) -> tuple[int | None, WindowLengthReport]:
     """Smallest window index after which delta*T <= Delta_k <= T holds for
@@ -179,7 +167,7 @@ def verify_window_lengths(partition: WindowPartition, schedule: StepSchedule,
     if K_obs > partition.n_windows:
         K_obs = None
 
-    small = np.nonzero(_anchor_step_sizes(partition, schedule) <= (1.0 - delta) * T)[0]
+    small = np.nonzero(schedule.at(partition.gammas[:-1]) <= (1.0 - delta) * T)[0]
     K_gua = int(small[0]) + 1 if small.size else None
     after = len(bad) if K_gua is None else int(np.searchsorted(bad, K_gua - 1))
     report = WindowLengthReport(
@@ -203,7 +191,7 @@ def applicability_index(partition: WindowPartition, schedule: StepSchedule,
     """
     lam, nu, L = params.lam, params.nu, problem.L
     T = partition.T
-    a = _anchor_step_sizes(partition, schedule)
+    a = schedule.at(partition.gammas[:-1])
     iota = min(0.1, nu * (1.0 - lam) / (1.0 + 2.0 * nu)) / 10.0
     ok = (a <= (1.0 - delta) * T) \
         & (L * nu * a <= lam * iota) \
@@ -332,34 +320,30 @@ def judge_windows(partition: WindowPartition, K_T: int | None, lo: int,
 # ---------------------------------------------------------------------------
 # trajectory-facing diagnostics
 
-def _window_trace(traj: Trajectory, partition: WindowPartition) -> WindowTrace:
-    """The streaming window trace ``traj`` recorded over ``partition``."""
-    if traj.horizon != partition.horizon:
-        raise ValueError("partition horizon does not match trajectory horizon")
-    w = traj.window
-    if w is None or w.n_windows != partition.n_windows:
+def _window_trace(run: Trajectory | RunBatch) -> WindowTrace:
+    if run.window is None:
         raise InsufficientRecordingError(
-            "window diagnostics need the streaming trace of a run over this partition")
-    return w
+            "window diagnostics need the streaming trace of a run over a partition")
+    return run.window
 
 
-def check_windows(traj: Trajectory, partition: WindowPartition,
-                  problem: Problem, params: MomentumParams,
-                  tol: float = 1e-8) -> WindowReport:
-    """The window verdict of one trajectory (see ``judge_windows``), read
-    from its streaming window trace.
+def check_windows(run: Trajectory | RunBatch, tol: float = 1e-8) -> WindowReport:
+    """The window verdict of a run (see ``judge_windows``), read from its
+    streaming window trace with the partition, K_T, problem and momentum
+    weights the run was recorded with; a batch report's columns equal the
+    one-seed reports bitwise.
 
     Windows at or past the applicability index must have residual
     >= -tol * scale and the ledger M + u must not rise from there on;
     earlier windows are reported, not asserted.  The budget may not
     exceed ``default_window``, the cap under which every bound applies.
     """
+    w = _window_trace(run)
+    problem, params = run.config["problem"], run.config["params"]
     cap = default_window(problem, params)
-    if partition.T > cap * (1 + 1e-12):
-        raise WindowCapError(f"window budget {partition.T:g} exceeds cap {cap:g}")
-    w = _window_trace(traj, partition)
-    K_T = applicability_index(partition, traj.config["schedule"], problem, params)
-    return judge_windows(partition, K_T, w.detail_lo, params.lam, problem.L,
+    if w.partition.T > cap * (1 + 1e-12):
+        raise WindowCapError(f"window budget {w.partition.T:g} exceeds cap {cap:g}")
+    return judge_windows(w.partition, w.K_T, w.detail_lo, params.lam, problem.L,
                          w.s, w.spread, w.zx, w.gz, w.merit, w.merit_grad_sq, tol)
 
 
@@ -369,26 +353,27 @@ class CauchyProfile:
     boundary_steps: np.ndarray          # ||x^{gamma_{k+1}} - x^{gamma_k}||
     boundary_cumsum: np.ndarray
     intra_max: np.ndarray               # max_{t in Gamma_k} ||x^t - x^{gamma_k}||
-    step_norm_ok: int | None = None
-    step_norm_total: float | None = None
+    step_norm_ok: int | np.ndarray | None = None       # (seed,) arrays for a batch
+    step_norm_total: float | np.ndarray | None = None
 
 
-def cauchy_profile(traj: Trajectory, partition: WindowPartition) -> CauchyProfile:
+def cauchy_profile(run: Trajectory | RunBatch) -> CauchyProfile:
     """Boundary-sum partial sums and intra-window max deviations, read from
-    a run recorded with a window profile.
+    a run recorded with a window profile ((window,) arrays for one seed,
+    (window, seed) for a batch).
 
     The per-step lower-bound summary (count of steps moving at least
     alpha_k, total path length) is attached when the run tracked it.
     """
-    w = _window_trace(traj, partition)
+    w = _window_trace(run)
     if w.boundary_step is None:
         raise InsufficientRecordingError("cauchy profile needs a window profile")
     bs = w.boundary_step
-    return CauchyProfile(windows=np.arange(1, partition.n_windows + 1),
-                         boundary_steps=bs, boundary_cumsum=np.cumsum(bs),
+    return CauchyProfile(windows=np.arange(1, w.n_windows + 1),
+                         boundary_steps=bs, boundary_cumsum=np.cumsum(bs, axis=0),
                          intra_max=w.xdev,
-                         step_norm_ok=traj.step_norm_ok,
-                         step_norm_total=traj.step_norm_total)
+                         step_norm_ok=run.step_norm_ok,
+                         step_norm_total=run.step_norm_total)
 
 
 @dataclass

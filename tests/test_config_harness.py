@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgdmlab import ConfigError, parse_config, run_experiment
 from sgdmlab.cli import main
@@ -323,3 +324,84 @@ def test_emit_rate_curves_direct(tmp_path):
     assert len(paths) == 2
     content = open(paths[0]).read()
     assert content.startswith("theta,gamma,Psi,Phi,transition")
+
+
+SPARSE_FIT = """
+problem.name = quadratic
+problem.dim = 2
+schedule.alpha = 0.5
+schedule.gamma = 0.9
+noise.variant = gaussian
+noise.sigma = 0.1
+run.horizon = 2001
+run.seeds = 2
+rate.targets = f_gap
+"""
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("record.points_per_decade = 0", "rate fits need 10 record points"),
+    ("rate.tail_decades = 0", "rate.tail_decades must be > 0"),
+    ("rate.tail_decades = -1", "rate.tail_decades must be > 0"),
+    ("record.stride = -3", "record.stride must be >= 0"),
+    ("record.points_per_decade = -3", "record.points_per_decade must be >= 0"),
+])
+def test_cli_rejects_a_record_grid_too_sparse_to_fit(tmp_path, capsys, extra, message):
+    # each used to end in estimate_exponent's ValueError, or to be accepted
+    cfg_path = tmp_path / "sparse.cfg"
+    cfg_path.write_text(SPARSE_FIT + extra + "\n")
+    rc = main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "config rejected" in err and message in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
+
+
+HASH_BASE = ["problem.name = quadratic", "problem.dim = 2", "problem.mu = 1.0",
+             "opt.lambda = 0.5", "schedule.gamma = 0.9", "run.horizon = 100"]
+# defaults, each in the spellings that parse to the default value
+HASH_DEFAULTS = {
+    "opt.nu": ["0.0", "0", "0e0"],
+    "schedule.variant": ["polynomial"],
+    "schedule.alpha": ["0.1", "1e-1"],
+    "schedule.beta": ["0.0", "0"],
+    "noise.variant": ["none"],
+    "noise.sigma": ["0.0", "0"],
+    "run.seeds": ["1"],
+    "run.base_seed": ["12345"],
+    "window.enabled": ["true", "yes", "on", "1", "True"],
+    "window.delta": ["0.9", "0.90"],
+    "window.profile": ["false", "no", "off", "0"],
+    "record.points_per_decade": ["200"],
+    "record.stride": ["0"],
+    "record.track_step_norms": ["false"],
+    "rate.targets": [""],
+    "rate.tail_decades": ["1.0", "1"],
+    "out.formats": ["summary", "summary,"],
+}
+
+
+@st.composite
+def config_layouts(draw):
+    """HASH_BASE with defaults written out, lines shuffled, blank and
+    comment lines interleaved and the spacing around '=' varied."""
+    keys = draw(st.lists(st.sampled_from(sorted(HASH_DEFAULTS)), unique=True))
+    pairs = [line.split(" = ") for line in HASH_BASE]
+    pairs += [(k, draw(st.sampled_from(HASH_DEFAULTS[k]))) for k in keys]
+    lines = []
+    for key, val in draw(st.permutations(pairs)):
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "# run.seeds = 9"]),
+                               max_size=2))
+        lead, left, right = (draw(st.sampled_from(["", " ", "\t", "   "])) for _ in range(3))
+        tail = draw(st.sampled_from(["", "  # trailing comment"]))
+        lines.append(f"{lead}{key}{left}={right}{val}{tail}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=config_layouts())
+def test_config_hash_depends_on_the_config_not_its_layout(text):
+    base = parse_config("\n".join(HASH_BASE)).config_hash
+    assert parse_config(text).config_hash == base
+    assert parse_config(text + "\nproblem.x0 = 2").config_hash != base

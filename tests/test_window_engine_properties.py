@@ -65,7 +65,7 @@ def test_streaming_engine_matches_history_oracles(lam, nu, schedule, diverge, bl
         bare = dataclasses.replace(traj, window=None)
         assert np.array_equal(w.s, oracles.aggregate_errors(traj, part))
         assert np.array_equal(w.spread, oracles.iterate_spread(bare, part, lam))
-        cp_stream = cauchy_profile(traj, part)
+        cp_stream = cauchy_profile(traj)
         cp_hist = oracles.cauchy_profile(bare, part)
         assert np.array_equal(cp_stream.boundary_steps, cp_hist.boundary_steps)
         assert np.array_equal(cp_stream.intra_max, cp_hist.intra_max)

@@ -9,7 +9,7 @@ from sgdmlab import (InsufficientRecordingError, MomentumParams, NoiseModel,
                      RecordingPolicy, StepSchedule, WindowCapError, applicability_index,
                      build_partition, cauchy_profile, check_windows,
                      default_window, judge_windows,
-                     make_problem, run_trajectory, summability_profile,
+                     make_problem, run_batch, run_trajectory, summability_profile,
                      tail_error_sums, verify_window_lengths)
 
 
@@ -196,7 +196,7 @@ def test_pinned_trajectory_residuals_exactly_zero():
     rp = RecordingPolicy(window_profile=True)
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 60001,
                           x0=np.zeros(2), recording=rp, partition=part)
-    rep = check_windows(traj, part, prob, params)
+    rep = check_windows(traj)
     assert rep.K_T is not None and rep.n_applicable > 0
     assert np.array_equal(rep.res_spread, np.zeros_like(rep.res_spread))
     assert np.array_equal(rep.res_gap, np.zeros_like(rep.res_gap))
@@ -214,7 +214,7 @@ def test_check_windows_vacuous_when_K_T_out_of_reach():
     traj = run_trajectory(prob, params, sched, NoiseModel.gaussian(0.05), 0, 2001,
                           partition=part)
     assert traj.window.s.shape[0] == 0
-    rep = check_windows(traj, part, prob, params)
+    rep = check_windows(traj)
     assert rep.K_T is None
     assert rep.n_applicable == 0
     assert rep.violations == [] and rep.ledger_violations == []
@@ -228,12 +228,41 @@ def test_diagnostics_need_the_streaming_trace():
     rp = RecordingPolicy(store_vectors=True, store_noise=True)
     bare = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 501, recording=rp)
     with pytest.raises(InsufficientRecordingError):
-        check_windows(bare, part, prob, params)
+        check_windows(bare)
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 501, recording=rp,
                           partition=part)
-    check_windows(traj, part, prob, params)
+    check_windows(traj)
     with pytest.raises(InsufficientRecordingError):   # no window profile
-        cauchy_profile(traj, part)
+        cauchy_profile(traj)
+
+
+def test_batch_verdict_columns_equal_seed_verdicts():
+    # one check_windows over a seed batch against one per seed, bitwise; the
+    # negative tolerance also flags tight windows, so the masks are not empty
+    prob = make_problem("quadratic", 2, mu=1.0, l=1.0)
+    params = MomentumParams.heavy_ball(0.5)
+    sched = StepSchedule.polynomial(0.001, 0.0, 0.75)
+    part = build_partition(sched, default_window(prob, params), 60001)
+    batch = run_batch(prob, params, sched, NoiseModel.gaussian(0.05), [3, 4, 5], 60001,
+                      recording=RecordingPolicy(window_profile=True), partition=part)
+    for tol in (1e-8, -0.5):
+        rep = check_windows(batch, tol)
+        assert rep.K_T is not None and rep.n_applicable > 0
+        if tol < 0:
+            assert rep.bad_spread.any() and rep.bad_gap.any() and rep.bad_descent.any()
+        for i in range(batch.n_seeds):
+            one = check_windows(batch.trajectory(i), tol)
+            assert one.K_T == rep.K_T
+            assert np.array_equal(one.windows, rep.windows)
+            assert np.array_equal(one.applicable, rep.applicable)
+            for name in ("res_spread", "res_gap", "res_descent", "bad_spread", "bad_gap",
+                         "bad_descent", "u", "ledger", "ledger_rise"):
+                assert getattr(one, name).tobytes() == getattr(rep, name)[:, i].tobytes(), name
+    cp = cauchy_profile(batch)
+    for i in range(batch.n_seeds):
+        one = cauchy_profile(batch.trajectory(i))
+        assert one.boundary_cumsum.tobytes() == cp.boundary_cumsum[:, i].tobytes()
+        assert one.intra_max.tobytes() == cp.intra_max[:, i].tobytes()
 
 
 def _oracle_report(traj, part, prob, params):
@@ -251,7 +280,7 @@ def test_streaming_windows_match_vector_oracles():
     bare = dataclasses.replace(traj, window=None)
     assert np.array_equal(traj.window.spread, iterate_spread(bare, part, params.lam))
     # residual reports agree between the streaming trace and stored vectors
-    rep1 = check_windows(traj, part, prob, params)
+    rep1 = check_windows(traj)
     rep2 = _oracle_report(bare, part, prob, params)
     assert np.allclose(rep1.res_spread, rep2.res_spread, rtol=1e-12, atol=1e-15)
     assert np.allclose(rep1.res_gap, rep2.res_gap, rtol=1e-12, atol=1e-15)
@@ -277,7 +306,7 @@ def test_detail_boundary_at_single_step_block_edge():
     rp = RecordingPolicy(store_vectors=True, store_noise=True, block_size=64)
     traj = run_trajectory(prob, params, sched, NoiseModel.gaussian(0.05), 9,
                           horizon, recording=rp, partition=part)
-    rb_stream = check_windows(traj, part, prob, params)
+    rb_stream = check_windows(traj)
     bare = dataclasses.replace(traj, window=None)
     rb_vec = _oracle_report(bare, part, prob, params)
     i0 = K_T - traj.window.detail_lo
@@ -311,7 +340,7 @@ def test_spread_with_lam_zero_uses_iterates_only():
 
 def test_bounds_and_descent_reports_on_clean_run():
     prob, params, sched, part, traj = _short_run(lam=0.0, nu=0.0, horizon=40001)
-    rep = check_windows(traj, part, prob, params)
+    rep = check_windows(traj)
     assert rep.K_T is not None
     assert rep.n_applicable > 10
     assert rep.violations == []
@@ -329,7 +358,7 @@ def test_descent_monotone_for_deterministic_heavy_ball():
     rp = RecordingPolicy(window_profile=True)
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 20001,
                           recording=rp, partition=part)
-    rep = check_windows(traj, part, prob, params)
+    rep = check_windows(traj)
     assert rep.violations == []
     assert np.all(rep.res_spread[rep.applicable] >= 0)
     assert np.all(rep.res_gap[rep.applicable] >= 0)
@@ -351,7 +380,7 @@ def test_window_cap_enforced():
     traj = run_trajectory(prob, params, sched, NoiseModel.none(), 0, 500,
                           recording=rp, partition=part)
     with pytest.raises(WindowCapError):
-        check_windows(traj, part, prob, params)
+        check_windows(traj)
 
 
 def test_applicability_index_rules():
@@ -380,12 +409,12 @@ def test_cauchy_profile_pinned_and_noisy():
     rp = RecordingPolicy(store_vectors=True, store_noise=True, window_profile=True)
     pinned = run_trajectory(prob, MomentumParams.sgd(), sched, NoiseModel.none(),
                             0, 300, x0=np.zeros(2), recording=rp, partition=part)
-    cp = cauchy_profile(pinned, part)
+    cp = cauchy_profile(pinned)
     assert np.array_equal(cp.boundary_cumsum, np.zeros(part.n_windows))
     assert np.array_equal(cp.intra_max, np.zeros(part.n_windows))
 
     prob2, params2, sched2, part2, noisy = _short_run(lam=0.0, nu=0.0, horizon=30001)
-    cp = cauchy_profile(noisy, part2)
+    cp = cauchy_profile(noisy)
     n = len(cp.intra_max)
     # convergent run: intra-window deviations decay, boundary sums flatten
     assert np.median(cp.intra_max[-n // 4:]) < 0.05 * np.max(cp.intra_max[:n // 4])
@@ -444,7 +473,7 @@ def test_summability_plateau_and_negative_control():
 
 def test_tail_sums_vanish_on_converging_run():
     prob, params, sched, part, traj = _short_run(lam=0.0, nu=0.0, horizon=30001)
-    rep = check_windows(traj, part, prob, params)
+    rep = check_windows(traj)
     u = rep.u[:-1]
     assert np.all(np.diff(u) <= 0)
     assert u[-1] < 0.01 * u.max()
