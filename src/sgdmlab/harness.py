@@ -144,8 +144,12 @@ def _decade_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
 
 
 def _rate_tail_start(cfg: ExperimentConfig) -> float:
-    """First step index of the rate fits: the last rate.tail_decades decades."""
-    return max(cfg.horizon / 10**cfg.rate_tail_decades, 1)
+    """First step index of the rate fits: the last rate.tail_decades decades
+    (all of the run once 10**tail_decades overflows a float)."""
+    try:
+        return max(cfg.horizon / 10**cfg.rate_tail_decades, 1)
+    except OverflowError:
+        return 1
 
 
 def _rate_fits(batch: RunBatch, cfg: ExperimentConfig) -> dict:

@@ -73,8 +73,9 @@ class StepSchedule:
         return cls("explicit", values=tuple(float(v) for v in values))
 
     def at(self, ks) -> np.ndarray:
-        """[alpha_k for k in ks] for an integer index array ks (each k >= 1);
-        the one evaluator every other read of the schedule goes through."""
+        """[alpha_k for k in ks] for an integer index array ks (each k >= 1),
+        as a new array the caller may write to; the one evaluator every
+        other read of the schedule goes through."""
         ks = np.asarray(ks)
         if ks.size and ks.min() < 1:
             raise ValueError("step index k must be >= 1")

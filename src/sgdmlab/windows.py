@@ -6,6 +6,13 @@ delta(gamma_k, n) <= T, but at least gamma_k + 1.  Windows are
 Gamma_k = (gamma_k, gamma_{k+1}].  Once alpha_k <= (1-delta)*T every
 window's accumulated length lands in [delta*T, T].
 
+``build_partition`` scans the schedule in chunks of at most ``_CHUNK``
+steps and keeps gammas, deltas and flags in typed growable buffers, so
+the partition holds O(windows + chunk) memory at any horizon: no
+full-horizon array of step sizes is read here.  Every accumulated step
+size is a running sum in step order, bitwise equal to adding the steps
+one at a time.
+
 Per window the diagnostics track the aggregated error s_k (max norm of
 step-weighted partial error sums), the iterate spread d_k (max deviation
 of x and of the interpolation z from the window anchor), and the merit
@@ -16,6 +23,7 @@ applicability index K_T on.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +39,7 @@ class WindowCapError(ValueError):
 
 
 DELTA_APPLICABILITY = 0.99  # step-size margin defining the applicability index
+_CHUNK = 1 << 16            # most steps the partition scan reads from the schedule at once
 
 
 def default_window(problem: Problem, params: MomentumParams) -> float:
@@ -68,47 +77,89 @@ class WindowPartition:
 
 
 def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPartition:
-    """Construct the window partition by scanning accumulated step sizes."""
+    """Construct the window partition by scanning accumulated step sizes.
+
+    The schedule is read in slices of at most ``_CHUNK`` steps, so the
+    scan holds O(windows + chunk) memory.  A window's accumulated step
+    size is a running sum in step order (``np.cumsum`` adds sequentially),
+    carried from one slice to the next.  After a window of m steps the
+    following windows of length m are tried a block at a time, as the rows
+    of a (rows, m) row-wise cumsum; the block doubles after a full accept
+    and halves after a reject.  Every row is checked against the budget on
+    its own, so the schedule need not be monotone.
+    """
     if T <= 0:
         raise ValueError("window budget T must be > 0")
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    try:
-        alphas = schedule.prefix(horizon)
-    except ScheduleExhaustedError:     # an explicit list may end at alpha_{horizon-1}
-        alphas = schedule.prefix(horizon - 1)
-    a = alphas.tolist()
-    gammas = [1]
-    deltas: list[float] = []
-    complete: list[bool] = []
-    g = 1
+
+    def steps(lo, hi):
+        return schedule.at(np.arange(lo, hi))
+
+    gammas, deltas, complete = array("q", [1]), array("d"), bytearray()
+
+    def closed(ends, sums):
+        gammas.frombytes(np.asarray(ends, dtype=np.int64).tobytes())
+        deltas.frombytes(sums.tobytes())
+        complete.extend(b"\x01" * len(sums))
+
+    g, m, rows = 1, 1, 1
     while g < horizon:
-        if a[g - 1] > T:
-            # forced single-step stretch: alpha non-increasing, so windows
-            # stay single-step until the first index with alpha <= T
-            rest = alphas[g - 1:horizon - 1]
-            below = np.nonzero(rest <= T)[0]
-            stop = g + int(below[0]) if below.size else horizon
-            gammas.extend(range(g + 1, stop + 1))
-            deltas.extend(a[g - 1:stop - 1])
-            complete.extend([True] * (stop - g))
-            g = stop
+        # the window anchored at g: accept steps while the running sum s
+        # stays within T, in slices that grow up to _CHUNK
+        n, s, size = g, 0.0, min(2 * m, _CHUNK)
+        while True:
+            a = steps(n, min(n + size, horizon))
+            a[0] += s
+            c = np.cumsum(a)
+            k = int(np.searchsorted(c, T, side="right"))
+            if k:
+                n, s = n + k, c[k - 1]
+            if k < len(c) or n == horizon:
+                break
+            size = min(2 * size, _CHUNK)
+        if n == g:
+            # alpha_g > T: single-step windows up to the first alpha <= T
+            # in the next chunk
+            a = steps(g, min(g + _CHUNK, horizon))
+            below = np.flatnonzero(a <= T)
+            k = int(below[0]) if below.size else len(a)
+            closed(np.arange(g + 1, g + k + 1), a[:k])
+            g += k
             continue
-        s = 0.0
-        n = g
-        while n < horizon and s + a[n - 1] <= T:
-            s += a[n - 1]
-            n += 1
+        shut = True
+        if n == horizon:
+            # a window that ends at the horizon is closed only if
+            # alpha_horizon is known and would cross the budget
+            try:
+                shut = bool(s + schedule.step_size(horizon) > T)
+            except ScheduleExhaustedError:     # an explicit list may end at alpha_{horizon-1}
+                shut = False
         gammas.append(n)
         deltas.append(s)
-        # closed when the next step would exceed the budget; a window that
-        # ends at the horizon is closed only if alpha_horizon is known
-        complete.append(n < horizon or (n - 1 < len(a) and s + a[n - 1] > T))
-        g = n
+        complete.append(shut)
+        m, g = n - g, n
+        # windows of the same length m, up to ``rows`` at a time; each row
+        # needs its sum within T and its sum plus the next step beyond T,
+        # and the step after the last row must lie before the horizon
+        while m <= _CHUNK:
+            r = min(rows, _CHUNK // m, (horizon - 1 - g) // m)
+            if r < 1:
+                break
+            a = steps(g, g + r * m + 1)
+            sums = np.cumsum(a[:-1].reshape(r, m), axis=1)[:, -1]
+            ok = (sums <= T) & (sums + a[m::m] > T)
+            j = r if ok.all() else int(np.argmin(ok))
+            closed(g + m * np.arange(1, j + 1), sums[:j])
+            g += j * m
+            if j < r:
+                rows = max(r // 2, 1)
+                break
+            rows = 2 * r
     return WindowPartition(T=float(T), horizon=horizon,
-                           gammas=np.asarray(gammas, dtype=np.int64),
-                           deltas=np.asarray(deltas, dtype=float),
-                           complete=np.asarray(complete, dtype=bool))
+                           gammas=np.frombuffer(gammas, dtype=np.int64),
+                           deltas=np.frombuffer(deltas, dtype=float),
+                           complete=np.frombuffer(complete, dtype=bool))
 
 
 @dataclass
@@ -383,6 +434,24 @@ class SummabilityProfile:
     last_decade_ratio: float            # increment over the last step decade / total
 
 
+def _running_sums(schedule: StepSchedule, ks: np.ndarray) -> np.ndarray:
+    """sum_{i<=k} alpha_i for each k of the ascending index array ks, added
+    in step order over slices of ``_CHUNK`` steps with the sum carried
+    across slices: the same bits as ``np.cumsum(schedule.prefix(n))[ks - 1]``."""
+    out = np.empty(len(ks))
+    end = int(ks[-1]) + 1 if len(ks) else 1
+    s = 0.0
+    for lo in range(1, end, _CHUNK):
+        hi = min(lo + _CHUNK, end)
+        a = schedule.at(np.arange(lo, hi))
+        a[0] += s
+        c = np.cumsum(a)
+        i, j = np.searchsorted(ks, [lo, hi])
+        out[i:j] = c[ks[i:j] - lo]
+        s = c[-1]
+    return out
+
+
 def summability_profile(s, partition: WindowPartition, schedule: StepSchedule,
                         beta="unit") -> SummabilityProfile:
     """Partial sums of beta_{gamma_k}^2 s_k^2.
@@ -399,8 +468,7 @@ def summability_profile(s, partition: WindowPartition, schedule: StepSchedule,
         b = np.ones(len(anchors))
     elif isinstance(beta, tuple) and beta[0] == "power":
         r = float(beta[1])
-        csum = np.cumsum(schedule.prefix(partition.horizon - 1))
-        b = csum[np.minimum(anchors, partition.horizon - 1) - 1] ** r
+        b = _running_sums(schedule, np.minimum(anchors, partition.horizon - 1)) ** r
     elif callable(beta):
         b = np.asarray(beta(anchors), dtype=float)
     else:

@@ -358,7 +358,16 @@ def test_cli_rejects_a_record_grid_too_sparse_to_fit(tmp_path, capsys, extra, me
     assert not (tmp_path / "out").exists()
 
 
-HASH_BASE = ["problem.name = quadratic", "problem.dim = 2", "problem.mu = 1.0",
+def test_rate_tail_past_float_range_fits_the_whole_run():
+    # 10**400 overflows a float; the fit window is then the whole run,
+    # the same as any tail longer than the horizon's decades
+    whole, _ = run_experiment(parse_config(SPARSE_FIT + "rate.tail_decades = 5\n"))
+    huge, _ = run_experiment(parse_config(SPARSE_FIT + "rate.tail_decades = 400\n"))
+    assert huge.data["rates"] == whole.data["rates"]
+    assert huge.data["rates"]["f_gap"]["median"] is not None
+
+
+HASH_BASE =["problem.name = quadratic", "problem.dim = 2", "problem.mu = 1.0",
              "opt.lambda = 0.5", "schedule.gamma = 0.9", "run.horizon = 100"]
 # defaults, each in the spellings that parse to the default value
 HASH_DEFAULTS = {
