@@ -164,8 +164,10 @@ class _WindowAccumulator:
         return dev, dmax
 
     def process_block(self, b0: int, xrows: np.ndarray, zrows: np.ndarray,
-                      wrows: np.ndarray, n: int):
-        """Advance windows over iterates x^{b0}..x^{b0+n} (rows 0..n)."""
+                      E: np.ndarray, a: np.ndarray, n: int, wbuf: np.ndarray):
+        """Advance windows over iterates x^{b0}..x^{b0+n} (rows 0..n), with
+        the block's noise rows E, its step sizes a (n, 1) and a buffer wbuf
+        for the weighted errors a_t e^t."""
         w0 = self.w
         if w0 > self.W:
             return
@@ -180,7 +182,12 @@ class _WindowAccumulator:
         ln = hi - lo
         seg_of_row = np.repeat(np.arange(len(ks)), ln)
 
-        smax, psum = self._segment_error_max(wrows[:n], lo, ln, seg_of_row, open_tail)
+        # s_k is stored only from detail_lo on: a block whose windows all lie
+        # before it skips the error sums, and the carry it leaves is never read
+        errors = bool(ks[-1] >= self.detail_lo)
+        if errors:
+            wrows = np.multiply(E, a[..., None], wbuf[:n])
+            smax, psum = self._segment_error_max(wrows, lo, ln, seg_of_row, open_tail)
         xdev, xmax = self._segment_dev_max(xrows[:n + 1], self.anchor_x, self.xmax,
                                            lo, ln, seg_of_row)
         if self.lam == 0.0:
@@ -194,7 +201,8 @@ class _WindowAccumulator:
             kk, rc = ks[:nc], hi[:nc]
             dst = kk - self.detail_lo
             det = slice(np.searchsorted(dst, 0), nc)
-            self.s_arr[dst[det]] = smax[det]
+            if errors:
+                self.s_arr[dst[det]] = smax[det]
             self.xdev_arr[dst[det]] = xmax[det]
             self.zdev_arr[dst[det]] = zmax[det]
             if self.boundary_step is not None:
@@ -210,8 +218,9 @@ class _WindowAccumulator:
             self.anchor_z = zrows[rc[-1]].copy()
             self.w = w0 + nc
         if open_tail:
-            self.psum = psum
-            self.smax, self.xmax, self.zmax = smax[-1], xmax[-1], zmax[-1]
+            if errors:
+                self.psum, self.smax = psum, smax[-1]
+            self.xmax, self.zmax = xmax[-1], zmax[-1]
         else:
             self.psum = np.zeros_like(self.psum)
             self.smax = self.xmax = self.zmax = np.zeros_like(self.smax)
@@ -426,8 +435,7 @@ class _BlockConsumer:
             self.sn_total += dn.sum(axis=0)
 
         if self.acc is not None:
-            wrows = np.multiply(self.E_ring[slot, :n], a[..., None], out=self.tmp[:n])
-            self.acc.process_block(b0, rows, zrows, wrows, n)
+            self.acc.process_block(b0, rows, zrows, self.E_ring[slot, :n], a, n, self.tmp)
 
         grid = self.grid
         while self.gp < len(grid) and grid[self.gp] <= b0 + n:
@@ -454,39 +462,45 @@ class _Steps:
     The buffers are allocated once per run.  Plain SGD (lam = nu = 0) runs
     x^{t+1} = x^t - a_t (grad f(x^t) - e_t) without the momentum terms: the
     same values, up to the sign of an exact zero.
+
+    Every call in the loops passes out by position, and lam and nu as 0-d
+    float64 arrays: at (seeds x d) sizes numpy's dispatch costs more than
+    the arithmetic, and these are its cheaper paths.  The operations and
+    their order are the same as with keywords and Python floats.
     """
 
     def __init__(self, grad, params: MomentumParams, S: int, d: int):
-        self.grad, self.lam, self.nu = grad, params.lam, params.nu
+        self.grad, self.lam, self.nu = grad, np.array(params.lam), np.array(params.nu)
+        self.look_ahead = params.nu != 0.0
         self.g = np.empty((S, d))
         self.dX = np.empty((S, d))
         self.xl = np.empty((S, d))
-        self.run = self._sgd if self.lam == 0.0 and self.nu == 0.0 else self._momentum
+        self.run = self._sgd if params.lam == 0.0 and params.nu == 0.0 else self._momentum
 
     def _sgd(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, sub, mul = self.grad, self.g, np.subtract, np.multiply
         for e, Xn, a in zip(E, rows[1:], step_sizes):
-            sub(grad(X, g), e, out=g)
-            mul(g, a, out=g)
+            sub(grad(X, g), e, g)
+            mul(g, a, g)
             if frozen is not None:
                 np.copyto(g, 0.0, where=frozen)
-            sub(X, g, out=Xn)
+            sub(X, g, Xn)
             X = Xn
         return X, rows[-2]              # x^{t-1} is only needed at the end
 
     def _momentum(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, dX, xl, lam, nu = self.grad, self.g, self.dX, self.xl, self.lam, self.nu
-        sub, mul, add = np.subtract, np.multiply, np.add
+        look, sub, mul, add = self.look_ahead, np.subtract, np.multiply, np.add
         for e, Xn, a in zip(E, rows[1:], step_sizes):
-            sub(X, Xp, out=dX)
-            if nu:
-                add(X, mul(dX, nu, out=xl), out=xl)
-            sub(grad(xl if nu else X, g), e, out=g)
-            mul(dX, lam, out=dX)
-            sub(dX, mul(g, a, out=g), out=dX)
+            sub(X, Xp, dX)
+            if look:
+                add(X, mul(dX, nu, xl), xl)
+            sub(grad(xl if look else X, g), e, g)
+            mul(dX, lam, dX)
+            sub(dX, mul(g, a, g), dX)
             if frozen is not None:
                 np.copyto(dX, 0.0, where=frozen)
-            add(X, dX, out=Xn)
+            add(X, dX, Xn)
             Xp = X
             X = Xn
         return X, Xp

@@ -85,8 +85,11 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
     carried from one slice to the next.  After a window of m steps the
     following windows of length m are tried a block at a time, as the rows
     of a (rows, m) row-wise cumsum; the block doubles after a full accept
-    and halves after a reject.  Every row is checked against the budget on
-    its own, so the schedule need not be monotone.
+    and halves after a reject.  A block is tried only after two windows of
+    length m in a row, or while the last block accepted a row: where the
+    length changes every window, a block tried after each one would be
+    read and rejected each time.  Every row is checked against the budget
+    on its own, so the schedule need not be monotone.
     """
     if T <= 0:
         raise ValueError("window budget T must be > 0")
@@ -104,6 +107,7 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
         complete.extend(b"\x01" * len(sums))
 
     g, m, rows = 1, 1, 1
+    last, hit = 0, False    # length of the last window; whether the last block accepted a row
     while g < horizon:
         # the window anchored at g: accept steps while the running sum s
         # stays within T, in slices that grow up to _CHUNK
@@ -125,7 +129,7 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
             below = np.flatnonzero(a <= T)
             k = int(below[0]) if below.size else len(a)
             closed(np.arange(g + 1, g + k + 1), a[:k])
-            g += k
+            g, last = g + k, 1
             continue
         shut = True
         if n == horizon:
@@ -139,10 +143,11 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
         deltas.append(s)
         complete.append(shut)
         m, g = n - g, n
+        try_block, last = m == last or hit, m
         # windows of the same length m, up to ``rows`` at a time; each row
         # needs its sum within T and its sum plus the next step beyond T,
         # and the step after the last row must lie before the horizon
-        while m <= _CHUNK:
+        while try_block and m <= _CHUNK:
             r = min(rows, _CHUNK // m, (horizon - 1 - g) // m)
             if r < 1:
                 break
@@ -151,7 +156,7 @@ def build_partition(schedule: StepSchedule, T: float, horizon: int) -> WindowPar
             ok = (sums <= T) & (sums + a[m::m] > T)
             j = r if ok.all() else int(np.argmin(ok))
             closed(g + m * np.arange(1, j + 1), sums[:j])
-            g += j * m
+            g, hit = g + j * m, j > 0
             if j < r:
                 rows = max(r // 2, 1)
                 break
