@@ -35,7 +35,8 @@ class Problem:
     # grad_batch(x, out=None): (..., d) -> (..., d).  Given out (x's shape
     # and dtype, not overlapping x), the gradient is written into it and
     # out is returned; the step loop reuses one buffer this way.  Without
-    # out the result is a new float64 array, for integer x too.  The
+    # out the result is a new float64 array computed in float64, for
+    # integer and float32 x too.  The
     # built-in gradients pass out to numpy by position and hold their exact
     # constants as 0-d float64 arrays: numpy dispatches both faster than a
     # keyword or a Python float, and the arithmetic is the same.
@@ -159,6 +160,8 @@ def _make_sin_toy(dim, **_):
         return np.sin(x[..., 0])
 
     def grad_batch(x, out=None):
+        if out is None:
+            x = np.asarray(x, dtype=float)      # a float32 x is computed in float64
         g = np.empty(np.shape(x)) if out is None else out
         np.cos(x[..., 0], g[..., 0])
         g[..., 1] = 0.0
@@ -182,6 +185,8 @@ def _make_rosenbrock(dim, a=1.0, b=100.0, box_radius=2.0, **_):
         return (a - x1) ** 2 + b * (x2 - x1**2) ** 2
 
     def grad_batch(x, out=None):
+        if out is None:
+            x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
         g = np.empty(np.shape(x)) if out is None else out
         r = x2 - x1**2
@@ -218,6 +223,8 @@ def _make_shifted_quartic(dim, a=1.0, box_radius=2.0, **_):
     four = np.array(4.0)
 
     def grad_batch(x, out=None):
+        if out is None:
+            x = np.asarray(x, dtype=float)
         g = np.empty(np.shape(x)) if out is None else out
         t = np.subtract(x[..., 0], a, g[..., 0])
         t **= 3

@@ -12,6 +12,10 @@ full iterate histories; a ring of block buffers serves the scalar record
 grid and the window segments.  The ring is shared by two processes: the
 caller runs the momentum steps, a forked child draws the noise ahead and
 consumes each finished block (a two-stage pipeline; it needs POSIX fork).
+The ring holds row slots only: the child draws a block's noise into rows
+1..n of its slot, where the steps read it and overwrite it, and forms the
+block's error sums at draw time.  A run shares RING_SLOTS (B+1) S d 8
+bytes for blocks of B steps, 9.8 MB at S = 20 seeds and d = 10.
 """
 
 from __future__ import annotations
@@ -81,8 +85,9 @@ class _WindowAccumulator:
         nd = n_decades(horizon)
         self.decade_d_sum = np.zeros((nd, S))
         self.decade_d_cnt = np.zeros(nd)
-        # state of the open window, carried across block edges
-        self.w = 1
+        # state of the open window, carried across block edges: the error
+        # sums (cursor ew) run ahead of the iterate statistics (cursor w)
+        self.w = self.ew = 1
         self.anchor_x = None
         self.anchor_z = None
         self.psum = np.zeros((S, d))
@@ -163,31 +168,57 @@ class _WindowAccumulator:
         dmax[0] = np.maximum(dmax[0], carried)
         return dev, dmax
 
-    def process_block(self, b0: int, xrows: np.ndarray, zrows: np.ndarray,
-                      E: np.ndarray, a: np.ndarray, n: int, wbuf: np.ndarray):
-        """Advance windows over iterates x^{b0}..x^{b0+n} (rows 0..n), with
-        the block's noise rows E, its step sizes a (n, 1) and a buffer wbuf
-        for the weighted errors a_t e^t."""
-        w0 = self.w
-        if w0 > self.W:
-            return
+    def _segments(self, w0: int, b0: int, n: int):
+        """The windows w0.. that a block's rows 1..n (x^{b0+1}..x^{b0+n}, or
+        e^{b0}..e^{b0+n-1}) touch: their numbers ks, rows lo+1..hi and
+        lengths ln, the segment of each row, and whether the last window
+        stays open past the block."""
         G = self.gammas
         end = b0 + n
         # windows w0..kc close in this block; an open window may follow
         kc = min(int(np.searchsorted(G, end, side="right")) - 1, self.W)
         open_tail = bool(kc < self.W and G[kc] < end)
         ks = np.arange(w0, kc + 1 + open_tail)
-        lo = np.maximum(G[ks - 1] - b0, 0)     # segment rows lo+1 .. hi
+        lo = np.maximum(G[ks - 1] - b0, 0)
         hi = np.minimum(G[ks] - b0, n)
         ln = hi - lo
-        seg_of_row = np.repeat(np.arange(len(ks)), ln)
+        return ks, lo, hi, ln, np.repeat(np.arange(len(ks)), ln), open_tail
 
+    def process_noise(self, b0: int, E: np.ndarray, a: np.ndarray, n: int,
+                      wbuf: np.ndarray):
+        """Advance the error sums over the noise e^{b0}..e^{b0+n-1} (rows of
+        E), with the block's step sizes a (n, 1) and a buffer wbuf for the
+        weighted errors a_t e^t.  The sums read only the noise and the step
+        sizes, so they keep their own window cursor and carry."""
+        w0 = self.ew
+        if w0 > self.W:
+            return
+        ks, lo, hi, ln, seg_of_row, open_tail = self._segments(w0, b0, n)
+        nc = len(ks) - open_tail                # closed windows
+        self.ew = w0 + nc
         # s_k is stored only from detail_lo on: a block whose windows all lie
-        # before it skips the error sums, and the carry it leaves is never read
-        errors = bool(ks[-1] >= self.detail_lo)
-        if errors:
-            wrows = np.multiply(E, a[..., None], wbuf[:n])
-            smax, psum = self._segment_error_max(wrows, lo, ln, seg_of_row, open_tail)
+        # before it skips the sums, and the carry it leaves is never read
+        if ks[-1] < self.detail_lo:
+            return
+        wrows = np.multiply(E, a[..., None], wbuf[:n])
+        smax, psum = self._segment_error_max(wrows, lo, ln, seg_of_row, open_tail)
+        dst = ks[:nc] - self.detail_lo
+        det = slice(np.searchsorted(dst, 0), nc)
+        self.s_arr[dst[det]] = smax[det]
+        if open_tail:
+            self.psum, self.smax = psum, smax[-1]
+        else:
+            self.psum = np.zeros_like(self.psum)
+            self.smax = np.zeros_like(self.smax)
+
+    def process_block(self, b0: int, xrows: np.ndarray, zrows: np.ndarray, n: int):
+        """Advance the iterate statistics over x^{b0}..x^{b0+n} (rows 0..n)
+        and interpolations zrows."""
+        w0 = self.w
+        if w0 > self.W:
+            return
+        G = self.gammas
+        ks, lo, hi, ln, seg_of_row, open_tail = self._segments(w0, b0, n)
         xdev, xmax = self._segment_dev_max(xrows[:n + 1], self.anchor_x, self.xmax,
                                            lo, ln, seg_of_row)
         if self.lam == 0.0:
@@ -201,8 +232,6 @@ class _WindowAccumulator:
             kk, rc = ks[:nc], hi[:nc]
             dst = kk - self.detail_lo
             det = slice(np.searchsorted(dst, 0), nc)
-            if errors:
-                self.s_arr[dst[det]] = smax[det]
             self.xdev_arr[dst[det]] = xmax[det]
             self.zdev_arr[dst[det]] = zmax[det]
             if self.boundary_step is not None:
@@ -218,12 +247,9 @@ class _WindowAccumulator:
             self.anchor_z = zrows[rc[-1]].copy()
             self.w = w0 + nc
         if open_tail:
-            if errors:
-                self.psum, self.smax = psum, smax[-1]
             self.xmax, self.zmax = xmax[-1], zmax[-1]
         else:
-            self.psum = np.zeros_like(self.psum)
-            self.smax = self.xmax = self.zmax = np.zeros_like(self.smax)
+            self.xmax = self.zmax = np.zeros_like(self.xmax)
 
     def finish(self) -> WindowTrace:
         return WindowTrace(
@@ -242,10 +268,15 @@ class _WindowAccumulator:
 #
 # run_batch forks one child per call.  The parent runs the momentum steps
 # and the divergence scan, whose frozen rows set the next block's start.
-# The child draws every block's noise ahead into a slot of a ring shared
-# with the parent, then consumes the block's finished rows in order.  Block
-# j lives in slot j % RING_SLOTS; one token byte per block each way hands
-# the slot over, and the child's result comes back pickled at the end.
+# The ring shared by the two holds row slots only.  The child draws each
+# block's noise ahead into rows 1..n of the block's slot and forms the
+# block's error sums from it there and then; the parent reads e^t in the
+# step that overwrites its row with x^{t+1}.  Once the rows are final, the
+# parent copies x^t and x^{t-1} out of the slot and hands it back, and the
+# child consumes the rows in order.  Block j lives in slot j % RING_SLOTS;
+# one token byte per block each way hands the slot over, and the child's
+# result comes back pickled at the end.  A run shares
+# RING_SLOTS (B+1) S d 8 bytes: 9.8 MB at S = 20, d = 10 and B = 2048.
 
 RING_SLOTS = 3          # blocks in flight between the two processes
 _NOISE, _ROWS, _RESULT, _ERROR = b"N", b"R", b"D", b"X"
@@ -255,13 +286,19 @@ class PipelineError(RuntimeError):
     """A process of the block pipeline ended before finishing its side."""
 
 
-def _ring(slots: int, B: int, S: int, d: int):
-    """Noise slots (slots, B, S, d) and row slots (slots, B+1, S, d) in one
-    anonymous shared mapping, which a forked child shares with its parent."""
+def _ring(slots: int, B: int, S: int, d: int) -> np.ndarray:
+    """Row slots (slots, B+1, S, d) in one anonymous shared mapping, which a
+    forked child shares with its parent."""
     import mmap     # here and below: importing sgdmlab stays as light as before
-    ne, nr = slots * B * S * d, slots * (B + 1) * S * d
-    flat = np.frombuffer(mmap.mmap(-1, 8 * max(ne + nr, 1)), dtype=float)
-    return flat[:ne].reshape(slots, B, S, d), flat[ne:ne + nr].reshape(slots, B + 1, S, d)
+    size = slots * (B + 1) * S * d
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
+    return flat[:size].reshape(slots, B + 1, S, d)
+
+
+def _slot(ring: np.ndarray, j: int, n: int):
+    """Block j's rows 0..n in its ring slot, and the noise rows 1..n."""
+    rows = ring[j % len(ring), :n + 1]
+    return rows, rows[1:]
 
 
 def _send(fh, tag: bytes, payload=None):
@@ -353,20 +390,21 @@ def _forked(child_main):
 class _BlockConsumer:
     """The child's side of run_batch.
 
-    It draws each block's noise into the block's ring slot ahead of the
-    step loop, then consumes the finished rows block by block, in order:
-    interpolation rows, step norms, window statistics and the scalar
-    record grid.  Its result is what the run recorded from the rows.
+    It draws each block's noise into rows 1..n of the block's ring slot
+    ahead of the step loop and forms the block's error sums at once, before
+    the parent overwrites those rows.  It then consumes the finished rows
+    block by block, in order: interpolation rows, step norms, iterate window
+    statistics and the scalar record grid.  Its result is what the run
+    recorded.
     """
 
     def __init__(self, problem: Problem, params: MomentumParams,
                  streams: list[NoiseStream], schedule: StepSchedule,
-                 blocks: list[tuple[int, int]], E_ring: np.ndarray, row_ring: np.ndarray,
-                 X1: np.ndarray, grid: np.ndarray, acc: _WindowAccumulator | None,
-                 track_step_norms: bool):
+                 blocks: list[tuple[int, int]], ring: np.ndarray, X1: np.ndarray,
+                 grid: np.ndarray, acc: _WindowAccumulator | None, track_step_norms: bool):
         self.problem, self.lam, self.streams = problem, params.lam, streams
         self.schedule, self.blocks = schedule, blocks
-        self.E_ring, self.row_ring = E_ring, row_ring
+        self.ring = ring
         self.X1, self.grid, self.acc = X1, grid, acc
         # the buffers below are first written in the child
         G, S = len(grid), len(streams)
@@ -378,11 +416,11 @@ class _BlockConsumer:
         self.sn_total = np.zeros(S) if track_step_norms else None
         self.gp = 0                     # next record-grid point
         self.prev_row = None            # last-but-one row of the previous block
-        self.zbuf = np.empty_like(row_ring[0])
-        self.tmp = np.empty_like(row_ring[0])
+        self.zbuf = np.empty_like(ring[0])
+        self.tmp = np.empty_like(ring[0])
 
     def run(self, rx, tx):
-        blocks, ahead = self.blocks, len(self.E_ring)
+        blocks, ahead = self.blocks, len(self.ring)
         for j in range(min(ahead, len(blocks))):
             self._draw(j)
             _send(tx, _NOISE)
@@ -404,14 +442,17 @@ class _BlockConsumer:
                             trace, self.sn_ok, self.sn_total))
 
     def _draw(self, j: int):
-        E = self.E_ring[j % len(self.E_ring), :self.blocks[j][1]]
+        b0, n = self.blocks[j]
+        _, E = _slot(self.ring, j, n)
         for s, stream in enumerate(self.streams):
             stream.take_into(E[:, s])
+        if self.acc is not None:
+            a = self.schedule.at(np.arange(b0, b0 + n))[:, None]
+            self.acc.process_noise(b0, E, a, n, self.tmp)
 
     def _consume(self, j: int):
         b0, n = self.blocks[j]
-        slot = j % len(self.E_ring)
-        rows = self.row_ring[slot, :n + 1]
+        rows, _ = _slot(self.ring, j, n)
         lam = self.lam
         # interpolation rows: z^t = x^t/(1-lam) - lam x^{t-1}/(1-lam); block
         # temporaries live in buffers kept across blocks, not fresh pages
@@ -428,14 +469,14 @@ class _BlockConsumer:
                 zrows[0] = rows[0]      # the run starts from a standstill
             self.prev_row = rows[n - 1].copy()
 
-        a = self.schedule.at(np.arange(b0, b0 + n))[:, None]
         if self.sn_ok is not None:
+            a = self.schedule.at(np.arange(b0, b0 + n))[:, None]
             dn = _norms(np.diff(rows, axis=0))
             self.sn_ok += (dn >= a - STEP_NORM_TOL).sum(axis=0)
             self.sn_total += dn.sum(axis=0)
 
         if self.acc is not None:
-            self.acc.process_block(b0, rows, zrows, self.E_ring[slot, :n], a, n, self.tmp)
+            self.acc.process_block(b0, rows, zrows, n)
 
         grid = self.grid
         while self.gp < len(grid) and grid[self.gp] <= b0 + n:
@@ -458,10 +499,11 @@ class _Steps:
     """The momentum step kernel: advances every seed through one block.
 
     Rows 1..n of ``rows`` receive x^{t+1} = x^t - a_t (grad f(x_look) - e_t)
-    + lam (x^t - x^{t-1}) from x^t = rows[0]; seeds in ``frozen`` stay put.
-    The buffers are allocated once per run.  Plain SGD (lam = nu = 0) runs
-    x^{t+1} = x^t - a_t (grad f(x^t) - e_t) without the momentum terms: the
-    same values, up to the sign of an exact zero.
+    + lam (x^t - x^{t-1}) from x^t = X and x^{t-1} = Xp; seeds in ``frozen``
+    stay put.  E may be rows[1:] itself: each step reads e_t before it
+    writes x^{t+1} over it.  The buffers are allocated once per run.  Plain
+    SGD (lam = nu = 0) runs x^{t+1} = x^t - a_t (grad f(x^t) - e_t) without
+    the momentum terms: the same values, up to the sign of an exact zero.
 
     Every call in the loops passes out by position, and lam and nu as 0-d
     float64 arrays: at (seeds x d) sizes numpy's dispatch costs more than
@@ -486,7 +528,6 @@ class _Steps:
                 np.copyto(g, 0.0, where=frozen)
             sub(X, g, Xn)
             X = Xn
-        return X, rows[-2]              # x^{t-1} is only needed at the end
 
     def _momentum(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, dX, xl, lam, nu = self.grad, self.g, self.dX, self.xl, self.lam, self.nu
@@ -503,7 +544,6 @@ class _Steps:
             add(X, dX, Xn)
             Xp = X
             X = Xn
-        return X, Xp
 
 
 def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
@@ -550,7 +590,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                                  rp.window_profile, horizon,
                                  keep_boundaries=rp.store_boundary_vectors)
 
-    X = np.tile(x0, (S, 1))
+    X = np.tile(x0, (S, 1))             # x^t and x^{t-1} at the next block's start
     Xp = X.copy()
     active = np.ones(S, dtype=bool)
     frozen = None                       # (S, 1) mask of frozen seeds, once any
@@ -566,28 +606,26 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
 
     B = max(rp.block_size, 2)
     blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
-    E_ring, row_ring = _ring(max(min(RING_SLOTS, len(blocks)), 1),
-                             max(min(B, steps), 1), S, d)
+    ring = _ring(max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1), S, d)
     # built here, drawn from in the child only: numpy.random then loads once
     # per process, not once per child
     streams = [NoiseStream(noise, d, s) for s in seeds]
     consumer = _BlockConsumer(problem, params, streams, schedule, blocks,
-                              E_ring, row_ring, X, record_grid(horizon, rp), acc,
+                              ring, X.copy(), record_grid(horizon, rp), acc,
                               rp.track_step_norms)
 
     kernel = _Steps(problem.grad_batch, params, S, d)
-    rnorm_buf = np.empty((len(row_ring[0]) - 1, S))
+    rnorm_buf = np.empty((ring.shape[1] - 1, S))
     with _forked(consumer.run) as (rx, tx):
         for j, (b0, n) in enumerate(blocks):
             _recv(rx)                   # this block's noise is in its slot
-            slot = j % len(E_ring)
-            E, rows = E_ring[slot, :n], row_ring[slot, :n + 1]
+            rows, E = _slot(ring, j, n)
             if E_hist is not None:
                 E_hist[b0 - 1:b0 - 1 + n] = E
             rows[0] = X
             with np.errstate(over="ignore", invalid="ignore"):
-                X, Xp = kernel.run(X, Xp, E, rows,
-                                   schedule.at(np.arange(b0, b0 + n)).tolist(), frozen)
+                kernel.run(X, Xp, E, rows, schedule.at(np.arange(b0, b0 + n)).tolist(),
+                           frozen)
             # divergence scan: a NaN or +-inf coordinate makes its row's norm
             # non-finite; a finite norm may still exceed the cap
             with np.errstate(invalid="ignore", over="ignore"):
@@ -600,13 +638,14 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                     rows[ib:, s_idx] = rows[ib - 1, s_idx]
                     active[s_idx] = False
                 frozen = ~active[:, None]
-                X = rows[n].copy()
-                Xp = rows[n - 1].copy()
                 rnorm = _norms(rows[1:], out=rnorm)
             if np.isfinite(box):
                 box_exits += (rnorm > box).sum(axis=0)
             if X_hist is not None:
                 X_hist[b0:b0 + n] = rows[1:]
+            # once handed over, the slot takes a later block's noise
+            np.copyto(X, rows[n])
+            np.copyto(Xp, rows[n - 1])
             _hand_over(rx, tx)
         rec_f, rec_g, rec_xz, rec_dist, trace, sn_ok, sn_total = _recv(rx)
     if trace is not None:

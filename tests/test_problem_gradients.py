@@ -8,6 +8,8 @@ and, at d = 1, takes ||x||^2 as the product x * x instead of a
 one-term einsum.  Inputs include signed zeros, subnormals, values whose
 squares or powers overflow, infinities and NaN; results are compared as
 raw 64-bit patterns, so a NaN must also keep its sign and payload.
+Without ``out``, a float32 or integer input is computed in float64: its
+gradient is the oracle's on the float64 upcast.
 """
 
 import numpy as np
@@ -102,3 +104,25 @@ def test_integer_input_gives_float_gradient(name, dim, params, oracle):
     got = prob.grad_batch(x)
     assert got.dtype == np.float64
     assert np.array_equal(_bits(got), _bits(oracle(x.astype(float))))
+
+
+coords32 = st.one_of(st.sampled_from(SPECIAL), st.floats(width=32, allow_nan=True,
+                                                          allow_infinity=True,
+                                                          allow_subnormal=True))
+
+
+@pytest.mark.parametrize("name,dim,params,oracle", CASES,
+                         ids=[f"{c[0]}-d{c[1]}-{c[2].get('p', '')}" for c in CASES])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_float32_input_is_computed_in_float64(name, dim, params, oracle, data):
+    prob = make_problem(name, dim, **params)
+    rows = data.draw(st.integers(1, 6))
+    with np.errstate(all="ignore"):         # SPECIAL values overflow float32
+        x = np.array(data.draw(st.lists(coords32, min_size=rows * dim,
+                                        max_size=rows * dim)),
+                     dtype=np.float32).reshape(rows, dim)
+        got = prob.grad_batch(x)
+        want = oracle(x.astype(float))
+    assert got.dtype == np.float64
+    assert np.array_equal(_bits(got), _bits(want))

@@ -5,10 +5,13 @@ The parent process runs the momentum steps and the divergence scan; the
 forked child draws the noise and evaluates the record grid and the window
 statistics.  A failure in the child must come back as an exception of
 its original type, a dead child must show as an exception rather than a
-hang, and no run may leave a child process behind.
+hang, and no run may leave a child process behind.  The child draws each
+block's noise into the block's row slot, which the parent then steps over;
+a parent that lags the child still starts every block from its own rows.
 """
 
 import dataclasses
+import mmap
 import os
 import signal
 import time
@@ -17,8 +20,9 @@ import numpy as np
 import pytest
 
 from sgdmlab import (MomentumParams, NoiseModel, NoiseStream, RecordingPolicy,
-                     StepSchedule, make_problem, run_batch)
-from sgdmlab.runner import PipelineError
+                     StepSchedule, build_partition, default_window, make_problem,
+                     run_batch, runner)
+from sgdmlab.runner import RING_SLOTS, PipelineError
 
 QUAD = make_problem("quadratic", 2, mu=1.0, l=1.0)
 SGD_HALF = (MomentumParams.sgd(), StepSchedule.constant(0.5))
@@ -131,3 +135,55 @@ def test_ring_edges_keep_the_noise_streams():
             stream = NoiseStream(NoiseModel.gaussian(0.1), 2, seed)
             assert np.array_equal(batch.E_hist[:, i], stream.take(horizon - 1))
     _assert_no_children()
+
+
+@pytest.mark.parametrize("params", [MomentumParams(0.6), MomentumParams.sgd()],
+                         ids=["heavy_ball", "sgd"])
+def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypatch):
+    # ten blocks of four steps: once block j is handed over, the child draws
+    # block j + RING_SLOTS's noise into the same slot, over the rows that
+    # held x^t and x^{t-1}.  A parent that sleeps after every hand-over
+    # lets it do so before the parent starts block j + 1.
+    prob = make_problem("quadratic", 2, mu=0.5, l=2.0)
+    schedule = StepSchedule.polynomial(0.3, 1.0, 0.6)
+    horizon, B, seeds = 41, 4, [3, 4]
+    part = build_partition(schedule, default_window(prob, params), horizon)
+    rp = RecordingPolicy(store_vectors=True, store_noise=True, window_profile=True,
+                         store_boundary_vectors=True, block_size=B)
+
+    def run():
+        return run_batch(prob, params, schedule, NoiseModel.gaussian(0.1), seeds, horizon,
+                         recording=rp, partition=part)
+
+    plain = run()
+    rings = []
+    ring, hand_over = runner._ring, runner._hand_over
+
+    def delayed_hand_over(rx, tx):
+        hand_over(rx, tx)
+        time.sleep(0.05)
+
+    monkeypatch.setattr(runner, "_ring", lambda *args: rings.append(ring(*args)) or rings[-1])
+    monkeypatch.setattr(runner, "_hand_over", delayed_hand_over)
+    delayed = run()
+    _assert_no_children()
+
+    assert (horizon - 1) // B >= 2 * RING_SLOTS
+    for name in ("X_hist", "E_hist", "x_final", "f", "grad_norm", "xz"):
+        assert getattr(delayed, name).tobytes() == getattr(plain, name).tobytes(), name
+    for field in dataclasses.fields(plain.window):
+        want = getattr(plain.window, field.name)
+        if isinstance(want, np.ndarray):
+            got = getattr(delayed.window, field.name)
+            assert got.tobytes() == want.tobytes(), field.name
+
+    # the noise rides in the row slots: one mapping, no separate noise slots
+    (shared,) = rings
+    for j in range(RING_SLOTS):
+        rows, E = runner._slot(shared, j, B)
+        assert np.shares_memory(E, rows) and np.shares_memory(rows, shared)
+    base = shared
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)
+    assert len(base.obj) == RING_SLOTS * (B + 1) * len(seeds) * prob.dim * 8

@@ -137,8 +137,8 @@ def test_error_scan_skips_blocks_before_the_detail_range():
     for b0 in range(1, HORIZON, B):
         n = min(B, HORIZON - b0)
         before = len(scans)
-        acc.process_block(b0, X[b0 - 1:b0 + n], Z[b0 - 1:b0 + n], E[b0 - 1:b0 - 1 + n],
-                          a[b0 - 1:b0 - 1 + n], n, wbuf)
+        acc.process_noise(b0, E[b0 - 1:b0 - 1 + n], a[b0 - 1:b0 - 1 + n], n, wbuf)
+        acc.process_block(b0, X[b0 - 1:b0 + n], Z[b0 - 1:b0 + n], n)
         # the window holding the block's last step, and whether it scanned
         last = int(np.searchsorted(part.gammas, b0 + n - 1, side="right"))
         assert len(scans) - before == (last >= K_T)
