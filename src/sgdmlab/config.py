@@ -34,8 +34,16 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
+def _parse_float(v: str) -> float:
+    """A finite float: nan or inf in a config would run and pass vacuously."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {v.strip()!r}")
+    return x
+
+
 def _parse_float_list(v: str):
-    return [float(x) for x in v.split(",") if x.strip() != ""]
+    return [_parse_float(x) for x in v.split(",") if x.strip() != ""]
 
 
 def _parse_str_list(v: str):
@@ -46,30 +54,30 @@ def _parse_str_list(v: str):
 _SCHEMA = {
     "problem.name": (str, None),
     "problem.dim": (int, None),
-    "problem.mu": (float, None),
-    "problem.l": (float, None),
-    "problem.p": (float, None),
-    "problem.box_radius": (float, None),
-    "problem.a": (float, None),
-    "problem.b": (float, None),
+    "problem.mu": (_parse_float, None),
+    "problem.l": (_parse_float, None),
+    "problem.p": (_parse_float, None),
+    "problem.box_radius": (_parse_float, None),
+    "problem.a": (_parse_float, None),
+    "problem.b": (_parse_float, None),
     "problem.x0": (_parse_float_list, None),
-    "opt.lambda": (float, 0.0),
-    "opt.nu": (float, 0.0),
+    "opt.lambda": (_parse_float, 0.0),
+    "opt.nu": (_parse_float, 0.0),
     "schedule.variant": (str, "polynomial"),
-    "schedule.alpha": (float, 0.1),
-    "schedule.beta": (float, 0.0),
-    "schedule.gamma": (float, 1.0),
-    "schedule.c": (float, None),
+    "schedule.alpha": (_parse_float, 0.1),
+    "schedule.beta": (_parse_float, 0.0),
+    "schedule.gamma": (_parse_float, 1.0),
+    "schedule.c": (_parse_float, None),
     "schedule.values": (_parse_float_list, None),
     "noise.variant": (str, "none"),
-    "noise.sigma": (float, 0.0),
+    "noise.sigma": (_parse_float, 0.0),
     "noise.axis": (int, 0),
     "run.horizon": (int, None),
     "run.seeds": (int, 1),
     "run.base_seed": (int, 12345),
     "window.enabled": (_parse_bool, True),
-    "window.t": (float, None),
-    "window.delta": (float, 0.9),
+    "window.t": (_parse_float, None),
+    "window.delta": (_parse_float, 0.9),
     "window.profile": (_parse_bool, False),
     "record.points_per_decade": (int, 200),
     "record.stride": (int, 0),
@@ -77,10 +85,10 @@ _SCHEMA = {
     "record.store_boundary_vectors": (_parse_bool, False),
     "record.track_step_norms": (_parse_bool, False),
     "rate.targets": (_parse_str_list, []),
-    "rate.f_gap_min": (float, None),
-    "rate.grad_sq_min": (float, None),
-    "rate.dist_min": (float, None),
-    "rate.tail_decades": (float, 1.0),
+    "rate.f_gap_min": (_parse_float, None),
+    "rate.grad_sq_min": (_parse_float, None),
+    "rate.dist_min": (_parse_float, None),
+    "rate.tail_decades": (_parse_float, 1.0),
     "out.dir": (str, None),
     "out.formats": (_parse_str_list, ["summary"]),
 }
@@ -281,11 +289,17 @@ def parse_config(text: str) -> ExperimentConfig:
                               "gamma in (2/3, 1]")
 
     wT = values["window.t"]
-    if wT is not None and problem is not None:
-        tmax = default_window(problem, MomentumParams(lam, nu))
-        if wT <= 0:
+    if problem is not None:
+        try:
+            tmax = default_window(problem, MomentumParams(lam, nu))
+        except OverflowError:
+            tmax = 0.0
+        if not tmax > 0:
+            errors.append("the window budget (1-lambda)^3 / (50 L (1+2 nu)^2) underflows "
+                          "to 0: problem.l or opt.nu is too large")
+        elif wT is not None and wT <= 0:
             errors.append("window.t must be > 0")
-        elif wT > tmax * (1 + 1e-12):
+        elif wT is not None and wT > tmax * (1 + 1e-12):
             errors.append(f"window.t may only be lowered: max is {tmax:g}")
     if not 0.0 <= values["window.delta"] < 1.0:
         errors.append("window.delta must lie in [0, 1)")
@@ -301,7 +315,7 @@ def parse_config(text: str) -> ExperimentConfig:
         horizon=values["run.horizon"], seeds=values["run.seeds"],
         base_seed=values["run.base_seed"],
         window_enabled=values["window.enabled"],
-        window_T=wT if wT is not None else default_window(problem, MomentumParams(lam, nu)),
+        window_T=wT if wT is not None else tmax,
         window_delta=values["window.delta"], window_profile=values["window.profile"],
         points_per_decade=values["record.points_per_decade"],
         stride=values["record.stride"], store_vectors=values["record.store_vectors"],

@@ -104,6 +104,8 @@ def _make_quadratic(dim, mu=1.0, l=None, **_):
     def grad_batch(x, out=None):
         return np.multiply(x, h, out)
 
+    grad_batch._c_form = ("mul", h)      # see _ckernel
+
     return Problem(
         name="quadratic", dim=dim, f_batch=f_batch, grad_batch=grad_batch,
         L=float(h.max()), f_star=0.0, x_star=np.zeros(dim),
@@ -140,6 +142,13 @@ def _make_even_power(dim, p=2.0, box_radius=1.5, **_):
             r2 **= p - 1
         np.multiply(r2, c, r2)
         return np.multiply(r2, x, out)
+
+    # the forms the compiled step kernel evaluates elementwise (see _ckernel);
+    # the einsum sum of squares and the power stay with numpy
+    if p == 1:
+        grad_batch._c_form = ("mul", np.full(dim, 2.0))
+    elif p == 2 and dim == 1:
+        grad_batch._c_form = ("cube", np.array([float(c)]))
 
     if p == 1:
         L, box = 2.0, math.inf

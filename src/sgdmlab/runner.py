@@ -16,6 +16,13 @@ The ring holds row slots only: the child draws a block's noise into rows
 1..n of its slot, where the steps read it and overwrite it, and forms the
 block's error sums at draw time.  A run shares RING_SLOTS (B+1) S d 8
 bytes for blocks of B steps, 9.8 MB at S = 20 seeds and d = 10.
+
+The momentum steps run in one of two kernels with the same bits.  Where
+the problem's grad_batch declares an exact elementwise form (the built-in
+quadratic, and even_power with p = 1, or p = 2 at d = 1), a block is one
+call into C (_ckernel), compiled on the first such run of the process;
+everywhere else, and wherever that kernel does not build or fails its
+self-check, _Steps runs the same operations in numpy.
 """
 
 from __future__ import annotations
@@ -496,7 +503,8 @@ class _BlockConsumer:
 
 
 class _Steps:
-    """The momentum step kernel: advances every seed through one block.
+    """The numpy momentum step kernel: advances every seed through one block.
+    It runs every gradient, and it is the oracle of the compiled kernel.
 
     Rows 1..n of ``rows`` receive x^{t+1} = x^t - a_t (grad f(x_look) - e_t)
     + lam (x^t - x^{t-1}) from x^t = X and x^{t-1} = Xp; seeds in ``frozen``
@@ -521,7 +529,7 @@ class _Steps:
 
     def _sgd(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, sub, mul = self.grad, self.g, np.subtract, np.multiply
-        for e, Xn, a in zip(E, rows[1:], step_sizes):
+        for e, Xn, a in zip(E, rows[1:], step_sizes.tolist()):
             sub(grad(X, g), e, g)
             mul(g, a, g)
             if frozen is not None:
@@ -532,7 +540,7 @@ class _Steps:
     def _momentum(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, dX, xl, lam, nu = self.grad, self.g, self.dX, self.xl, self.lam, self.nu
         look, sub, mul, add = self.look_ahead, np.subtract, np.multiply, np.add
-        for e, Xn, a in zip(E, rows[1:], step_sizes):
+        for e, Xn, a in zip(E, rows[1:], step_sizes.tolist()):
             sub(X, Xp, dX)
             if look:
                 add(X, mul(dX, nu, xl), xl)
@@ -614,7 +622,10 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                               ring, X.copy(), record_grid(horizon, rp), acc,
                               rp.track_step_norms)
 
-    kernel = _Steps(problem.grad_batch, params, S, d)
+    from . import _ckernel      # at the first run: importing sgdmlab stays as before
+    kernel = _ckernel.steps(problem.grad_batch, params, S, d)
+    if kernel is None:
+        kernel = _Steps(problem.grad_batch, params, S, d)
     rnorm_buf = np.empty((ring.shape[1] - 1, S))
     with _forked(consumer.run) as (rx, tx):
         for j, (b0, n) in enumerate(blocks):
@@ -624,8 +635,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                 E_hist[b0 - 1:b0 - 1 + n] = E
             rows[0] = X
             with np.errstate(over="ignore", invalid="ignore"):
-                kernel.run(X, Xp, E, rows, schedule.at(np.arange(b0, b0 + n)).tolist(),
-                           frozen)
+                kernel.run(X, Xp, E, rows, schedule.at(np.arange(b0, b0 + n)), frozen)
             # divergence scan: a NaN or +-inf coordinate makes its row's norm
             # non-finite; a finite norm may still exceed the cap
             with np.errstate(invalid="ignore", over="ignore"):

@@ -1,0 +1,131 @@
+"""The compiled step kernel against the numpy kernel it replaces, block by
+block, bit for bit.
+
+runner._Steps is the oracle: for every gradient form that a built-in
+problem declares compiled, every momentum body and any frozen-seed mask,
+one block through the compiled kernel must leave the same rows.  The values
+include +-0, subnormals, products that overflow, +-inf and NaN.  Finite and
+infinite entries must match bit for bit and NaN must match NaN; NaN payloads
+are not compared, because a diverged seed's rows are overwritten by the
+freeze before anything reads them.
+"""
+
+import ctypes
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgdmlab import (MomentumParams, NoiseModel, StepSchedule, make_problem, run_batch,
+                     _ckernel)
+from sgdmlab.runner import _Steps
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -3.3e-157, 1e154, -1e200,
+           1.7e308, np.inf, -np.inf, np.nan]    # 1e-160 squared is subnormal
+METHODS = [MomentumParams.sgd(), MomentumParams.heavy_ball(0.9),
+           MomentumParams.heavy_ball(0.3), MomentumParams.nesterov(0.5),
+           MomentumParams(0.75, 1.5)]
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    fn = _ckernel.load()
+    if fn is None:
+        pytest.skip("the compiled step kernel does not load here (no C compiler?)")
+    return fn
+
+
+def _bits_equal(a, b):
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all(), "NaN positions differ"
+    assert (a[~nan].view(np.int64) == b[~nan].view(np.int64)).all(), "bits differ"
+
+
+@st.composite
+def blocks(draw):
+    form = draw(st.sampled_from(["quadratic", "even_power_p1", "even_power_p2"]))
+    d = 1 if form == "even_power_p2" else draw(st.integers(1, 20))
+    if form == "quadratic":
+        problem = make_problem("quadratic", d, mu=0.5, l=0.5 if d == 1 else 3.0)
+    else:
+        problem = make_problem("even_power", d, p=1.0 if form == "even_power_p1" else 2.0)
+    S, n = draw(st.integers(1, 20)), draw(st.integers(1, 64))
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                         min_size=1, max_size=8))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        v = rng.standard_normal(shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        special = rng.random(shape) < share
+        v[special] = rng.choice(pool, int(special.sum()))
+        return v
+
+    a = rng.random(n) * draw(st.sampled_from([1e-310, 1e-3, 0.5, 2.0, 1e300]))
+    frozen = draw(st.sampled_from([None, 0.3, 1.0]))
+    if frozen is not None:
+        frozen = (rng.random(S) < frozen)[:, None]
+    return (problem, draw(st.sampled_from(METHODS)), values((S, d)), values((S, d)),
+            values((n, S, d)), a, frozen, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks())
+def test_compiled_block_matches_numpy_bit_for_bit(compiled, block):
+    problem, params, X, Xp, E, a, frozen, in_rows = block
+    S, d = X.shape
+    out = []
+    for kernel in (_Steps(problem.grad_batch, params, S, d),
+                   _ckernel.Steps(compiled, problem.grad_batch, params, S, d)):
+        rows = np.full((len(E) + 1, S, d), 7.0)
+        rows[0] = X
+        if in_rows:             # the runner's layout: the noise rides in the row slots
+            rows[1:] = E
+            noise = rows[1:]
+        else:
+            noise = E.copy()
+        X0, Xp0 = X.copy(), Xp.copy()
+        with np.errstate(all="ignore"):
+            kernel.run(X0, Xp0, noise, rows, a, frozen)
+        assert X0.tobytes() == X.tobytes() and Xp0.tobytes() == Xp.tobytes()
+        out.append(rows)
+    _bits_equal(*out)
+
+
+def test_probe_passes_and_rejects_a_wrong_kernel(compiled):
+    assert _ckernel.probe(compiled)
+
+    def one_ulp_up(n, S, d, form, h, momentum, look, lam, nu, a, frozen, X, Xp, E, rows):
+        compiled(n, S, d, form, h, momentum, look, lam, nu, a, frozen, X, Xp, E, rows)
+        out = np.ctypeslib.as_array(ctypes.cast(rows, ctypes.POINTER(ctypes.c_double)),
+                                    shape=((n + 1) * S * d,))[S * d:]
+        out[:] = np.nextafter(out, np.inf)
+
+    assert not _ckernel.probe(one_ulp_up)
+
+
+@pytest.mark.parametrize("name, kw, compiled_form", [
+    ("quadratic", dict(dim=3, mu=1.0, l=2.0), True),
+    ("even_power", dict(dim=4, p=1.0), True),
+    ("even_power", dict(dim=1, p=2.0), True),
+    ("even_power", dict(dim=2, p=2.0), False),
+    ("even_power", dict(dim=1, p=1.5), False),
+    ("sin_toy", dict(), False),
+    ("rosenbrock", dict(), False),
+    ("shifted_quartic", dict(), False),
+])
+def test_run_batch_compiles_exactly_the_declared_forms(compiled, monkeypatch, name, kw,
+                                                       compiled_form):
+    calls = []
+    run = _ckernel.Steps.run
+    monkeypatch.setattr(_ckernel.Steps, "run",
+                        lambda self, *args: calls.append(1) or run(self, *args))
+    prob = make_problem(name, **kw)
+    for p in (prob, dataclasses.replace(prob, grad_batch=lambda x, out=None:
+                                        prob.grad_batch(x, out))):
+        calls.clear()
+        run_batch(p, MomentumParams.heavy_ball(0.5), StepSchedule.constant(1e-3),
+                  NoiseModel.gaussian(0.1), [0, 1], 50)
+        assert bool(calls) == (compiled_form and p is prob)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgdmlab import ConfigError, parse_config, run_experiment
+from sgdmlab import ConfigError, config, parse_config, run_experiment
 from sgdmlab.cli import main
 from sgdmlab.harness import emit_outputs, emit_rate_curves
 from sgdmlab.rates import optimal_gamma, rate_Phi_Psi
@@ -277,6 +277,37 @@ def test_cli_negative_seed_exits_one(tmp_path, capsys):
                         "run.horizon = 100\nrun.base_seed = -1\n")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+NON_FINITE = [(key, value) for key, (parser, _) in sorted(config._SCHEMA.items())
+              for value in {config._parse_float: ("nan", "inf", "-inf"),
+                            config._parse_float_list: ("nan", "inf", "1.0, -inf, 2.0")
+                            }.get(parser, ())]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE)
+def test_cli_rejects_non_finite_float_values(tmp_path, capsys, key, value):
+    # each of these ran before, most to a vacuous pass with every seed
+    # diverged or a NaN window budget; opt.nu = inf raised a traceback
+    lines = {"problem.name": "quadratic", "problem.dim": "2", "opt.lambda": "0.5",
+             "schedule.alpha": "0.1", "schedule.gamma": "0.9", "run.horizon": "2001"}
+    lines[key] = value
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert f"bad value for {key}: not a finite number" in err, err
+
+
+@pytest.mark.parametrize("key, value", [("opt.nu", "1e200"), ("problem.l", "1e308")])
+def test_cli_rejects_a_window_budget_that_underflows(tmp_path, capsys, key, value):
+    # finite, but (1+2 nu)^2 overflows or 50 L does: a traceback before
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\nopt.lambda = 0.5\n"
+                        f"run.horizon = 2001\n{key} = {value}\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "window budget" in capsys.readouterr().err
 
 
 def test_cli_exit_code_two_on_violated_target(tmp_path):

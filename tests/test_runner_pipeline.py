@@ -72,6 +72,25 @@ def test_nan_gradient_coordinate_freezes_finite_rows():
     _assert_no_children()
 
 
+def test_replaced_grad_batch_is_called():
+    # the built-in gradient declares a compiled form; a replacement, even
+    # one computing the same values, runs the numpy kernel and is called
+    calls = []
+    parent = os.getpid()
+
+    def grad_batch(x, out=None):
+        if os.getpid() == parent:
+            calls.append(1)
+        return QUAD.grad_batch(x, out)
+
+    rp = RecordingPolicy(store_vectors=True, block_size=8)
+    runs = [run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 41, recording=rp)
+            for prob in (QUAD, dataclasses.replace(QUAD, grad_batch=grad_batch))]
+    assert len(calls) == 40
+    assert runs[0].X_hist.tobytes() == runs[1].X_hist.tobytes()
+    _assert_no_children()
+
+
 def test_child_exception_keeps_its_type():
     calls = []
 
