@@ -25,8 +25,6 @@ from .config import ConfigError, parse_config
 from .harness import emit_outputs, emit_rate_curves, run_experiment
 
 OUT_ENV = "SGDMLAB_OUT"
-# window criteria that assert nothing when no window is applicable
-VACUOUS_CRITERIA = ("iterate_bounds", "descent")
 
 
 def _out_root(explicit: str | None) -> str:
@@ -64,12 +62,8 @@ def _cmd_run(args) -> int:
         return 1
     outdir = cfg.out_dir or _out_root(args.out)
     paths = emit_outputs(summary, batch, cfg, outdir)
-    vacuous = summary.data.get("windows", {}).get("vacuous", False)
-    for c in summary.data["criteria"]:
-        status = "pass" if c["passed"] else "FAIL"
-        if status == "pass" and vacuous and c["name"] in VACUOUS_CRITERIA:
-            status = "vacuous"
-        print(f"[{status}] {c['name']}")
+    for name, status in summary.status.items():
+        print(f"[{status}] {name}")
     for p in paths:
         print(f"wrote {p}")
     return 0 if summary.passed else 2

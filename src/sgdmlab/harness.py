@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,16 +19,18 @@ from .config import ConfigError, ExperimentConfig
 from .rates import _MIN_TAIL_POINTS, estimate_exponent, rate_Phi_Psi
 from .runner import run_batch
 from .schedules import ScheduleExhaustedError
-from .trajectory import RecordingPolicy, RunBatch, decade_of, n_decades, record_grid
+from .trajectory import (RecordingPolicy, RunBatch, Trajectory, decade_of, n_decades,
+                         record_grid)
 
-DIAG_TOL = 1e-8
 MONOTONE_SLACK = 1e-9
 
 
 @dataclass
 class RunSummary:
     data: dict
-    report: win.WindowReport | None = None      # window verdict, not serialized
+    # each criterion's "pass", "FAIL" or "vacuous" (asserted nothing), in
+    # the order of data["criteria"]; not serialized
+    status: dict[str, str] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -38,24 +40,11 @@ class RunSummary:
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
 
 
-def _median_ok(arr: np.ndarray, ok: np.ndarray) -> float | None:
-    vals = arr[ok]
-    return float(np.median(vals)) if len(vals) else None
-
-
-def _decade_means_from_grid(ks: np.ndarray, series: np.ndarray, horizon: int):
-    """Per-seed per-decade means of a grid-recorded series, (n_dec, S)."""
-    nd = n_decades(horizon)
-    dec = decade_of(ks)
-    S = series.shape[1]
-    sums = np.zeros((nd, S))
-    cnts = np.zeros(nd)
-    np.add.at(sums, dec, series)
-    np.add.at(cnts, dec, 1.0)
-    means = np.full((nd, S), np.nan)
-    present = cnts > 0
-    means[present] = sums[present] / cnts[present, None]
-    return means, present
+def _decade_medians(sums: np.ndarray, cnts: np.ndarray, ok: np.ndarray):
+    """Per decade, the median over the ok seeds of each seed's mean
+    sums / cnts; None for a decade with no entry or with no ok seed."""
+    return [float(np.median(sm[ok] / c)) if c > 0 and ok.any() else None
+            for sm, c in zip(sums, cnts)]
 
 
 def _monotone_medians(medians: list[float | None], strict: bool):
@@ -69,67 +58,38 @@ def _monotone_medians(medians: list[float | None], strict: bool):
     return True
 
 
-def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig,
-                     rep: win.WindowReport) -> dict:
-    """The window report reduced over the seeds that did not diverge."""
+def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
+    """Window lengths, and the window report reduced over the seeds that
+    did not diverge."""
     partition = batch.window.partition
     K_obs, wl = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
-    out = {
+    return {
         "n_windows": partition.n_windows,
         "K_delta": K_obs,
         "K_guarantee": wl.K_guarantee,
         "length_violations": wl.n_violations,
         "length_violations_after_guarantee": wl.n_violations_after_guarantee,
-        "K_T": rep.K_T,
-        "vacuous": True,
-        "n_applicable": 0,
-        "bounds_violations": 0,
-        "descent_violations": 0,
-        "ledger_violations": 0,
-        "min_res_spread": None,
-        "min_res_gap": None,
-        "min_res_descent": None,
-        "u_final_over_max": None,
+        **win.check_windows(batch).reduce(batch.diverged_at == 0),
     }
-    seed_ok = batch.diverged_at == 0
-    if not rep.applicable.any() or not seed_ok.any():
-        return out
-    sel = np.ix_(rep.applicable, seed_ok)
-    u = rep.u
-    umax = u[rep.start:][:, seed_ok].max(axis=0)
-    uend = u[-2][seed_ok]                   # an applicable window: len(u) >= 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(umax > 0, uend / umax, 0.0)
-    out.update(
-        vacuous=False, n_applicable=rep.n_applicable,
-        bounds_violations=int(rep.bad_spread[:, seed_ok].sum()
-                              + rep.bad_gap[:, seed_ok].sum()),
-        descent_violations=int(rep.bad_descent[:, seed_ok].sum()),
-        ledger_violations=int(rep.ledger_rise[:, seed_ok].sum()),
-        min_res_spread=float(rep.res_spread[sel].min()),
-        min_res_gap=float(rep.res_gap[sel].min()),
-        min_res_descent=float(rep.res_descent[sel].min()),
-        u_final_over_max=float(np.median(ratio)))
-    return out
 
 
 def _decade_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
     seed_ok = batch.diverged_at == 0
-    horizon = cfg.horizon
-    grad_means, gpresent = _decade_means_from_grid(batch.ks, batch.grad_norm, horizon)
-    xz_means, _ = _decade_means_from_grid(batch.ks, batch.xz, horizon)
-    grad_med = [_median_ok(grad_means[j], seed_ok) if gpresent[j] else None
-                for j in range(len(grad_means))]
-    xz_med = [_median_ok(xz_means[j], seed_ok) if gpresent[j] else None
-              for j in range(len(xz_means))]
+    dec = decade_of(batch.ks)
+    cnts = np.zeros(n_decades(cfg.horizon))
+    np.add.at(cnts, dec, 1.0)
+
+    def grid_medians(series):
+        sums = np.zeros((len(cnts), batch.n_seeds))
+        np.add.at(sums, dec, series)
+        return _decade_medians(sums, cnts, seed_ok)
+
+    grad_med = grid_medians(batch.grad_norm)
+    xz_med = grid_medians(batch.xz)
     d_med = None
     if batch.window is not None:
         w = batch.window
-        with np.errstate(invalid="ignore"):
-            dm = np.where(w.decade_d_cnt[:, None] > 0,
-                          w.decade_d_sum / np.maximum(w.decade_d_cnt[:, None], 1), np.nan)
-        d_med = [_median_ok(dm[j], seed_ok) if w.decade_d_cnt[j] > 0 else None
-                 for j in range(len(dm))]
+        d_med = _decade_medians(w.decade_d_sum, w.decade_d_cnt, seed_ok)
     final_grad = next((m for m in reversed(grad_med) if m is not None), None)
     out = {
         "grad_decade_medians": grad_med,
@@ -186,6 +146,10 @@ def _rate_fits(batch: RunBatch, cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _status(passed: bool, vacuous: bool = False) -> str:
+    return "FAIL" if not passed else "vacuous" if vacuous else "pass"
+
+
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSummary, RunBatch]:
     """Run all seeds, evaluate diagnostics and rate targets."""
     policy = RecordingPolicy(
@@ -218,33 +182,32 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> tuple[RunSumm
         "diverged_at": [int(v) for v in batch.diverged_at],
         "box_exit_steps": [int(v) for v in batch.box_exits],
     }
-    criteria = []
-    report = None
+    status = {}
     if partition is not None:
-        report = win.check_windows(batch, DIAG_TOL)
-        wv = _window_verdicts(batch, cfg, report)
+        wv = _window_verdicts(batch, cfg)
         data["windows"] = wv
         data["window_T"] = partition.T
-        criteria.append(("window_lengths", wv["length_violations_after_guarantee"] == 0))
-        criteria.append(("iterate_bounds", wv["bounds_violations"] == 0))
-        criteria.append(("descent", wv["descent_violations"] == 0
-                         and wv["ledger_violations"] == 0))
+        status["window_lengths"] = _status(wv["length_violations_after_guarantee"] == 0)
+        # the window inequalities assert nothing when no window is applicable
+        status["iterate_bounds"] = _status(wv["bounds_violations"] == 0, wv["vacuous"])
+        status["descent"] = _status(wv["descent_violations"] == 0
+                                    and wv["ledger_violations"] == 0, wv["vacuous"])
     data["decades"] = _decade_verdicts(batch, cfg)
     if cfg.rate_targets:
         fits = _rate_fits(batch, cfg)
         data["rates"] = fits
         for name, entry in fits.items():
             if "passed" in entry:
-                criteria.append((f"rate_{name}", entry["passed"]))
+                status[f"rate_{name}"] = _status(entry["passed"])
     if cfg.track_step_norms:
         data["step_norms"] = {
             "n_steps": cfg.horizon - 1,
             "count_at_least_alpha": [int(v) for v in batch.step_norm_ok],
             "total_path_length": [float(v) for v in batch.step_norm_total],
         }
-    data["criteria"] = [{"name": n, "passed": bool(p)} for n, p in criteria]
-    data["overall_pass"] = all(p for _, p in criteria)
-    return RunSummary(data, report), batch
+    data["criteria"] = [{"name": n, "passed": st != "FAIL"} for n, st in status.items()]
+    data["overall_pass"] = all(c["passed"] for c in data["criteria"])
+    return RunSummary(data, status), batch
 
 
 def _fmt(v) -> str:
@@ -269,36 +232,36 @@ def emit_outputs(summary: RunSummary, batch: RunBatch, cfg: ExperimentConfig,
         path = os.path.join(outdir, "steps.csv")
         with open(path, "w") as fh:
             fh.write("k,alpha_k,f_gap,grad_norm,dist_to_min\n")
-            for j, k in enumerate(batch.ks):
-                k = int(k)
-                try:
-                    a = cfg.schedule.step_size(k)
-                except ScheduleExhaustedError:
-                    a = None
+            try:
+                alphas = cfg.schedule.at(batch.ks)
+            except ScheduleExhaustedError:  # an explicit list may end at alpha_{horizon-1}
+                alphas = cfg.schedule.at(batch.ks[:-1])
+            for j, k in enumerate(batch.ks.tolist()):
+                a = alphas[j] if j < len(alphas) else None
                 gap = batch.f[j, 0] - cfg.problem.f_star
                 dist = batch.dist[j, 0] if batch.dist is not None else None
                 fh.write(f"{k},{_fmt(a)},{_fmt(gap)},{_fmt(batch.grad_norm[j, 0])},"
                          f"{_fmt(dist)}\n")
         written.append(path)
-    if "window_csv" in cfg.out_formats and summary.report is not None:
+    if "window_csv" in cfg.out_formats and batch.window is not None:
         path = os.path.join(outdir, "windows.csv")
-        _write_window_csv(path, batch, summary.report)
+        _write_window_csv(path, batch.trajectory(0))
         written.append(path)
     return written
 
 
-def _write_window_csv(path: str, batch: RunBatch, rep: win.WindowReport):
-    """Per-window diagnostics for the first seed over the stored range."""
-    trace = batch.window
+def _write_window_csv(path: str, run: Trajectory):
+    """Per-window diagnostics of one seed's run over the stored range."""
+    rep = win.check_windows(run)
+    trace = run.window
     partition = trace.partition
     with open(path, "w") as fh:
         fh.write("k,gamma_k,gamma_next,Delta,s_k,d_k,u_k,M_k,gradM_norm,"
                  "res_36,res_37,res_descent,applicable_flag\n")
-        s = trace.s[:, 0]
-        spread = trace.spread[:, 0]
-        M, gm2 = trace.merit[:, 0], trace.merit_grad_sq[:, 0]
-        u = rep.u[:, 0]
-        rs, rg, rd = rep.res_spread[:, 0], rep.res_gap[:, 0], rep.res_descent[:, 0]
+        s, spread = trace.s, trace.spread
+        M, gm2 = trace.merit, trace.merit_grad_sq
+        u = rep.u
+        rs, rg, rd = rep.res_spread, rep.res_gap, rep.res_descent
         for j, k in enumerate(rep.windows.tolist()):
             g0, g1 = partition.window_range(k)
             fh.write(",".join([

@@ -13,6 +13,7 @@ are bitwise identical regardless of how the consumer chunks its reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,14 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.variant == "gaussian":
-            if self.sigma_c < 0:
-                raise ValueError("gaussian noise needs sigma_c >= 0")
+            if not 0 <= self.sigma_c < math.inf:
+                raise ValueError("gaussian noise needs a finite sigma_c >= 0")
         elif self.variant == "axis_rademacher":
             if self.axis < 0:
                 raise ValueError("axis index must be >= 0")
         elif self.variant == "sphere":
-            if self.sigma < 0:
-                raise ValueError("sphere noise needs sigma >= 0")
+            if not 0 <= self.sigma < math.inf:
+                raise ValueError("sphere noise needs a finite sigma >= 0")
         elif self.variant != "none":
             raise ValueError(f"unknown noise variant {self.variant!r}")
 

@@ -17,6 +17,7 @@ is the quantity that descends approximately across time windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .problems import Problem
 
 @dataclass(frozen=True)
 class MomentumParams:
-    """Momentum weights: 0 <= lam < 1 (inertia), nu >= 0 (extrapolation)."""
+    """Momentum weights: 0 <= lam < 1 (inertia), finite nu >= 0 (extrapolation)."""
 
     lam: float
     nu: float = 0.0
@@ -34,8 +35,8 @@ class MomentumParams:
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
             raise ValueError("lam must lie in [0, 1)")
-        if self.nu < 0.0:
-            raise ValueError("nu must be >= 0")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError("nu must be finite and >= 0")
 
     @classmethod
     def sgd(cls):

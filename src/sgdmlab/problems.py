@@ -89,10 +89,10 @@ def _wrap_angle(a):
 
 def _make_quadratic(dim, mu=1.0, l=None, **_):
     l = mu if l is None else l
-    if mu <= 0:
-        raise ValueError("quadratic needs mu > 0")
-    if l < mu:
-        raise ValueError("quadratic needs l >= mu")
+    if not 0 < mu < math.inf:
+        raise ValueError("quadratic needs a finite mu > 0")
+    if not mu <= l < math.inf:
+        raise ValueError("quadratic needs a finite l >= mu")
     if dim == 1 and l != mu:
         raise ValueError("1-D quadratic needs mu == l")
     h = np.linspace(mu, l, dim) if dim > 1 else np.array([mu])
@@ -114,9 +114,9 @@ def _make_quadratic(dim, mu=1.0, l=None, **_):
 
 
 def _make_even_power(dim, p=2.0, box_radius=1.5, **_):
-    if p < 1:
-        raise ValueError("even_power needs p >= 1")
-    if box_radius <= 0:
+    if not 1 <= p < math.inf:
+        raise ValueError("even_power needs a finite p >= 1")
+    if not box_radius > 0:
         raise ValueError("even_power needs box_radius > 0")
 
     def f_batch(x):
@@ -188,6 +188,8 @@ def _make_sin_toy(dim, **_):
 def _make_rosenbrock(dim, a=1.0, b=100.0, box_radius=2.0, **_):
     if dim != 2:
         raise ValueError("rosenbrock is two-dimensional")
+    if not box_radius > 0:
+        raise ValueError("rosenbrock needs box_radius > 0")
 
     def f_batch(x):
         x1, x2 = x[..., 0], x[..., 1]

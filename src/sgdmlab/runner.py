@@ -461,11 +461,11 @@ class _BlockConsumer:
         b0, n = self.blocks[j]
         rows, _ = _slot(self.ring, j, n)
         lam = self.lam
-        # interpolation rows: z^t = x^t/(1-lam) - lam x^{t-1}/(1-lam); block
-        # temporaries live in buffers kept across blocks, not fresh pages
-        if lam == 0.0:
-            zrows = rows
-        else:
+        # interpolation rows, for the window accumulator only: z^t =
+        # x^t/(1-lam) - lam x^{t-1}/(1-lam); block temporaries live in
+        # buffers kept across blocks, not fresh pages
+        zrows = rows
+        if lam != 0.0 and self.acc is not None:
             c1 = 1.0 / (1.0 - lam)
             zrows, lagged = self.zbuf[:n + 1], self.tmp[:n + 1]
             np.multiply(rows, c1, out=zrows)

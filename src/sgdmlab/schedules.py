@@ -7,6 +7,7 @@ window partition: delta(m, n) = sum_{i=m}^{n-1} alpha_i, with delta(m, m) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,21 +41,21 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.variant == "polynomial":
-            if not self.alpha > 0:
-                raise ValueError("polynomial schedule needs alpha > 0")
-            if self.beta < 0:
-                raise ValueError("polynomial schedule needs beta >= 0")
+            if not 0 < self.alpha < math.inf:
+                raise ValueError("polynomial schedule needs a finite alpha > 0")
+            if not 0 <= self.beta < math.inf:
+                raise ValueError("polynomial schedule needs a finite beta >= 0")
             if not 0 < self.gamma <= 1:
                 raise ValueError("polynomial schedule needs gamma in (0, 1]")
         elif self.variant == "constant":
-            if not self.c > 0:
-                raise ValueError("constant schedule needs c > 0")
+            if not 0 < self.c < math.inf:
+                raise ValueError("constant schedule needs a finite c > 0")
         elif self.variant == "explicit":
             vals = np.asarray(self.values, dtype=float)
             if vals.size == 0:
                 raise ValueError("explicit schedule needs at least one value")
-            if not np.all(vals > 0):
-                raise ValueError("explicit schedule values must be positive")
+            if not np.all((vals > 0) & (vals < math.inf)):
+                raise ValueError("explicit schedule values must be positive and finite")
             if np.any(np.diff(vals) > 0):
                 raise ValueError("explicit schedule values must be non-increasing")
         else:

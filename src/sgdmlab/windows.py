@@ -18,7 +18,8 @@ step-weighted partial error sums), the iterate spread d_k (max deviation
 of x and of the interpolation z from the window anchor), and the merit
 ledger at the anchors; ``judge_windows`` checks the spread /
 interpolation-gap / descent inequalities and the ledger from the
-applicability index K_T on.
+applicability index K_T on, and ``WindowReport.reduce`` reduces a batch
+verdict over the seeds that did not diverge.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class WindowCapError(ValueError):
 
 
 DELTA_APPLICABILITY = 0.99  # step-size margin defining the applicability index
+DIAG_TOL = 1e-8             # relative tolerance of the window verdict
 _CHUNK = 1 << 16            # most steps the partition scan reads from the schedule at once
 
 
@@ -338,6 +340,36 @@ class WindowReport:
         """Ledger rises as (anchor, [seed,] rise)."""
         return self._listed(self.ledger_rise, np.diff(self.ledger, axis=0))
 
+    def reduce(self, seed_ok: np.ndarray) -> dict:
+        """A batch report reduced over the seeds in ``seed_ok`` (those that
+        did not diverge).  With no applicable window or no such seed the
+        verdict is vacuous.  Otherwise it counts their violations, takes
+        each inequality's least residual over applicable windows and those
+        seeds, and the median over them of u at the last window anchor
+        over u's maximum from anchor K_T on."""
+        out = {"K_T": self.K_T, "vacuous": True, "n_applicable": 0,
+               "bounds_violations": 0, "descent_violations": 0,
+               "ledger_violations": 0, "min_res_spread": None, "min_res_gap": None,
+               "min_res_descent": None, "u_final_over_max": None}
+        if not self.applicable.any() or not seed_ok.any():
+            return out
+        sel = np.ix_(self.applicable, seed_ok)
+        umax = self.u[self.start:][:, seed_ok].max(axis=0)
+        uend = self.u[-2][seed_ok]          # an applicable window: len(u) >= 2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(umax > 0, uend / umax, 0.0)
+        out.update(
+            vacuous=False, n_applicable=self.n_applicable,
+            bounds_violations=int(self.bad_spread[:, seed_ok].sum()
+                                  + self.bad_gap[:, seed_ok].sum()),
+            descent_violations=int(self.bad_descent[:, seed_ok].sum()),
+            ledger_violations=int(self.ledger_rise[:, seed_ok].sum()),
+            min_res_spread=float(self.res_spread[sel].min()),
+            min_res_gap=float(self.res_gap[sel].min()),
+            min_res_descent=float(self.res_descent[sel].min()),
+            u_final_over_max=float(np.median(ratio)))
+        return out
+
 
 def judge_windows(partition: WindowPartition, K_T: int | None, lo: int,
                   lam: float, L: float, s, spread, zx, gz, merit, merit_grad_sq,
@@ -383,7 +415,7 @@ def _window_trace(run: Trajectory | RunBatch) -> WindowTrace:
     return run.window
 
 
-def check_windows(run: Trajectory | RunBatch, tol: float = 1e-8) -> WindowReport:
+def check_windows(run: Trajectory | RunBatch, tol: float = DIAG_TOL) -> WindowReport:
     """The window verdict of a run (see ``judge_windows``), read from its
     streaming window trace with the partition, K_T, problem and momentum
     weights the run was recorded with; a batch report's columns equal the

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgdmlab import ConfigError, config, parse_config, run_experiment
+from sgdmlab import (ConfigError, MomentumParams, NoiseModel, StepSchedule, config,
+                     make_problem, parse_config, run_experiment)
 from sgdmlab.cli import main
 from sgdmlab.harness import emit_outputs, emit_rate_curves
 from sgdmlab.rates import optimal_gamma, rate_Phi_Psi
@@ -263,6 +264,15 @@ def test_cli_run_prints_vacuous_window_criteria(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[pass] iterate_bounds" in out and "[pass] descent" in out
     assert "[vacuous]" not in out
+    # a vacuous run that misses a rate target: both statuses print, exit 2
+    cfg_path.write_text(base.format(a=0.5, lam=0.9)
+                        + "rate.targets = f_gap\nrate.f_gap_min = 1e6\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "both")]) == 2
+    out = capsys.readouterr().out
+    assert "[vacuous] iterate_bounds" in out and "[vacuous] descent" in out
+    assert "[FAIL] rate_f_gap" in out and "[pass] window_lengths" in out
+    summary = json.loads((tmp_path / "both" / "summary.json").read_text())
+    assert summary["windows"]["vacuous"] and not summary["overall_pass"]
 
 
 def test_cli_negative_seed_exits_one(tmp_path, capsys):
@@ -445,3 +455,44 @@ def test_config_hash_depends_on_the_config_not_its_layout(text):
     base = parse_config("\n".join(HASH_BASE)).config_hash
     assert parse_config(text).config_hash == base
     assert parse_config(text + "\nproblem.x0 = 2").config_hash != base
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_CONSTRUCTIONS = {
+    "momentum nu nan": lambda: MomentumParams(0.5, NAN),
+    "momentum nu inf": lambda: MomentumParams(0.5, INF),
+    "gaussian nan": lambda: NoiseModel.gaussian(NAN),
+    "gaussian inf": lambda: NoiseModel.gaussian(INF),
+    "sphere nan": lambda: NoiseModel.sphere(NAN),
+    "sphere inf": lambda: NoiseModel.sphere(INF),
+    "quadratic mu nan": lambda: make_problem("quadratic", 2, mu=NAN),
+    "quadratic mu inf": lambda: make_problem("quadratic", 2, mu=INF),
+    "quadratic l nan": lambda: make_problem("quadratic", 2, l=NAN),
+    "quadratic l inf": lambda: make_problem("quadratic", 2, l=INF),
+    "even_power p nan": lambda: make_problem("even_power", 1, p=NAN),
+    "even_power p inf": lambda: make_problem("even_power", 1, p=INF),
+    "even_power box nan": lambda: make_problem("even_power", 1, box_radius=NAN),
+    "rosenbrock box nan": lambda: make_problem("rosenbrock", 2, box_radius=NAN),
+    "polynomial alpha nan": lambda: StepSchedule.polynomial(NAN, 0, 0.9),
+    "polynomial alpha inf": lambda: StepSchedule.polynomial(INF, 0, 0.9),
+    "polynomial beta nan": lambda: StepSchedule.polynomial(1.0, NAN, 0.9),
+    "polynomial beta inf": lambda: StepSchedule.polynomial(1.0, INF, 0.9),
+    "polynomial gamma nan": lambda: StepSchedule.polynomial(1.0, 0, NAN),
+    "constant nan": lambda: StepSchedule.constant(NAN),
+    "constant inf": lambda: StepSchedule.constant(INF),
+    "explicit inf": lambda: StepSchedule.explicit([INF, 1.0]),
+    "explicit nan": lambda: StepSchedule.explicit([1.0, NAN]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CONSTRUCTIONS))
+def test_library_constructors_reject_non_finite_values(name):
+    # the values parse_config refuses are refused by the constructors too;
+    # each of these constructed before, and nu = nan diverged every seed
+    with pytest.raises(ValueError):
+        NON_FINITE_CONSTRUCTIONS[name]()
+
+
+def test_infinite_box_radius_still_means_no_box():
+    assert make_problem("even_power", 1, p=2.0, box_radius=INF).box_radius == INF
+    assert make_problem("rosenbrock", 2, box_radius=INF).box_radius == INF

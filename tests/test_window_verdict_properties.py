@@ -5,9 +5,10 @@ complete masks, detail starts ``lo`` and applicability indices ``K_T``
 (None, below ``lo``, inside the range, and the last window), drawn from a
 value set that makes every inequality and the ledger fail often.  The
 batch report must equal the one-seed reports column by column, bitwise,
-and both the report and the harness summary built from it must count the
-same violations as the per-window, per-seed loops kept below as the
-oracle.
+and both the report and its reduction over the seeds that did not diverge
+(``WindowReport.reduce``, which the harness summary takes as it is) must
+count the same violations as the per-window, per-seed loops kept below as
+the oracle.
 """
 
 from types import SimpleNamespace
@@ -15,9 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sgdmlab import StepSchedule, WindowPartition, judge_windows
-from sgdmlab.harness import DIAG_TOL, _window_verdicts
-from sgdmlab.windows import descent_residual, gap_residual, spread_residual
+from sgdmlab import WindowPartition, judge_windows
+from sgdmlab.windows import DIAG_TOL, descent_residual, gap_residual, spread_residual
 
 # zeros make a right-hand side vanish, large values make a left-hand side win
 VALUES = (0.0, 1e-3, 0.05, 0.5, 1.0, 3.0, 40.0)
@@ -89,10 +89,8 @@ def _check(part, K_T, lo, lam, L, q, diverged_at):
         assert one.ledger_violations == orc.rises
         oracles.append(orc)
 
-    batch = SimpleNamespace(window=SimpleNamespace(partition=part),
-                            diverged_at=diverged_at)
-    cfg = SimpleNamespace(schedule=StepSchedule.constant(ALPHA), window_delta=0.9)
-    out = _window_verdicts(batch, cfg, rep)
+    out = rep.reduce(diverged_at == 0)
+    assert out["K_T"] == K_T
     ok = [orc for orc, d in zip(oracles, diverged_at) if d == 0]
     app = oracles[0].applicable
     if K_T is None or not app.any() or not ok:
