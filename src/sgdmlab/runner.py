@@ -9,13 +9,15 @@ seed alone or inside a batch yields bitwise-identical records.
 Per-window statistics (aggregated error, iterate spread, merit ledger at
 anchors) are accumulated streaming so that million-step runs never hold
 full iterate histories; a ring of block buffers serves the scalar record
-grid and the window segments.  The ring is shared by two processes: the
-caller runs the momentum steps, a forked child draws the noise ahead and
-consumes each finished block (a two-stage pipeline; it needs POSIX fork).
-The ring holds row slots only: the child draws a block's noise into rows
-1..n of its slot, where the steps read it and overwrite it, and forms the
-block's error sums at draw time.  A run shares RING_SLOTS (B+1) S d 8
-bytes for blocks of B steps, 9.8 MB at S = 20 seeds and d = 10.
+grid and the window segments.  The ring is shared by three processes (a
+three-stage pipeline; it needs POSIX fork): a forked noise child draws
+the noise ahead, the caller runs the momentum steps, and a forked rows
+child consumes each finished block.  The ring holds row slots only: the
+noise child draws a block's noise into rows 1..n of its slot, where the
+steps read it and overwrite it, and forms the block's error sums at draw
+time; it reuses a slot only once the rows child has freed it.  A run
+shares RING_SLOTS (B+1) S d 8 bytes for blocks of B steps, 9.8 MB at
+S = 20 seeds and d = 10.
 
 The momentum steps run in one of two kernels with the same bits.  Where
 the problem's grad_batch declares an exact elementwise form (the built-in
@@ -271,22 +273,25 @@ class _WindowAccumulator:
 
 
 # ---------------------------------------------------------------------------
-# two-process block pipeline
+# three-stage block pipeline
 #
-# run_batch forks one child per call.  The parent runs the momentum steps
-# and the divergence scan, whose frozen rows set the next block's start.
-# The ring shared by the two holds row slots only.  The child draws each
-# block's noise ahead into rows 1..n of the block's slot and forms the
-# block's error sums from it there and then; the parent reads e^t in the
-# step that overwrites its row with x^{t+1}.  Once the rows are final, the
-# parent copies x^t and x^{t-1} out of the slot and hands it back, and the
-# child consumes the rows in order.  Block j lives in slot j % RING_SLOTS;
-# one token byte per block each way hands the slot over, and the child's
-# result comes back pickled at the end.  A run shares
+# run_batch forks two children per call, and the three processes pass each
+# block's ring slot on around a ring of pipes.  The noise child draws the
+# block's noise into rows 1..n of its slot and forms the block's error sums
+# from it there and then.  The parent reads e^t in the step that overwrites
+# its row with x^{t+1} and runs the divergence scan, whose frozen rows set
+# the next block's start; once the rows are final it copies x^t and x^{t-1}
+# out of the slot and hands the slot on.  The rows child consumes the
+# finished rows in order and hands the slot back to the noise child, which
+# only then draws a later block into it.  Block j lives in slot
+# j % RING_SLOTS; one token byte per block passes each hand-over: "noise in
+# slot" (noise child to parent), "rows final" (parent to rows child) and
+# "slot free" (rows child to noise child).  Each child's result comes back
+# pickled at the end, on a report pipe of its own.  A run shares
 # RING_SLOTS (B+1) S d 8 bytes: 9.8 MB at S = 20, d = 10 and B = 2048.
 
-RING_SLOTS = 3          # blocks in flight between the two processes
-_NOISE, _ROWS, _RESULT, _ERROR = b"N", b"R", b"D", b"X"
+RING_SLOTS = 3          # blocks in flight between the three processes
+_NOISE, _ROWS, _FREE, _RESULT, _ERROR = b"N", b"R", b"F", b"D", b"X"
 
 
 class PipelineError(RuntimeError):
@@ -294,8 +299,8 @@ class PipelineError(RuntimeError):
 
 
 def _ring(slots: int, B: int, S: int, d: int) -> np.ndarray:
-    """Row slots (slots, B+1, S, d) in one anonymous shared mapping, which a
-    forked child shares with its parent."""
+    """Row slots (slots, B+1, S, d) in one anonymous shared mapping, which
+    forked children share with their parent."""
     import mmap     # here and below: importing sgdmlab stays as light as before
     size = slots * (B + 1) * S * d
     flat = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
@@ -308,41 +313,52 @@ def _slot(ring: np.ndarray, j: int, n: int):
     return rows, rows[1:]
 
 
-def _send(fh, tag: bytes, payload=None):
+def _send(fh, tag: bytes, *payload):
     fh.write(tag)
-    if payload is not None:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    for obj in payload:
+        pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
     fh.flush()
 
 
-def _recv(fh):
-    """The child's next message: None for a noise token, else its result.
-    The child's exception is raised here, and so is its early death."""
+def _report(reports, i: int):
+    """Child i's result, read from its report pipe.  Its exception is raised
+    here, and so is its early death.  A child that stopped only because the
+    child before it in the ring ended raises what ended that one instead."""
+    name, fh = reports[i]
     tag = fh.read(1)
-    if tag == _NOISE:
-        return None
     if tag == _RESULT:
         return pickle.load(fh)
     if tag == _ERROR:
-        raise pickle.load(fh)
-    raise PipelineError("the child process of run_batch exited without its result")
+        exc = pickle.load(fh)
+        if isinstance(exc, PipelineError) and i > 0:
+            _report(reports, i - 1)
+        raise exc
+    raise PipelineError(f"the {name} child of run_batch exited without its result")
 
 
-def _hand_over(rx, tx):
-    """Tell the child that the current block's rows are final."""
+def _recv(rx, reports):
+    """Wait until the next block's noise is in its slot; if the noise child
+    ended instead, raise what ended it."""
+    if rx.read(1) != _NOISE:
+        _report(reports, len(reports) - 1)
+        raise PipelineError("the noise child of run_batch ended before its last block")
+
+
+def _hand_over(reports, tx):
+    """Tell the rows child that the current block's rows are final; if it
+    has ended, raise what ended it."""
     try:
         tx.write(_ROWS)
     except BrokenPipeError:
-        while _recv(rx) is None:        # raises what ended the child
-            pass
+        _report(reports, 0)
         raise
 
 
-def _portable(exc: BaseException) -> BaseException:
+def _portable(exc: BaseException, name: str) -> BaseException:
     """exc with the child's traceback attached as a note; a RuntimeError
     naming it instead if it does not survive a pickle round trip."""
     import traceback
-    note = ("raised in the child process of run_batch:\n"
+    note = (f"raised in the {name} child process of run_batch:\n"
             + "".join(traceback.format_exception(exc)))
     try:
         exc.add_note(note)
@@ -353,56 +369,85 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
-@contextlib.contextmanager
-def _forked(child_main):
-    """Fork a child that runs child_main(rx, tx) and yield the parent's
-    (rx, tx) pipe ends.  The child sends its exception before it ends and
-    always ends with os._exit; the parent always reaps it, killing it first
-    when the parent's side raised."""
-    import signal
-    child_rx, parent_tx = os.pipe()
-    parent_rx, child_tx = os.pipe()
+def _child(name: str, main, rx_fd: int, tx_fd: int, report_fd: int, fds: list[int]):
+    """A forked child's life: main(rx, tx) on its ring ends, then its result
+    or its exception on its report pipe, then os._exit."""
+    status = 1
     try:
-        pid = os.fork()
-    except OSError:
-        for fd in (child_rx, parent_tx, parent_rx, child_tx):
+        for fd in fds:
+            if fd not in (rx_fd, tx_fd, report_fd):
+                os.close(fd)    # a pipe end held open here would hide an EOF
+        with open(rx_fd, "rb") as rx, open(tx_fd, "wb") as tx, \
+                open(report_fd, "wb") as report:
+            try:
+                _send(report, _RESULT, main(rx, tx))
+                status = 0
+            except BaseException as exc:    # the parent raises it; this process ends
+                _send(report, _ERROR, _portable(exc, name))
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked(**mains):
+    """Fork one child per named main, joined with the parent in a ring of
+    pipes: the parent writes to the first child, each child to the next and
+    the last child to the parent.  A child runs main(rx, tx) on its ring ends
+    and sends what it returns or raises on a report pipe of its own; it
+    always ends with os._exit.  Yields the parent's ring ends (rx, tx) and
+    the (name, report) read ends in ring order.  The parent always reaps
+    every child, killing them first when its side raised."""
+    import signal
+    n = len(mains)
+    ring = [os.pipe() for _ in range(n + 1)]    # pipe i is read by child i, pipe n by the parent
+    reps = [os.pipe() for _ in range(n)]
+    fds = [fd for pair in ring + reps for fd in pair]
+    pids = []
+    try:
+        named = list(mains.items())
+        for i in reversed(range(n)):    # the last child feeds the parent: it starts first
+            pid = os.fork()
+            if pid == 0:
+                _child(*named[i], ring[i][0], ring[i + 1][1], reps[i][1], fds)
+            pids.append(pid)
+    except BaseException:       # a failed or interrupted fork: end the ones forked
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
             os.close(fd)
         raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(parent_tx)
-            os.close(parent_rx)
-            with open(child_rx, "rb") as rx, open(child_tx, "wb") as tx:
-                try:
-                    child_main(rx, tx)
-                    status = 0
-                except BaseException as exc:    # the parent raises it; this process ends
-                    _send(tx, _ERROR, _portable(exc))
-        finally:
-            os._exit(status)
-    os.close(child_rx)
-    os.close(child_tx)
+    mine = [ring[n][0], ring[0][1]] + [r for r, _ in reps]
+    for fd in fds:
+        if fd not in mine:
+            os.close(fd)
     finished = False
     try:
-        with open(parent_rx, "rb") as rx, open(parent_tx, "wb", buffering=0) as tx:
-            yield rx, tx
+        with contextlib.ExitStack() as files:
+            rx = files.enter_context(open(ring[n][0], "rb"))
+            tx = files.enter_context(open(ring[0][1], "wb", buffering=0))
+            reports = [(name, files.enter_context(open(r, "rb")))
+                       for name, (r, _) in zip(mains, reps)]
+            yield rx, tx, reports
         finished = True
     finally:
         if not finished:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 class _BlockConsumer:
-    """The child's side of run_batch.
+    """The children's sides of run_batch.
 
-    It draws each block's noise into rows 1..n of the block's ring slot
-    ahead of the step loop and forms the block's error sums at once, before
-    the parent overwrites those rows.  It then consumes the finished rows
-    block by block, in order: interpolation rows, step norms, iterate window
-    statistics and the scalar record grid.  Its result is what the run
-    recorded.
+    In the noise child it draws each block's noise into rows 1..n of the
+    block's ring slot, ahead of the step loop but never into a slot the rows
+    child still reads, and forms the block's error sums at once, before the
+    parent overwrites those rows.  Its result is the error sums.  In the rows
+    child it consumes the finished rows block by block, in order:
+    interpolation rows, step norms, iterate window statistics and the scalar
+    record grid.  Its result is everything else the run recorded.
     """
 
     def __init__(self, problem: Problem, params: MomentumParams,
@@ -413,7 +458,7 @@ class _BlockConsumer:
         self.schedule, self.blocks = schedule, blocks
         self.ring = ring
         self.X1, self.grid, self.acc = X1, grid, acc
-        # the buffers below are first written in the child
+        # the buffers below are first written in a child
         G, S = len(grid), len(streams)
         self.rec_f = np.empty((G, S))
         self.rec_g = np.empty((G, S))
@@ -426,11 +471,19 @@ class _BlockConsumer:
         self.zbuf = np.empty_like(ring[0])
         self.tmp = np.empty_like(ring[0])
 
-    def run(self, rx, tx):
-        blocks, ahead = self.blocks, len(self.ring)
-        for j in range(min(ahead, len(blocks))):
+    def noise(self, rx, tx):
+        """The noise child: block j's noise once the rows child has freed
+        the slot of block j - RING_SLOTS."""
+        for j in range(len(self.blocks)):
+            if j >= len(self.ring) and rx.read(1) != _FREE:
+                raise PipelineError("the rows child of run_batch ended before freeing a slot")
             self._draw(j)
             _send(tx, _NOISE)
+        return self.acc.s_arr if self.acc is not None else None
+
+    def rows(self, rx, tx):
+        """The rows child: each block's final rows, in order."""
+        blocks, ahead = self.blocks, len(self.ring)
         if self.acc is not None:
             self.acc.start(self.X1)
         if len(self.grid) and self.grid[0] == 1:
@@ -440,13 +493,12 @@ class _BlockConsumer:
                 raise PipelineError("the parent of run_batch ended before its last block")
             self._consume(j)
             if j + ahead < len(blocks):
-                self._draw(j + ahead)
-                _send(tx, _NOISE)
+                _send(tx, _FREE)
         trace = self.acc.finish() if self.acc is not None else None
         if trace is not None:
-            trace.partition = None      # the parent holds it already
-        _send(tx, _RESULT, (self.rec_f, self.rec_g, self.rec_xz, self.rec_dist,
-                            trace, self.sn_ok, self.sn_total))
+            trace.partition = trace.s = None    # the parent holds one, the noise child sends the other
+        return (self.rec_f, self.rec_g, self.rec_xz, self.rec_dist,
+                trace, self.sn_ok, self.sn_total)
 
     def _draw(self, j: int):
         b0, n = self.blocks[j]
@@ -560,11 +612,12 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
               partition: win.WindowPartition | None = None) -> RunBatch:
     """Run one trajectory per seed, vectorized across seeds.
 
-    The work is split over two processes (POSIX fork): this one runs the
-    momentum steps and the divergence scan, a forked child draws the noise
-    and consumes the finished blocks; see _BlockConsumer.  As with any
-    fork, call it from a process whose other threads hold no locks the
-    child could need.
+    The work is split over three processes (POSIX fork): a forked noise
+    child draws the noise, this one runs the momentum steps and the
+    divergence scan, and a forked rows child consumes the finished blocks;
+    see _BlockConsumer.  The noise child reuses a ring slot only after the
+    rows child sends it "slot free".  As with any fork, call it from a
+    process whose other threads hold no locks the children could need.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -593,7 +646,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             detail_lo = 1
         else:
             detail_lo = partition.n_windows + 1 if K_T is None else K_T
-        # its arrays are first written in the child, so they take no pages here
+        # its arrays are first written in the children, so they take no pages here
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
                                  keep_boundaries=rp.store_boundary_vectors)
@@ -615,8 +668,8 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     B = max(rp.block_size, 2)
     blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
     ring = _ring(max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1), S, d)
-    # built here, drawn from in the child only: numpy.random then loads once
-    # per process, not once per child
+    # built here, drawn from in the noise child only: numpy.random then
+    # loads once per process, not once per child
     streams = [NoiseStream(noise, d, s) for s in seeds]
     consumer = _BlockConsumer(problem, params, streams, schedule, blocks,
                               ring, X.copy(), record_grid(horizon, rp), acc,
@@ -627,9 +680,9 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     if kernel is None:
         kernel = _Steps(problem.grad_batch, params, S, d)
     rnorm_buf = np.empty((ring.shape[1] - 1, S))
-    with _forked(consumer.run) as (rx, tx):
+    with _forked(rows=consumer.rows, noise=consumer.noise) as (rx, tx, reports):
         for j, (b0, n) in enumerate(blocks):
-            _recv(rx)                   # this block's noise is in its slot
+            _recv(rx, reports)          # this block's noise is in its slot
             rows, E = _slot(ring, j, n)
             if E_hist is not None:
                 E_hist[b0 - 1:b0 - 1 + n] = E
@@ -656,10 +709,11 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             # once handed over, the slot takes a later block's noise
             np.copyto(X, rows[n])
             np.copyto(Xp, rows[n - 1])
-            _hand_over(rx, tx)
-        rec_f, rec_g, rec_xz, rec_dist, trace, sn_ok, sn_total = _recv(rx)
+            _hand_over(reports, tx)
+        rec_f, rec_g, rec_xz, rec_dist, trace, sn_ok, sn_total = _report(reports, 0)
+        s = _report(reports, 1)
     if trace is not None:
-        trace.partition = partition
+        trace.partition, trace.s = partition, s
 
     return RunBatch(
         seeds=seeds, horizon=horizon, config=config, ks=consumer.grid,

@@ -1,13 +1,17 @@
-"""The runner's two-process block pipeline: divergence freezing across
-blocks, and failures on either side of the fork.
+"""The runner's three-stage block pipeline: divergence freezing across
+blocks, the hand-overs around the ring, and failures in any of its
+processes.
 
-The parent process runs the momentum steps and the divergence scan; the
-forked child draws the noise and evaluates the record grid and the window
-statistics.  A failure in the child must come back as an exception of
-its original type, a dead child must show as an exception rather than a
-hang, and no run may leave a child process behind.  The child draws each
-block's noise into the block's row slot, which the parent then steps over;
-a parent that lags the child still starts every block from its own rows.
+The forked noise child draws each block's noise into the block's row slot;
+the parent runs the momentum steps and the divergence scan over it; the
+forked rows child evaluates the record grid and the window statistics from
+the finished rows, then frees the slot for the noise child to reuse.  A
+parent that lags the noise child still starts every block from its own
+rows, and a rows child that lags both still reads every block as the
+parent left it.  A failure in a child must come back as an exception of
+its original type, not as the other child's follow-on; a dead child must
+show as an exception that names it rather than a hang, and no run may
+leave a child process behind.
 """
 
 import dataclasses
@@ -206,3 +210,94 @@ def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypat
         base = base.base
     assert isinstance(base.obj, mmap.mmap)
     assert len(base.obj) == RING_SLOTS * (B + 1) * len(seeds) * prob.dim * 8
+
+
+def test_slow_rows_child_gets_every_block_before_its_slot_is_reused(monkeypatch):
+    # ten blocks of four steps: the noise child may draw block j + RING_SLOTS
+    # only into the slot the rows child has freed.  A rows child that sleeps
+    # before every block lets the other two run ahead up to that wait.
+    prob = make_problem("quadratic", 2, mu=0.5, l=2.0)
+    params, schedule = MomentumParams(0.6), StepSchedule.polynomial(0.3, 1.0, 0.6)
+    horizon, B = 41, 4
+    part = build_partition(schedule, default_window(prob, params), horizon)
+    rp = RecordingPolicy(store_vectors=True, store_noise=True, window_profile=True,
+                         store_boundary_vectors=True, track_step_norms=True,
+                         block_size=B)
+
+    def run():
+        return run_batch(prob, params, schedule, NoiseModel.gaussian(0.1), [3, 4], horizon,
+                         recording=rp, partition=part)
+
+    plain = run()
+    consume = runner._BlockConsumer._consume
+
+    def slow_consume(self, j):
+        time.sleep(0.05)
+        consume(self, j)
+
+    monkeypatch.setattr(runner._BlockConsumer, "_consume", slow_consume)
+    slow = run()
+    _assert_no_children()
+    assert (horizon - 1) // B >= 2 * RING_SLOTS
+    for name in ("X_hist", "E_hist", "x_final", "f", "grad_norm", "xz", "dist",
+                 "step_norm_ok", "step_norm_total"):
+        assert getattr(slow, name).tobytes() == getattr(plain, name).tobytes(), name
+    for field in dataclasses.fields(plain.window):
+        want = getattr(plain.window, field.name)
+        if isinstance(want, np.ndarray):
+            assert getattr(slow.window, field.name).tobytes() == want.tobytes(), field.name
+
+
+def test_noise_child_exception_keeps_its_type(monkeypatch):
+    parent, calls = os.getpid(), []
+    take_into = NoiseStream.take_into
+
+    def failing_take_into(self, out):   # drawn in the noise child only
+        calls.append(1)
+        if os.getpid() != parent and len(calls) == 5:
+            raise KeyError("noise draw failed")
+        return take_into(self, out)
+
+    monkeypatch.setattr(NoiseStream, "take_into", failing_take_into)
+    rp = RecordingPolicy(block_size=8)
+    with pytest.raises(KeyError, match="noise draw failed") as info:
+        run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 200, recording=rp)
+    assert any("noise child process" in note for note in info.value.__notes__)
+    _assert_no_children()
+
+
+def test_dead_noise_child_raises_promptly(monkeypatch):
+    parent = os.getpid()
+    take_into = NoiseStream.take_into
+
+    def dying_take_into(self, out):
+        if os.getpid() != parent:
+            os._exit(3)
+        return take_into(self, out)
+
+    monkeypatch.setattr(NoiseStream, "take_into", dying_take_into)
+    t0 = time.perf_counter()
+    with pytest.raises(PipelineError, match="noise child"):
+        run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000)
+    assert time.perf_counter() - t0 < 10.0
+    _assert_no_children()
+
+
+def test_dead_rows_child_raises_promptly_while_the_noise_child_waits():
+    # 25 blocks: the rows child dies at its first record, before it frees a
+    # slot, so the noise child stops at block RING_SLOTS and reports that
+    # the rows child ended; the error names the rows child, which died
+    parent = os.getpid()
+
+    def f_batch(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return QUAD.f_batch(x)
+
+    prob = dataclasses.replace(QUAD, f_batch=f_batch)
+    rp = RecordingPolicy(block_size=8)
+    t0 = time.perf_counter()
+    with pytest.raises(PipelineError, match="rows child"):
+        run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 201, recording=rp)
+    assert time.perf_counter() - t0 < 10.0
+    _assert_no_children()
