@@ -134,25 +134,35 @@ def load():
         return None
 
 
-def build():
-    """Compile and load the C kernel and check it on the probe block;
-    raises what went wrong."""
+def compile_library(source: str, *args: str):
+    """source compiled with CFLAGS into a shared library in a private
+    temporary directory and loaded with ctypes; args (include paths,
+    libraries) follow the source on the cc command line.  Raises
+    RuntimeError if cc fails, OSError if it cannot run or the library
+    does not load."""
     import ctypes
     import shutil
     import subprocess
     import tempfile
     tmp = tempfile.mkdtemp(prefix="sgdmlab-kernel-")
     try:
-        src, lib = os.path.join(tmp, "steps.c"), os.path.join(tmp, "steps.so")
+        src, lib = os.path.join(tmp, "lib.c"), os.path.join(tmp, "lib.so")
         with open(src, "w") as fh:
-            fh.write(SOURCE)
-        proc = subprocess.run(["cc", *CFLAGS, src, "-o", lib],
+            fh.write(source)
+        proc = subprocess.run(["cc", *CFLAGS, src, "-o", lib, *args],
                               capture_output=True, text=True)
         if proc.returncode:
             raise RuntimeError(f"cc failed with exit code {proc.returncode}:\n{proc.stderr}")
-        fn = ctypes.CDLL(lib).sgdm_block      # the mapping outlives the file
+        return ctypes.CDLL(lib)         # the mapping outlives the file
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def build():
+    """Compile and load the C kernel and check it on the probe block;
+    raises what went wrong."""
+    import ctypes
+    fn = compile_library(SOURCE).sgdm_block
     ptr, c_int, c_double = ctypes.c_void_p, ctypes.c_int, ctypes.c_double
     fn.argtypes = ([ctypes.c_long] * 3 + [c_int, ptr, c_int, c_int, c_double, c_double]
                    + [ptr] * 6)

@@ -50,6 +50,8 @@ def _parse_str_list(v: str):
     return [x.strip() for x in v.split(",") if x.strip() != ""]
 
 
+SEED_LIMIT = 2**128     # every seed keys a numpy Philox stream, which needs key < 2**128
+
 # key -> (parser, default); None default means "unset"
 _SCHEMA = {
     "problem.name": (str, None),
@@ -130,11 +132,15 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical.encode()).hexdigest()[:16]
 
     def seed_list(self, offset: int = 0) -> list[int]:
-        """The run's seeds, shifted by ``offset``; none may be negative."""
-        if self.base_seed + offset < 0:
-            raise ConfigError([f"seed offset {offset} makes seed "
-                               f"{self.base_seed + offset} negative"])
-        return [self.base_seed + offset + i for i in range(self.seeds)]
+        """The run's seeds, shifted by ``offset``; each must be a Philox
+        key: not negative, and below SEED_LIMIT."""
+        first, last = self.base_seed + offset, self.base_seed + offset + self.seeds - 1
+        if first < 0:
+            raise ConfigError([f"seed offset {offset} makes seed {first} negative"])
+        if last >= SEED_LIMIT:
+            raise ConfigError([f"seed offset {offset} makes seed {last} "
+                               f"reach 2**128 (a Philox key is below it)"])
+        return [first + i for i in range(self.seeds)]
 
 
 def _read_pairs(text: str, errors: list[str]) -> dict:
@@ -184,6 +190,9 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("run.seeds must be >= 1")
     if values["run.base_seed"] < 0:
         errors.append("run.base_seed must be >= 0")
+    elif values["run.base_seed"] + max(values["run.seeds"], 1) - 1 >= SEED_LIMIT:
+        errors.append("run.base_seed + run.seeds - 1 must be below 2**128 "
+                      "(every seed is a Philox key)")
     lam, nu = values["opt.lambda"], values["opt.nu"]
     if not 0.0 <= lam < 1.0:
         errors.append("opt.lambda must lie in [0, 1)")

@@ -9,6 +9,14 @@ function of (seed, k) for a fixed model and dimension, because every
 variant consumes a fixed number of values per step.  The same stream can
 therefore be replayed under different momentum parameters, and replays
 are bitwise identical regardless of how the consumer chunks its reads.
+
+Every seed's values come from Generator(Philox(key=seed)): its normals
+for gaussian and sphere noise, its integers for the axis signs.  Where
+the compiled noise library loads (_cnoise), a stream's normals are drawn
+in C with the same bits, and gaussian noise is written straight into the
+rows it is taken into, with no draw buffer and no copy; the other
+variants, and every variant where the library does not load, draw a
+buffer of rows at a time and copy from it.
 """
 
 from __future__ import annotations
@@ -77,8 +85,9 @@ class NoiseModel:
                 f"axis {self.axis} out of range for dimension {dim}")
 
 
-def _draw_block(model: NoiseModel, gen: np.random.Generator, out: np.ndarray):
-    """Fill out, shape (n, dim), with n consecutive draws, in place."""
+def _draw_block(model: NoiseModel, gen, out: np.ndarray):
+    """Fill out, shape (n, dim), with n consecutive draws, in place; gen is
+    a numpy Generator, or for sphere noise a compiled normal source."""
     if model.variant == "gaussian":
         gen.standard_normal(out=out)
         np.multiply(out, model.sigma_c, out=out)
@@ -96,11 +105,14 @@ def _draw_block(model: NoiseModel, gen: np.random.Generator, out: np.ndarray):
 
 
 class NoiseStream:
-    """Buffered per-seed stream of error vectors e^1, e^2, ...
+    """Per-seed stream of error vectors e^1, e^2, ...
 
     One vector is consumed per optimizer step, so the value at position k
     depends only on (seed, model, dim).  ``take`` may be called with any
-    chunk sizes; the emitted sequence is identical either way.
+    chunk sizes; the emitted sequence is identical either way.  The stream
+    holds one normal source: the compiled Philox state of _cnoise where
+    its library loads and the model draws normals, numpy's Generator
+    otherwise.
     """
 
     _BLOCK = 4096
@@ -110,8 +122,20 @@ class NoiseStream:
         self.model = model
         self.dim = dim
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self._buf = np.empty((self._BLOCK, dim))   # refilled in place
+        self._buf = None        # rows drawn ahead, for every path but the direct one
+        self.reset()
+
+    def reset(self):
+        src = None
+        if self.model.variant in ("gaussian", "sphere"):
+            from . import _cnoise       # at the first stream: importing sgdmlab stays light
+            src = _cnoise.philox(self.seed)
+        # gaussian noise from the compiled source goes straight into the rows taken
+        self._direct = src is not None and self.model.variant == "gaussian"
+        self._src = src if src is not None else np.random.Generator(
+            np.random.Philox(key=self.seed))
+        if not self._direct and self._buf is None:
+            self._buf = np.empty((self._BLOCK, self.dim))   # refilled in place
         self._pos = self._BLOCK
         self.position = 0  # number of vectors emitted so far
 
@@ -121,12 +145,19 @@ class NoiseStream:
 
     def take_into(self, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (shape (n, dim), any strides) with the next n error
-        vectors, straight from the draw buffer."""
+        vectors: drawn in place on the direct path, else copied from the
+        draw buffer."""
         n = len(out)
+        if out.shape[1:] != (self.dim,):
+            raise DimensionMismatchError(f"out must have shape (n, {self.dim})")
+        if self._direct:
+            self._src.fill(out, self.model.sigma_c)
+            self.position += n
+            return out
         filled = 0
         while filled < n:
             if self._pos == len(self._buf):
-                _draw_block(self.model, self._gen, self._buf)
+                _draw_block(self.model, self._src, self._buf)
                 self._pos = 0
             m = min(n - filled, len(self._buf) - self._pos)
             out[filled:filled + m] = self._buf[self._pos:self._pos + m]
@@ -138,9 +169,3 @@ class NoiseStream:
     def draw(self) -> np.ndarray:
         """Next single error vector, shape (dim,)."""
         return self.take(1)[0]
-
-    def reset(self):
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self._pos = self._BLOCK
-        self.position = 0
-

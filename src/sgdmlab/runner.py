@@ -19,6 +19,13 @@ time; it reuses a slot only once the rows child has freed it.  A run
 shares RING_SLOTS (B+1) S d 8 bytes for blocks of B steps, 9.8 MB at
 S = 20 seeds and d = 10.
 
+Gaussian noise is drawn straight into each seed's column of the slot,
+with no draw buffer and no copy, wherever the compiled noise library
+(_cnoise) loads: numpy's Philox words and ziggurat in C, the same bits as
+numpy's Generator, which draws instead where the library does not load.
+Both libraries are loaded in the caller before the fork, so the children
+inherit them.
+
 The momentum steps run in one of two kernels with the same bits.  Where
 the problem's grad_batch declares an exact elementwise form (the built-in
 quadratic, and even_power with p = 1, or p = 2 at d = 1), a block is one
@@ -668,8 +675,8 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     B = max(rp.block_size, 2)
     blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
     ring = _ring(max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1), S, d)
-    # built here, drawn from in the noise child only: numpy.random then
-    # loads once per process, not once per child
+    # built here, drawn from in the noise child only: numpy.random and the
+    # compiled noise then load once per process, not once per child
     streams = [NoiseStream(noise, d, s) for s in seeds]
     consumer = _BlockConsumer(problem, params, streams, schedule, blocks,
                               ring, X.copy(), record_grid(horizon, rp), acc,

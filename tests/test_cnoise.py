@@ -1,0 +1,91 @@
+"""The compiled normals against numpy's Generator(Philox(key)).standard_normal,
+bit for bit.
+
+numpy is the oracle: for any key below 2**128 (one or two key words), any
+split of the draws into chunks, and any seed column of a ring slot, the
+noise a compiled stream writes must be numpy's normals times sigma, the
+same bits as np.multiply.  The slow paths (numpy's wedge and tail code,
+reached from the compiled fast path with the buffer stepped back one word)
+are checked to be taken.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgdmlab import NoiseModel, NoiseStream, _cnoise
+
+KEYS = st.one_of(st.integers(0, 2**128 - 1), st.integers(0, 2**64 - 1),
+                 st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1]))
+SIGMAS = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 1e-300, 1e300]),
+                   st.floats(0.0, 1e6, allow_nan=False))
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    fn = _cnoise.load()
+    if fn is None:
+        pytest.skip("the compiled noise does not load here (no C compiler?)")
+    return fn
+
+
+def _numpy_normals(key: int, n: int, d: int, sigma: float) -> np.ndarray:
+    out = np.random.Generator(np.random.Philox(key=key)).standard_normal((n, d))
+    return np.multiply(out, sigma, out=out)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=KEYS, d=st.integers(1, 12), S=st.integers(1, 5), data=st.data(),
+       sigma=SIGMAS)
+def test_strided_chunks_match_numpy(compiled, key, d, S, data, sigma):
+    chunks = data.draw(st.lists(st.integers(0, 700), min_size=1, max_size=8))
+    s = data.draw(st.integers(0, S - 1))
+    n = sum(chunks)
+    stream = NoiseStream(NoiseModel.gaussian(sigma), d, key)
+    assert isinstance(stream._src, _cnoise.Philox)
+    E = np.full((n, S, d), 7.0)
+    lo = 0
+    for m in chunks:
+        stream.take_into(E[lo:lo + m, s])     # rows S d apart, straight from C
+        lo += m
+    assert stream.position == n
+    assert _same_bits(E[:, s], _numpy_normals(key, n, d, sigma))
+    others = np.delete(E, s, axis=1)
+    assert (others == 7.0).all()                # nothing written outside column s
+
+
+def test_slow_paths_are_numpy_bits(compiled):
+    # about 1.5% of the draws miss the fast path into the wedge and 2.6e-4
+    # into the tail; 2^18 draws per key take both many times
+    wedge = tail = 0
+    for key in (3, 2**64 + 11, 2**128 - 2):
+        src = _cnoise.Philox(compiled, key)
+        got = np.empty((2**16, 4))
+        for lo, hi in ((0, 1), (1, 1000), (1000, 2**16)):
+            src.fill(got[lo:hi], 1.0)
+        assert _same_bits(got, _numpy_normals(key, 2**16, 4, 1.0))
+        w, t = src.slow_paths
+        wedge, tail = wedge + w, tail + t
+    assert wedge > 1000 and tail > 20
+
+
+def test_odd_layouts_go_through_a_contiguous_draw(compiled):
+    key, sigma = 2**100 + 7, 0.25
+    want = _numpy_normals(key, 30, 3, sigma)
+    for make in (lambda: np.zeros((30, 3, 2))[:, :, 0],      # column stride 16
+                 lambda: np.zeros((30, 3))[::-1],             # negative row stride
+                 lambda: np.zeros((3, 30)).T):                # column-major
+        out = make()
+        _cnoise.Philox(compiled, key).fill(out, sigma)
+        assert _same_bits(np.ascontiguousarray(out), want)
+
+
+def test_seed_beyond_philox_keys_raises_as_numpy_does(compiled):
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            NoiseStream(NoiseModel.gaussian(1.0), 2, seed)

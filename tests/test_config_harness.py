@@ -97,6 +97,32 @@ def test_seed_offset_making_a_seed_negative_rejected():
     assert "negative" in str(exc.value)
 
 
+def test_seed_reaching_2_128_rejected(tmp_path, capsys):
+    # every seed keys a Philox stream, whose key must be below 2**128
+    last_ok = parse_config(MINIMAL + f"run.base_seed = {2**128 - 3}\nrun.seeds = 3\n")
+    assert last_ok.seed_list()[-1] == 2**128 - 1
+    for base, seeds in ((2**128, 1), (2**128 - 2, 3), (2**200, 1)):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"run.base_seed = {base}\nrun.seeds = {seeds}\n")
+        assert "2**128" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        last_ok.seed_list(1)
+    assert "2**128" in str(exc.value)
+    with pytest.raises(ConfigError):
+        run_experiment(last_ok, seed_offset=1)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\n"
+                        f"run.horizon = 100\nrun.base_seed = {2**128}\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\n"
+                        f"run.horizon = 100\nrun.base_seed = {2**128 - 1}\n")
+    assert main(["run", str(cfg_path), "--seed-offset", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "2**128" in err and "Traceback" not in err
+
+
 def test_gaussian_sigma_is_total_budget():
     cfg = parse_config(MINIMAL + "noise.variant = gaussian\nnoise.sigma = 0.1\n")
     assert cfg.noise.sigma_sq(cfg.problem.dim) == pytest.approx(0.01)
