@@ -1,4 +1,5 @@
-"""The compiled step kernel: runner._Steps's momentum loop in C.
+"""The compiled step kernel and error scan: runner._Steps's momentum loop
+and the restarted prefix sums of the window error sums, in C.
 
 At d = 1 a step is a handful of numpy calls on 20-element rows, and their
 dispatch, not the arithmetic, sets the pace of the parent process.  This
@@ -19,12 +20,19 @@ operation is one correctly rounded double operation, as in numpy, and the
 bits are the same.  ``x * 2`` equals numpy's ``2 * x`` bit for bit: with one
 NaN operand the product carries that operand's NaN either way.
 
+The error scan (error_scan) forms the restarted prefix sums of
+runner._WindowAccumulator._segment_error_max in one pass over a block, in
+row order, with the numpy scan's adds operand for operand: the sums, their
+norms and maxima are the same bits.
+
 The C source is compiled once per process, at the first run that can use it
-(never at import), with the system ``cc``, and the library is loaded with
-ctypes.  A fixed probe block of special values then runs through both
-kernels; the compiled kernel is used only if the bits match.  If ``cc`` is
-missing, fails, or the probe differs, every run of the process uses the
-numpy kernel: the outputs are the same bits either way.
+(a run with a declared form or a window partition; never at import), with
+the system ``cc``, and the library is loaded with ctypes.  Fixed probe
+blocks of special values then run through the step kernel and the error
+scan and their numpy counterparts; the library is used only if both match
+bit for bit.  If ``cc`` is missing, fails, or a probe differs, every run of
+the process uses the numpy kernel and scan: the outputs are the same bits
+either way.
 """
 
 from __future__ import annotations
@@ -83,6 +91,28 @@ void sgdm_block(long n, long S, long d, int form, const double *h,
         }
     }
 }
+
+/* The restarted prefix sums of runner._WindowAccumulator._segment_error_max
+   in one pass in row order, in place: P holds n rows of m doubles, the
+   weighted errors on entry and their sums on return.  Segment k starts at
+   row lo[k], lo[0] = 0.  Row 0 adds the carried sum psum, the first row of
+   a later segment stays as it is, and every other row adds the sum of the
+   row before it: the adds of the numpy scan, operand for operand. */
+void error_scan(long n, long m, long nseg, const long *lo, const double *psum, double *P)
+{
+    for (long i = 0; i < m; i++)
+        P[i] = P[i] + psum[i];
+    long k = 1;
+    for (long t = 1; t < n; t++) {
+        double *p = P + t * m;
+        if (k < nseg && lo[k] == t) {
+            k++;
+            continue;
+        }
+        for (long i = 0; i < m; i++)
+            p[i] = p[i - m] + p[i];
+    }
+}
 """
 
 
@@ -117,17 +147,38 @@ class Steps:
 
 def steps(grad, params, S: int, d: int) -> Steps | None:
     """The compiled kernel for grad, or None: grad declares no _c_form, or
-    the kernel does not load in this process."""
+    the library does not load in this process."""
     if getattr(grad, "_c_form", None) is None:
         return None
-    fn = load()
-    return None if fn is None else Steps(fn, grad, params, S, d)
+    lib = load()
+    return None if lib is None else Steps(lib.sgdm_block, grad, params, S, d)
+
+
+def scan(fn, P: np.ndarray, lo: np.ndarray, psum: np.ndarray) -> None:
+    """fn, the compiled error_scan, over the rows of P (n, S, d) in place:
+    the restarted prefix sums of the segments that start at rows lo, the
+    first continuing from the carried sum psum (S, d)."""
+    lo = np.ascontiguousarray(lo, dtype=np.dtype("l"))     # C long
+    for arr, shape in ((P, (len(P), *psum.shape)), (psum, P.shape[1:])):
+        if arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(f"error scan needs a C-contiguous float64 {shape} array")
+    if not len(P) or not P.flags.writeable:
+        raise ValueError("error scan needs at least one writeable row")
+    fn(len(P), psum.size, len(lo), lo.ctypes.data, psum.ctypes.data, P.ctypes.data)
+
+
+def error_scan():
+    """The compiled error scan as scan(P, lo, psum), or None if the library
+    does not load in this process."""
+    lib = load()
+    return None if lib is None else functools.partial(scan, lib.error_scan)
 
 
 @functools.cache
 def load():
-    """The checked C function, built on the first call; None if it cannot
-    be built or fails the probe.  Never retried within a process."""
+    """The checked library (sgdm_block and error_scan), built on the first
+    call; None if it cannot be built or fails either probe.  Never retried
+    within a process."""
     try:
         return build()
     except (OSError, RuntimeError):
@@ -159,17 +210,21 @@ def compile_library(source: str, *args: str):
 
 
 def build():
-    """Compile and load the C kernel and check it on the probe block;
-    raises what went wrong."""
+    """Compile and load the library and check the step kernel and the
+    error scan on their probes; raises what went wrong."""
     import ctypes
-    fn = compile_library(SOURCE).sgdm_block
-    ptr, c_int, c_double = ctypes.c_void_p, ctypes.c_int, ctypes.c_double
-    fn.argtypes = ([ctypes.c_long] * 3 + [c_int, ptr, c_int, c_int, c_double, c_double]
-                   + [ptr] * 6)
+    lib = compile_library(SOURCE)
+    ptr, c_int, c_long, c_double = ctypes.c_void_p, ctypes.c_int, ctypes.c_long, ctypes.c_double
+    fn = lib.sgdm_block
+    fn.argtypes = [c_long] * 3 + [c_int, ptr, c_int, c_int, c_double, c_double] + [ptr] * 6
     fn.restype = None
+    lib.error_scan.argtypes = [c_long] * 3 + [ptr] * 3
+    lib.error_scan.restype = None
     if not probe(fn):
         raise RuntimeError("the compiled step kernel differs from numpy on the probe block")
-    return fn
+    if not probe_scan(lib.error_scan):
+        raise RuntimeError("the compiled error scan differs from numpy on the probe blocks")
+    return lib
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -211,5 +266,40 @@ def probe(fn) -> bool:
                         kernel.run(X.copy(), Xp.copy(), rows[1:], rows, a, mask)
                     out.append(rows)
                 if not same_bits(*out):
+                    return False
+    return True
+
+
+def probe_scan(fn) -> bool:
+    """Whether fn reproduces the numpy error scan,
+    runner._WindowAccumulator._segment_error_max, on fixed blocks: segments
+    all of length one, one long segment and mixed lengths, a carried sum and
+    maximum, with and without the carry out; the values include +-0,
+    subnormals, sums that overflow, +-inf and NaN."""
+    import types
+    from .runner import _WindowAccumulator as Acc
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,
+                        1e154, 1.7e308, -1e300, np.inf, -np.inf, np.nan])
+    n, S, d = 23, 3, 2
+    k = np.arange(n * S * d)
+    for ln in ([1] * n, [n], [4, 1, 1, 7, 2, 1, 5, 2]):
+        ln = np.array(ln)
+        lo = np.concatenate([[0], np.cumsum(ln)[:-1]])
+        seg_of_row = np.repeat(np.arange(len(ln)), ln)
+        for shift in range(0, len(special), 5):
+            wrows = np.where(k % 5 == 0, np.resize(np.roll(special, shift), len(k)),
+                             np.sin(k)).reshape(n, S, d)
+            carried = dict(psum=np.resize(np.roll(special, -4 - shift), (S, d)),
+                           smax=np.abs(np.resize(np.roll(special, 2 * shift), S)))
+            for carry_out in (False, True):
+                with np.errstate(all="ignore"):
+                    want = Acc._segment_error_max(types.SimpleNamespace(**carried), wrows,
+                                                  lo, ln, seg_of_row, carry_out)
+                    got = Acc._compiled_error_max(
+                        types.SimpleNamespace(**carried, scan=functools.partial(scan, fn)),
+                        wrows.copy(), lo, carry_out)
+                if not same_bits(want[0], got[0]):
+                    return False
+                if carry_out and not same_bits(want[1], got[1]):
                     return False
     return True

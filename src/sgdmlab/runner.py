@@ -23,15 +23,18 @@ Gaussian noise is drawn straight into each seed's column of the slot,
 with no draw buffer and no copy, wherever the compiled noise library
 (_cnoise) loads: numpy's Philox words and ziggurat in C, the same bits as
 numpy's Generator, which draws instead where the library does not load.
-Both libraries are loaded in the caller before the fork, so the children
-inherit them.
+Both compiled libraries are loaded in the caller before the fork, so the
+children inherit them and never compile.
 
 The momentum steps run in one of two kernels with the same bits.  Where
 the problem's grad_batch declares an exact elementwise form (the built-in
 quadratic, and even_power with p = 1, or p = 2 at d = 1), a block is one
 call into C (_ckernel), compiled on the first such run of the process;
 everywhere else, and wherever that kernel does not build or fails its
-self-check, _Steps runs the same operations in numpy.
+self-check, _Steps runs the same operations in numpy.  The noise child
+forms a block's error sums in one C pass from the same library, loaded by
+the caller before the fork of any run with a window partition; where it
+does not load, the position-major numpy scan gives the same bits.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class _WindowAccumulator:
     def __init__(self, partition: win.WindowPartition, K_T: int | None,
                  problem: Problem, params: MomentumParams, n_seeds: int,
                  detail_lo: int, profile: bool, horizon: int,
-                 keep_boundaries: bool = False):
+                 keep_boundaries: bool = False, scan=None):
         self.part = partition
         self.K_T = K_T
         self.gammas = partition.gammas
@@ -101,6 +104,7 @@ class _WindowAccumulator:
         nd = n_decades(horizon)
         self.decade_d_sum = np.zeros((nd, S))
         self.decade_d_cnt = np.zeros(nd)
+        self.scan = scan        # the compiled error scan (_ckernel.error_scan), or None
         # state of the open window, carried across block edges: the error
         # sums (cursor ew) run ahead of the iterate statistics (cursor w)
         self.w = self.ew = 1
@@ -145,11 +149,13 @@ class _WindowAccumulator:
         rows of wrows, the first segment continuing from the carried partial
         sum; with the last segment's final partial sum if asked.
 
-        Each sum stays sequential within its window, so it is bitwise equal
-        to a per-window cumsum.  The rows are laid out position-major with
-        the segments sorted by length, so the segments still running at
-        position p are a prefix of those at p - 1: one add per position
-        advances all of them, with no padding.
+        The numpy scan: the fallback of _compiled_error_max where the
+        compiled library does not load, and its oracle.  Each sum stays
+        sequential within its window, so it is bitwise equal to a per-window
+        cumsum.  The rows are laid out position-major with the segments
+        sorted by length, so the segments still running at position p are a
+        prefix of those at p - 1: one add per position advances all of them,
+        with no padding.
         """
         nseg = len(ln)
         order = np.argsort(-ln, kind="stable")
@@ -168,6 +174,16 @@ class _WindowAccumulator:
         smax = np.maximum.reduceat(_norms(P)[dest], lo, axis=0)
         smax[0] = np.maximum(smax[0], self.smax)
         psum = P[start[ln[-1] - 1] + rank[-1]].copy() if carry_out else None
+        return smax, psum
+
+    def _compiled_error_max(self, wrows: np.ndarray, lo: np.ndarray, carry_out: bool):
+        """_segment_error_max with the prefix sums formed in one compiled
+        pass in row order, over wrows in place.  Every sum is the same add
+        of the same operands, so the norms and maxima are the same bits."""
+        self.scan(wrows, lo, self.psum)
+        smax = np.maximum.reduceat(_norms(wrows), lo, axis=0)
+        smax[0] = np.maximum(smax[0], self.smax)
+        psum = wrows[-1].copy() if carry_out else None
         return smax, psum
 
     @staticmethod
@@ -204,8 +220,9 @@ class _WindowAccumulator:
                       wbuf: np.ndarray):
         """Advance the error sums over the noise e^{b0}..e^{b0+n-1} (rows of
         E), with the block's step sizes a (n, 1) and a buffer wbuf for the
-        weighted errors a_t e^t.  The sums read only the noise and the step
-        sizes, so they keep their own window cursor and carry."""
+        weighted errors a_t e^t (the compiled scan sums them there).  The
+        sums read only the noise and the step sizes, so they keep their own
+        window cursor and carry."""
         w0 = self.ew
         if w0 > self.W:
             return
@@ -217,7 +234,10 @@ class _WindowAccumulator:
         if ks[-1] < self.detail_lo:
             return
         wrows = np.multiply(E, a[..., None], wbuf[:n])
-        smax, psum = self._segment_error_max(wrows, lo, ln, seg_of_row, open_tail)
+        if self.scan is not None:
+            smax, psum = self._compiled_error_max(wrows, lo, open_tail)
+        else:
+            smax, psum = self._segment_error_max(wrows, lo, ln, seg_of_row, open_tail)
         dst = ks[:nc] - self.detail_lo
         det = slice(np.searchsorted(dst, 0), nc)
         self.s_arr[dst[det]] = smax[det]
@@ -255,9 +275,7 @@ class _WindowAccumulator:
             if self.boundary_x is not None:
                 self.boundary_x[kk] = xrows[rc]
                 self.boundary_xp[kk] = xrows[rc - 1]
-            dec = decade_of(G[kk - 1])
-            np.add.at(self.decade_d_sum, dec, np.maximum(xmax[:nc], zmax[:nc]))
-            np.add.at(self.decade_d_cnt, dec, 1.0)
+            self._decade_sums(decade_of(G[kk - 1]), np.maximum(xmax[:nc], zmax[:nc]))
             self._anchor_eval(kk + 1, xrows, zrows, rc)
             self.anchor_x = xrows[rc[-1]].copy()
             self.anchor_z = zrows[rc[-1]].copy()
@@ -266,6 +284,19 @@ class _WindowAccumulator:
             self.xmax, self.zmax = xmax[-1], zmax[-1]
         else:
             self.xmax = self.zmax = np.zeros_like(self.xmax)
+
+    def _decade_sums(self, dec: np.ndarray, d: np.ndarray):
+        """Add the spreads d (rows, overwritten) of closed windows in
+        decades dec (ascending) to the decade sums, in window order, and
+        count them.  Each run of one decade is one add.accumulate down its
+        rows, in place, from the decade's sum: the adds of np.add.at in its
+        order.  add.reduce would sum pairwise at S = 1."""
+        cuts = np.flatnonzero(np.diff(dec)) + 1
+        for k, run in zip(dec[np.r_[0, cuts]].tolist(), np.split(d, cuts)):
+            np.add(self.decade_d_sum[k], run[0], out=run[0])
+            np.add.accumulate(run, axis=0, out=run)
+            self.decade_d_sum[k] = run[-1]
+        self.decade_d_cnt += np.bincount(dec, minlength=len(self.decade_d_cnt))
 
     def finish(self) -> WindowTrace:
         return WindowTrace(
@@ -644,6 +675,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     config = {"problem": problem, "params": params, "schedule": schedule,
               "noise": noise, "x0": x0.copy(), "horizon": horizon}
 
+    from . import _ckernel      # at the first run: importing sgdmlab stays as before
     acc = None
     if partition is not None:
         if partition.horizon != horizon:
@@ -653,10 +685,12 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             detail_lo = 1
         else:
             detail_lo = partition.n_windows + 1 if K_T is None else K_T
-        # its arrays are first written in the children, so they take no pages here
+        # its arrays are first written in the children, so they take no pages
+        # here; the scan loads here too, as a load in a child dies with it
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
-                                 keep_boundaries=rp.store_boundary_vectors)
+                                 keep_boundaries=rp.store_boundary_vectors,
+                                 scan=_ckernel.error_scan())
 
     X = np.tile(x0, (S, 1))             # x^t and x^{t-1} at the next block's start
     Xp = X.copy()
@@ -682,7 +716,6 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                               ring, X.copy(), record_grid(horizon, rp), acc,
                               rp.track_step_norms)
 
-    from . import _ckernel      # at the first run: importing sgdmlab stays as before
     kernel = _ckernel.steps(problem.grad_batch, params, S, d)
     if kernel is None:
         kernel = _Steps(problem.grad_batch, params, S, d)

@@ -12,6 +12,7 @@ to ``judge_windows`` to check ``check_windows``.
 import numpy as np
 
 from sgdmlab import InsufficientRecordingError, NoiseStream, merit_zeta
+from sgdmlab.trajectory import decade_of, n_decades
 from sgdmlab.windows import CauchyProfile
 
 
@@ -69,6 +70,18 @@ def iterate_spread(traj, partition, lam):
         out[k] = max(_norms(X[lo:hi] - X[lo - 1]).max(),
                      _norms(Z[lo:hi] - Z[lo - 1]).max())
     return out
+
+
+def decade_spread_sums(traj, partition, lam):
+    """Per decade of the window starts gamma_k, the spreads d_k of its
+    windows summed one at a time in window order, and their number."""
+    d = iterate_spread(traj, partition, lam)
+    dec = decade_of(partition.gammas[:-1])
+    sums, counts = np.zeros(n_decades(traj.horizon)), np.zeros(n_decades(traj.horizon))
+    for k in range(partition.n_windows):
+        sums[dec[k]] += d[k]
+        counts[dec[k]] += 1.0
+    return sums, counts
 
 
 def window_quantities(traj, partition, problem, params):

@@ -8,19 +8,28 @@ include +-0, subnormals, products that overflow, +-inf and NaN.  Finite and
 infinite entries must match bit for bit and NaN must match NaN; NaN payloads
 are not compared, because a diverged seed's rows are overwritten by the
 freeze before anything reads them.
+
+The compiled error scan has its own oracle, the numpy scan
+runner._WindowAccumulator._segment_error_max: the same maxima and carried
+sum for any segment layout, carry and special values.  The library loads
+in the caller of run_batch, once, and never in a forked child.
 """
 
 import ctypes
 import dataclasses
+import functools
+import os
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdmlab import (MomentumParams, NoiseModel, StepSchedule, make_problem, run_batch,
-                     _ckernel)
-from sgdmlab.runner import _Steps
+from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
+                     build_partition, default_window, make_problem, run_batch, _ckernel,
+                     _cnoise)
+from sgdmlab.runner import _Steps, _WindowAccumulator
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -3.3e-157, 1e154, -1e200,
            1.7e308, np.inf, -np.inf, np.nan]    # 1e-160 squared is subnormal
@@ -30,11 +39,16 @@ METHODS = [MomentumParams.sgd(), MomentumParams.heavy_ball(0.9),
 
 
 @pytest.fixture(scope="module")
-def compiled():
-    fn = _ckernel.load()
-    if fn is None:
+def library():
+    lib = _ckernel.load()
+    if lib is None:
         pytest.skip("the compiled step kernel does not load here (no C compiler?)")
-    return fn
+    return lib
+
+
+@pytest.fixture(scope="module")
+def compiled(library):
+    return library.sgdm_block
 
 
 def _bits_equal(a, b):
@@ -129,3 +143,106 @@ def test_run_batch_compiles_exactly_the_declared_forms(compiled, monkeypatch, na
         run_batch(p, MomentumParams.heavy_ball(0.5), StepSchedule.constant(1e-3),
                   NoiseModel.gaussian(0.1), [0, 1], 50)
         assert bool(calls) == (compiled_form and p is prob)
+
+
+@st.composite
+def scans(draw):
+    """A block of weighted errors cut into segments, with the carried sum
+    and maximum of the segment open at its start."""
+    n, S, d = draw(st.integers(1, 64)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    layout = draw(st.sampled_from(["ones", "one", "mixed"]))
+    if layout == "ones":
+        ln = [1] * n
+    elif layout == "one":
+        ln = [n]
+    else:
+        cuts = draw(st.lists(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else []
+        ln = np.diff([0, *sorted(set(cuts)), n]).tolist()
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                         min_size=1, max_size=8))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        v = rng.standard_normal(shape) * draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e300]))
+        special = rng.random(shape) < share
+        v[special] = rng.choice(pool, int(special.sum()))
+        return v
+
+    ln = np.array(ln)
+    lo = np.concatenate([[0], np.cumsum(ln)[:-1]])
+    carried = dict(psum=values((S, d)) if draw(st.booleans()) else np.zeros((S, d)),
+                   smax=np.abs(values(S)) if draw(st.booleans()) else np.zeros(S))
+    return values((n, S, d)), lo, ln, carried, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(scans())
+def test_compiled_error_scan_matches_numpy_bit_for_bit(library, scan):
+    wrows, lo, ln, carried, carry_out = scan
+    numpy_self = types.SimpleNamespace(**carried)
+    compiled_self = types.SimpleNamespace(
+        **carried, scan=functools.partial(_ckernel.scan, library.error_scan))
+    with np.errstate(all="ignore"):
+        want = _WindowAccumulator._segment_error_max(numpy_self, wrows, lo, ln,
+                                                     np.repeat(np.arange(len(ln)), ln),
+                                                     carry_out)
+        got = _WindowAccumulator._compiled_error_max(compiled_self, wrows.copy(), lo,
+                                                     carry_out)
+    _bits_equal(want[0], got[0])
+    if carry_out:
+        _bits_equal(want[1], got[1])
+    else:
+        assert want[1] is None and got[1] is None
+
+
+def test_scan_probe_passes_and_rejects_a_wrong_scan(library):
+    fn = library.error_scan
+    assert _ckernel.probe_scan(fn)
+
+    def one_segment(n, m, nseg, lo, psum, P):
+        fn(n, m, 1, lo, psum, P)        # the sums never restart
+
+    assert not _ckernel.probe_scan(one_segment)
+
+
+def _partitioned_run(name, noise, **kw):
+    problem = make_problem(name, **kw)
+    params, schedule, horizon = MomentumParams.heavy_ball(0.5), StepSchedule.constant(1e-3), 300
+    part = build_partition(schedule, default_window(problem, params), horizon)
+    return run_batch(problem, params, schedule, noise, [0, 1], horizon, partition=part,
+                     recording=RecordingPolicy(window_profile=True))    # every window scanned
+
+
+def test_run_batch_forms_the_error_sums_in_c(library, monkeypatch):
+    def numpy_scan(*args):
+        raise AssertionError("the numpy error scan ran although the library loads")
+
+    monkeypatch.setattr(_WindowAccumulator, "_segment_error_max", numpy_scan)
+    _partitioned_run("rosenbrock", NoiseModel.axis_rademacher(0))
+
+
+@pytest.mark.parametrize("order", [("rosenbrock", "quadratic"), ("quadratic", "rosenbrock")])
+def test_libraries_compile_once_and_never_in_a_child(library, monkeypatch, tmp_path, order):
+    # a load in a forked child dies with it, and the next run compiles again
+    log, compile_library = tmp_path / "compiles", _ckernel.compile_library
+    names = {_ckernel.SOURCE: "step kernel", _cnoise.SOURCE: "noise"}
+
+    def logged(source, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {names[source]}\n")
+        return compile_library(source, *args)
+
+    monkeypatch.setattr(_ckernel, "compile_library", logged)
+    _ckernel.load.cache_clear()
+    _cnoise.load.cache_clear()
+    runs = {"quadratic": lambda: _partitioned_run("quadratic", NoiseModel.gaussian(0.1),
+                                                  dim=3, mu=1.0, l=2.0),
+            "rosenbrock": lambda: _partitioned_run("rosenbrock",
+                                                   NoiseModel.axis_rademacher(0))}
+    for name in order:
+        runs[name]()
+    compiles = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in compiles} == {str(os.getpid())}
+    libraries = [lib for _, lib in compiles]
+    assert sorted(libraries) == sorted(set(libraries)) and "step kernel" in libraries

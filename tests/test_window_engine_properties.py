@@ -15,6 +15,7 @@ Every comparison is exact.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -146,3 +147,25 @@ def test_error_scan_skips_blocks_before_the_detail_range():
     assert K_T > 1 and skipped >= 2
     trace = acc.finish()
     assert np.array_equal(trace.s[:, 0], oracles.aggregate_errors(traj, part)[K_T - 1:])
+
+
+@pytest.mark.parametrize("block", [4, 7, 2048])
+@pytest.mark.parametrize("seeds", [[5], [5, 6, 7]])
+def test_decade_sums_match_sequential_window_sums(block, seeds):
+    # hundreds of short windows per decade, most of them in one block of
+    # 2,048: a pairwise sum of a decade's run would differ from the
+    # sequential one, also at a single seed
+    params = MomentumParams(0.5)
+    schedule = StepSchedule.polynomial(0.2, 1.0, 0.75)
+    horizon = 3001
+    part = build_partition(schedule, default_window(PROBLEM, params), horizon)
+    rp = RecordingPolicy(store_vectors=True, block_size=block)
+    batch = run_batch(PROBLEM, params, schedule, NoiseModel.gaussian(0.1), seeds, horizon,
+                      recording=rp, partition=part)
+    for i in range(batch.n_seeds):
+        traj = batch.trajectory(i)
+        sums, counts = oracles.decade_spread_sums(dataclasses.replace(traj, window=None),
+                                                  part, params.lam)
+        assert np.array_equal(traj.window.decade_d_sum, sums)
+        assert np.array_equal(traj.window.decade_d_cnt, counts)
+    assert counts.tolist() == [10, 90, 900, 1594]
