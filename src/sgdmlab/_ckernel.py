@@ -1,5 +1,5 @@
-"""The compiled step kernel and error scan: runner._Steps's momentum loop
-and the restarted prefix sums of the window error sums, in C.
+"""The one compiled library: runner._Steps's momentum loop, the restarted
+prefix sums of the window error sums, and the normals of _cnoise, in C.
 
 At d = 1 a step is a handful of numpy calls on 20-element rows, and their
 dispatch, not the arithmetic, sets the pace of the parent process.  This
@@ -25,14 +25,14 @@ runner._WindowAccumulator._segment_error_max in one pass over a block, in
 row order, with the numpy scan's adds operand for operand: the sums, their
 norms and maxima are the same bits.
 
-The C source is compiled once per process, at the first run that can use it
-(a run with a declared form or a window partition; never at import), with
-the system ``cc``, and the library is loaded with ctypes.  Fixed probe
-blocks of special values then run through the step kernel and the error
-scan and their numpy counterparts; the library is used only if both match
-bit for bit.  If ``cc`` is missing, fails, or a probe differs, every run of
-the process uses the numpy kernel and scan: the outputs are the same bits
-either way.
+SOURCE and _cnoise.SOURCE are one library, compiled with the system ``cc``
+and linked against numpy's libnpyrandom.a once per process, by the first
+run_batch or normal-drawing NoiseStream (never at import, never in a
+forked child), and loaded with ctypes.  It is used only if all three
+probes match numpy bit for bit: the step kernel and the error scan on
+blocks of special values, and the normals (_cnoise.probe).  Otherwise
+every run of the process uses the numpy kernel, the numpy scan and
+numpy's normals: the same bits.
 """
 
 from __future__ import annotations
@@ -145,15 +145,6 @@ class Steps:
                 X.ctypes.data, Xp.ctypes.data, E.ctypes.data, rows.ctypes.data)
 
 
-def steps(grad, params, S: int, d: int) -> Steps | None:
-    """The compiled kernel for grad, or None: grad declares no _c_form, or
-    the library does not load in this process."""
-    if getattr(grad, "_c_form", None) is None:
-        return None
-    lib = load()
-    return None if lib is None else Steps(lib.sgdm_block, grad, params, S, d)
-
-
 def scan(fn, P: np.ndarray, lo: np.ndarray, psum: np.ndarray) -> None:
     """fn, the compiled error_scan, over the rows of P (n, S, d) in place:
     the restarted prefix sums of the segments that start at rows lo, the
@@ -167,41 +158,35 @@ def scan(fn, P: np.ndarray, lo: np.ndarray, psum: np.ndarray) -> None:
     fn(len(P), psum.size, len(lo), lo.ctypes.data, psum.ctypes.data, P.ctypes.data)
 
 
-def error_scan():
-    """The compiled error scan as scan(P, lo, psum), or None if the library
-    does not load in this process."""
-    lib = load()
-    return None if lib is None else functools.partial(scan, lib.error_scan)
-
-
 @functools.cache
 def load():
-    """The checked library (sgdm_block and error_scan), built on the first
-    call; None if it cannot be built or fails either probe.  Never retried
-    within a process."""
+    """The checked library (sgdm_block, error_scan and cnoise_fill), built
+    on the first call; None if it cannot be built or fails any probe.
+    Never retried within a process."""
     try:
         return build()
     except (OSError, RuntimeError):
         return None
 
 
-def compile_library(source: str, *args: str):
-    """source compiled with CFLAGS into a shared library in a private
-    temporary directory and loaded with ctypes; args (include paths,
-    libraries) follow the source on the cc command line.  Raises
-    RuntimeError if cc fails, OSError if it cannot run or the library
-    does not load."""
+def compile_library(source: str):
+    """source compiled with CFLAGS and numpy's random headers into a shared
+    library linked against numpy's libnpyrandom.a, in a private temporary
+    directory, and loaded with ctypes.  Raises RuntimeError if cc fails
+    (the link included), OSError if it cannot run or the library does not
+    load."""
     import ctypes
     import shutil
     import subprocess
     import tempfile
+    npyrandom = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
     tmp = tempfile.mkdtemp(prefix="sgdmlab-kernel-")
     try:
         src, lib = os.path.join(tmp, "lib.c"), os.path.join(tmp, "lib.so")
         with open(src, "w") as fh:
             fh.write(source)
-        proc = subprocess.run(["cc", *CFLAGS, src, "-o", lib, *args],
-                              capture_output=True, text=True)
+        proc = subprocess.run(["cc", *CFLAGS, "-I", np.get_include(), src, "-o", lib,
+                               npyrandom, "-lm"], capture_output=True, text=True)
         if proc.returncode:
             raise RuntimeError(f"cc failed with exit code {proc.returncode}:\n{proc.stderr}")
         return ctypes.CDLL(lib)         # the mapping outlives the file
@@ -210,20 +195,26 @@ def compile_library(source: str, *args: str):
 
 
 def build():
-    """Compile and load the library and check the step kernel and the
-    error scan on their probes; raises what went wrong."""
+    """Compile and load the library, read numpy's ziggurat tables into it,
+    and check the step kernel, the error scan and the normals on their
+    probes; raises what went wrong."""
     import ctypes
-    lib = compile_library(SOURCE)
+    from . import _cnoise
+    lib = compile_library(SOURCE + _cnoise.SOURCE)
     ptr, c_int, c_long, c_double = ctypes.c_void_p, ctypes.c_int, ctypes.c_long, ctypes.c_double
-    fn = lib.sgdm_block
-    fn.argtypes = [c_long] * 3 + [c_int, ptr, c_int, c_int, c_double, c_double] + [ptr] * 6
-    fn.restype = None
-    lib.error_scan.argtypes = [c_long] * 3 + [ptr] * 3
-    lib.error_scan.restype = None
-    if not probe(fn):
+    for fn, argtypes in ((lib.sgdm_block, [c_long] * 3 + [c_int, ptr, c_int, c_int, c_double,
+                                                          c_double] + [ptr] * 6),
+                         (lib.error_scan, [c_long] * 3 + [ptr] * 3),
+                         (lib.cnoise_init, []),
+                         (lib.cnoise_fill, [ptr] + [c_long] * 3 + [c_double, ptr])):
+        fn.argtypes, fn.restype = argtypes, None
+    lib.cnoise_init()
+    if not probe(lib.sgdm_block):
         raise RuntimeError("the compiled step kernel differs from numpy on the probe block")
     if not probe_scan(lib.error_scan):
         raise RuntimeError("the compiled error scan differs from numpy on the probe blocks")
+    if not _cnoise.probe(lib.cnoise_fill):
+        raise RuntimeError("the compiled normals differ from numpy's on the probe")
     return lib
 
 

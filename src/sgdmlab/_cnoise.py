@@ -26,19 +26,16 @@ the same normals, bit for bit, with less work per normal:
   strided, so a seed's noise lands in its column of a ring slot without a
   buffer or a copy.
 
-The library is built as the step kernel is (_ckernel.compile_library),
-linked against numpy's libnpyrandom.a, once per process at the first
-stream that draws normals, never at import.  It then draws a probe of
-normals for fixed keys, one and two key words, unscaled and scaled into
-strided rows, slow paths included, and is used only if every bit matches
-numpy.  If it does not build, link or match, every stream of the process
-draws with numpy's Generator: the same bits either way.
+The source is compiled with the step kernel and the error scan into the
+one library of _ckernel (see there), linked against numpy's
+libnpyrandom.a, never at import.  Its probe, one of the library's three,
+draws normals for fixed keys, one and two key words, unscaled and scaled
+into strided rows, slow paths included, and passes only if every bit
+matches numpy.  Where the library does not load, every stream of the
+process draws with numpy's Generator: the same bits either way.
 """
 
 from __future__ import annotations
-
-import functools
-import os
 
 import numpy as np
 
@@ -237,35 +234,8 @@ class Philox:
 def philox(seed: int) -> Philox | None:
     """The compiled normal source for seed, or None if the library does
     not load in this process."""
-    fn = load()
-    return None if fn is None else Philox(fn, seed)
-
-
-@functools.cache
-def load():
-    """The checked fill function, built on the first call; None if it
-    cannot be built or fails the probe.  Never retried within a process."""
-    try:
-        return build()
-    except (OSError, RuntimeError):
-        return None
-
-
-def build():
-    """Compile, link and load the library, read numpy's tables into it and
-    check it on the probe; raises what went wrong."""
-    import ctypes
-    lib = _ckernel.compile_library(
-        SOURCE, "-I", np.get_include(),
-        os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a"), "-lm")
-    lib.cnoise_init.argtypes, lib.cnoise_init.restype = [], None
-    lib.cnoise_init()
-    fn = lib.cnoise_fill
-    fn.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_double, ctypes.c_void_p]
-    fn.restype = None
-    if not probe(fn):
-        raise RuntimeError("the compiled normals differ from numpy's on the probe")
-    return fn
+    lib = _ckernel.load()
+    return None if lib is None else Philox(lib.cnoise_fill, seed)
 
 
 PROBE_KEYS = (0, 20240501, 2**64 + 5, 2**128 - 1)

@@ -6,10 +6,10 @@ Subcommands:
   rates              -- emit the closed-form rate-curve CSV data
   check              -- fast self-test of the core formulas
 
-Exit codes: 0 all targeted checks pass, 1 usage or config error,
-2 at least one diagnostic or target violation.  ``run`` prints
-``[vacuous]`` for a window criterion no window was applicable to; that
-alone does not change the exit code.
+Exit codes: 0 all targeted checks pass, 1 usage or config error or an
+output directory that cannot be written, 2 at least one diagnostic or
+target violation.  ``run`` prints ``[vacuous]`` for a window criterion
+no window was applicable to; that alone does not change the exit code.
 """
 
 from __future__ import annotations
@@ -55,12 +55,23 @@ def _reject(e: ConfigError):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    outdir = cfg.out_dir or _out_root(args.out)
+    created, parent = [], os.path.abspath(outdir)
+    while not os.path.lexists(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
+    try:
+        os.makedirs(outdir, exist_ok=True)      # a bad --out fails before the run
+    except OSError as e:
+        print(f"error: cannot write outputs: {e}", file=sys.stderr)
+        return 1
     try:
         summary, batch = run_experiment(cfg, seed_offset=args.seed_offset)
     except ConfigError as e:
+        for path in created:                    # a rejected config leaves no directory
+            os.rmdir(path)
         _reject(e)
         return 1
-    outdir = cfg.out_dir or _out_root(args.out)
     paths = emit_outputs(summary, batch, cfg, outdir)
     for name, status in summary.status.items():
         print(f"[{status}] {name}")
@@ -94,10 +105,17 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_rates(args) -> int:
-    thetas = _parse_grid(args.thetas)
-    gammas = [float(g) for g in args.gammas.split(",")]
-    outdir = _out_root(args.out)
-    for p in emit_rate_curves(thetas, gammas, outdir):
+    try:
+        thetas = _parse_grid(args.thetas)
+        gammas = [float(g) for g in args.gammas.split(",")]
+        paths = emit_rate_curves(thetas, gammas, _out_root(args.out))
+    except ValueError as e:     # a grid that does not parse or leaves its range: nothing written
+        print(f"error: bad rate grid: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error: cannot write outputs: {e}", file=sys.stderr)
+        return 1
+    for p in paths:
         print(f"wrote {p}")
     return 0
 

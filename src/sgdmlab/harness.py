@@ -273,10 +273,17 @@ def _write_window_csv(path: str, run: Trajectory):
 
 def emit_rate_curves(thetas, gammas, outdir: str) -> list[str]:
     """Value-rate curves over a (theta, gamma) grid with the branch-meeting
-    points marked, plus the optimal-gamma comparison curves."""
+    points marked, plus the optimal-gamma comparison curves.  Raises
+    ValueError, before it writes anything, unless every theta lies in
+    [1/2, 1) and every gamma in (2/3, 1)."""
     from .rates import optimal_gamma, transition_theta
-    os.makedirs(outdir, exist_ok=True)
     thetas = np.asarray(sorted(thetas), dtype=float)
+    gammas = [float(g) for g in gammas]
+    bad = [f"theta = {float(t)!r}" for t in thetas if not 0.5 <= t < 1.0]
+    bad += [f"gamma = {g!r}" for g in gammas if not 2.0 / 3.0 < g < 1.0]
+    if bad:
+        raise ValueError(f"{', '.join(bad)}: theta must lie in [1/2, 1), gamma in (2/3, 1)")
+    os.makedirs(outdir, exist_ok=True)
     paths = []
     path = os.path.join(outdir, "rate_curves.csv")
     with open(path, "w") as fh:

@@ -12,11 +12,11 @@ are bitwise identical regardless of how the consumer chunks its reads.
 
 Every seed's values come from Generator(Philox(key=seed)): its normals
 for gaussian and sphere noise, its integers for the axis signs.  Where
-the compiled noise library loads (_cnoise), a stream's normals are drawn
-in C with the same bits, and gaussian noise is written straight into the
-rows it is taken into, with no draw buffer and no copy; the other
-variants, and every variant where the library does not load, draw a
-buffer of rows at a time and copy from it.
+the compiled library loads (_ckernel.load, the normals of _cnoise), a
+stream's normals are drawn in C with the same bits, and gaussian noise is
+written straight into the rows it is taken into, with no draw buffer and
+no copy; the other variants, and every variant where the library does
+not load, draw a buffer of rows at a time and copy from it.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class NoiseStream:
     depends only on (seed, model, dim).  ``take`` may be called with any
     chunk sizes; the emitted sequence is identical either way.  The stream
     holds one normal source: the compiled Philox state of _cnoise where
-    its library loads and the model draws normals, numpy's Generator
-    otherwise.
+    the compiled library loads and the model draws normals, numpy's
+    Generator otherwise.
     """
 
     _BLOCK = 4096

@@ -19,27 +19,21 @@ time; it reuses a slot only once the rows child has freed it.  A run
 shares RING_SLOTS (B+1) S d 8 bytes for blocks of B steps, 9.8 MB at
 S = 20 seeds and d = 10.
 
-Gaussian noise is drawn straight into each seed's column of the slot,
-with no draw buffer and no copy, wherever the compiled noise library
-(_cnoise) loads: numpy's Philox words and ziggurat in C, the same bits as
-numpy's Generator, which draws instead where the library does not load.
-Both compiled libraries are loaded in the caller before the fork, so the
-children inherit them and never compile.
-
-The momentum steps run in one of two kernels with the same bits.  Where
-the problem's grad_batch declares an exact elementwise form (the built-in
-quadratic, and even_power with p = 1, or p = 2 at d = 1), a block is one
-call into C (_ckernel), compiled on the first such run of the process;
-everywhere else, and wherever that kernel does not build or fails its
-self-check, _Steps runs the same operations in numpy.  The noise child
-forms a block's error sums in one C pass from the same library, loaded by
-the caller before the fork of any run with a window partition; where it
-does not load, the position-major numpy scan gives the same bits.
+The momentum steps, the error sums and the normals run in C where the
+one compiled library (_ckernel) loads, in numpy elsewhere, with the same
+bits.  run_batch loads it before the fork; the children inherit it.  A
+block of steps is one C call where grad_batch declares an exact
+elementwise form (quadratic; even_power with p = 1, or p = 2 at d = 1),
+else _Steps in numpy.  The noise child forms a block's error sums in one
+C pass, or with the position-major numpy scan, and draws gaussian noise
+straight into each seed's column of the slot (_cnoise), or with numpy's
+Generator where the library does not load.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 
@@ -104,7 +98,7 @@ class _WindowAccumulator:
         nd = n_decades(horizon)
         self.decade_d_sum = np.zeros((nd, S))
         self.decade_d_cnt = np.zeros(nd)
-        self.scan = scan        # the compiled error scan (_ckernel.error_scan), or None
+        self.scan = scan        # the compiled error scan (_ckernel.scan bound to it), or None
         # state of the open window, carried across block edges: the error
         # sums (cursor ew) run ahead of the iterate statistics (cursor w)
         self.w = self.ew = 1
@@ -407,11 +401,25 @@ def _portable(exc: BaseException, name: str) -> BaseException:
     return exc
 
 
+def _keep_heap():
+    """Serve this process's large temporaries from a heap that is never
+    trimmed (glibc's mallopt; elsewhere nothing).  With glibc's dynamic
+    thresholds the heap at the fork decides whether a child's block
+    temporaries reuse pages or map fresh ones, at 18,000 page faults and a
+    quarter more CPU per 1e5 steps of the rows child at S = 20."""
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD: its maximum, 32 MB
+        mallopt(-1, 1 << 30)        # M_TRIM_THRESHOLD
+
+
 def _child(name: str, main, rx_fd: int, tx_fd: int, report_fd: int, fds: list[int]):
     """A forked child's life: main(rx, tx) on its ring ends, then its result
     or its exception on its report pipe, then os._exit."""
     status = 1
     try:
+        _keep_heap()
         for fd in fds:
             if fd not in (rx_fd, tx_fd, report_fd):
                 os.close(fd)    # a pipe end held open here would hide an EOF
@@ -676,6 +684,8 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
               "noise": noise, "x0": x0.copy(), "horizon": horizon}
 
     from . import _ckernel      # at the first run: importing sgdmlab stays as before
+    lib = _ckernel.load()       # here, not in a child, where a load would die with it
+    scan = None if lib is None else functools.partial(_ckernel.scan, lib.error_scan)
     acc = None
     if partition is not None:
         if partition.horizon != horizon:
@@ -685,12 +695,11 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             detail_lo = 1
         else:
             detail_lo = partition.n_windows + 1 if K_T is None else K_T
-        # its arrays are first written in the children, so they take no pages
-        # here; the scan loads here too, as a load in a child dies with it
+        # its arrays are first written in the children, so they take no pages here
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
                                  keep_boundaries=rp.store_boundary_vectors,
-                                 scan=_ckernel.error_scan())
+                                 scan=scan)
 
     X = np.tile(x0, (S, 1))             # x^t and x^{t-1} at the next block's start
     Xp = X.copy()
@@ -709,16 +718,18 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     B = max(rp.block_size, 2)
     blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
     ring = _ring(max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1), S, d)
-    # built here, drawn from in the noise child only: numpy.random and the
-    # compiled noise then load once per process, not once per child
+    # built here, drawn from in the noise child only: numpy.random then
+    # loads once per process, not once per child
     streams = [NoiseStream(noise, d, s) for s in seeds]
     consumer = _BlockConsumer(problem, params, streams, schedule, blocks,
                               ring, X.copy(), record_grid(horizon, rp), acc,
                               rp.track_step_norms)
 
-    kernel = _ckernel.steps(problem.grad_batch, params, S, d)
-    if kernel is None:
-        kernel = _Steps(problem.grad_batch, params, S, d)
+    grad = problem.grad_batch
+    if lib is not None and getattr(grad, "_c_form", None) is not None:
+        kernel = _ckernel.Steps(lib.sgdm_block, grad, params, S, d)
+    else:
+        kernel = _Steps(grad, params, S, d)
     rnorm_buf = np.empty((ring.shape[1] - 1, S))
     with _forked(rows=consumer.rows, noise=consumer.noise) as (rx, tx, reports):
         for j, (b0, n) in enumerate(blocks):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdmlab import NoiseModel, NoiseStream, _cnoise
+from sgdmlab import NoiseModel, NoiseStream, _ckernel, _cnoise
 
 KEYS = st.one_of(st.integers(0, 2**128 - 1), st.integers(0, 2**64 - 1),
                  st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1]))
@@ -24,10 +24,10 @@ SIGMAS = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 1e-300, 1e300]),
 
 @pytest.fixture(scope="module")
 def compiled():
-    fn = _cnoise.load()
-    if fn is None:
-        pytest.skip("the compiled noise does not load here (no C compiler?)")
-    return fn
+    lib = _ckernel.load()
+    if lib is None:
+        pytest.skip("the compiled library does not load here (no C compiler?)")
+    return lib.cnoise_fill
 
 
 def _numpy_normals(key: int, n: int, d: int, sigma: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgdmlab import (ConfigError, MomentumParams, NoiseModel, StepSchedule, config,
+from sgdmlab import (ConfigError, MomentumParams, NoiseModel, StepSchedule, cli, config,
                      make_problem, parse_config, run_experiment)
 from sgdmlab.cli import main
 from sgdmlab.harness import emit_outputs, emit_rate_curves
@@ -306,8 +306,8 @@ def test_cli_negative_seed_exits_one(tmp_path, capsys):
     cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\n"
                         "run.horizon = 100\nrun.base_seed = 2\n")
     assert main(["run", str(cfg_path), "--seed-offset", "-3",
-                 "--out", str(tmp_path / "out")]) == 1
-    assert not (tmp_path / "out").exists()
+                 "--out", str(tmp_path / "new" / "out")]) == 1
+    assert not (tmp_path / "new").exists()     # run makes --out first, then removes it
     assert "negative" in capsys.readouterr().err
     cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\n"
                         "run.horizon = 100\nrun.base_seed = -1\n")
@@ -392,6 +392,27 @@ def test_emit_rate_curves_direct(tmp_path):
     content = open(paths[0]).read()
     assert content.startswith("theta,gamma,Psi,Phi,transition")
 
+
+@pytest.mark.parametrize("args, message", [
+    (["rates", "--thetas", "0.5:1.0:3"], "bad rate grid: theta = 1.0"),  # after writing files
+    (["rates", "--gammas", "0.5"], "bad rate grid: gamma = 0.5"),        # ZeroDivisionError
+    (["rates", "--gammas", "0.8,1.0"], "bad rate grid: gamma = 1.0"),
+    (["rates", "--thetas", "abc"], "bad rate grid"),
+    (["rates", "--thetas", "0.5:0.9"], "bad rate grid"),
+    (["rates", "--out", "file/out"], "cannot write outputs"),
+    (["run", "exp.cfg", "--out", "file/out"], "cannot write outputs"),   # after the whole run
+])
+def test_cli_bad_rate_grid_or_output_directory_exits_one_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, args, message):
+    # each ended in a traceback
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("experiment ran"))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "exp.cfg").write_text(MINIMAL)
+    assert main(args if "--out" in args else [*args, "--out", "out"]) == 1
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}") and "Traceback" not in stdout + err
+    assert sorted(os.listdir()) == ["exp.cfg", "file"] and not (tmp_path / "file").read_text()
 
 SPARSE_FIT = """
 problem.name = quadratic
