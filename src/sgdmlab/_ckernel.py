@@ -1,5 +1,5 @@
-"""The one compiled library: runner._Steps's momentum loop, the restarted
-prefix sums of the window error sums, and the normals of _cnoise, in C.
+"""The one compiled library: runner._Steps's momentum loop here, and the
+normals and window error sums of _cnoise, in C.
 
 At d = 1 a step is a handful of numpy calls on 20-element rows, and their
 dispatch, not the arithmetic, sets the pace of the parent process.  This
@@ -20,19 +20,15 @@ operation is one correctly rounded double operation, as in numpy, and the
 bits are the same.  ``x * 2`` equals numpy's ``2 * x`` bit for bit: with one
 NaN operand the product carries that operand's NaN either way.
 
-The error scan (error_scan) forms the restarted prefix sums of
-runner._WindowAccumulator._segment_error_max in one pass over a block, in
-row order, with the numpy scan's adds operand for operand: the sums, their
-norms and maxima are the same bits.
-
 SOURCE and _cnoise.SOURCE are one library, compiled with the system ``cc``
 and linked against numpy's libnpyrandom.a once per process, by the first
 run_batch or normal-drawing NoiseStream (never at import, never in a
 forked child), and loaded with ctypes.  It is used only if all three
-probes match numpy bit for bit: the step kernel and the error scan on
-blocks of special values, and the normals (_cnoise.probe).  Otherwise
-every run of the process uses the numpy kernel, the numpy scan and
-numpy's normals: the same bits.
+probes match numpy bit for bit: the step kernel on blocks of special
+values (probe), the normals (_cnoise.probe), and the tiled block draw
+with its error sums, and the sums alone (_cnoise.probe_block).
+Otherwise every run of the process uses the numpy kernel, the numpy
+scan and numpy's normals: the same bits.
 """
 
 from __future__ import annotations
@@ -91,28 +87,6 @@ void sgdm_block(long n, long S, long d, int form, const double *h,
         }
     }
 }
-
-/* The restarted prefix sums of runner._WindowAccumulator._segment_error_max
-   in one pass in row order, in place: P holds n rows of m doubles, the
-   weighted errors on entry and their sums on return.  Segment k starts at
-   row lo[k], lo[0] = 0.  Row 0 adds the carried sum psum, the first row of
-   a later segment stays as it is, and every other row adds the sum of the
-   row before it: the adds of the numpy scan, operand for operand. */
-void error_scan(long n, long m, long nseg, const long *lo, const double *psum, double *P)
-{
-    for (long i = 0; i < m; i++)
-        P[i] = P[i] + psum[i];
-    long k = 1;
-    for (long t = 1; t < n; t++) {
-        double *p = P + t * m;
-        if (k < nseg && lo[k] == t) {
-            k++;
-            continue;
-        }
-        for (long i = 0; i < m; i++)
-            p[i] = p[i - m] + p[i];
-    }
-}
 """
 
 
@@ -145,22 +119,9 @@ class Steps:
                 X.ctypes.data, Xp.ctypes.data, E.ctypes.data, rows.ctypes.data)
 
 
-def scan(fn, P: np.ndarray, lo: np.ndarray, psum: np.ndarray) -> None:
-    """fn, the compiled error_scan, over the rows of P (n, S, d) in place:
-    the restarted prefix sums of the segments that start at rows lo, the
-    first continuing from the carried sum psum (S, d)."""
-    lo = np.ascontiguousarray(lo, dtype=np.dtype("l"))     # C long
-    for arr, shape in ((P, (len(P), *psum.shape)), (psum, P.shape[1:])):
-        if arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(f"error scan needs a C-contiguous float64 {shape} array")
-    if not len(P) or not P.flags.writeable:
-        raise ValueError("error scan needs at least one writeable row")
-    fn(len(P), psum.size, len(lo), lo.ctypes.data, psum.ctypes.data, P.ctypes.data)
-
-
 @functools.cache
 def load():
-    """The checked library (sgdm_block, error_scan and cnoise_fill), built
+    """The checked library (sgdm_block, cnoise_fill and cnoise_block), built
     on the first call; None if it cannot be built or fails any probe.
     Never retried within a process."""
     try:
@@ -196,7 +157,7 @@ def compile_library(source: str):
 
 def build():
     """Compile and load the library, read numpy's ziggurat tables into it,
-    and check the step kernel, the error scan and the normals on their
+    and check the step kernel, the normals and the block draw on their
     probes; raises what went wrong."""
     import ctypes
     from . import _cnoise
@@ -204,17 +165,19 @@ def build():
     ptr, c_int, c_long, c_double = ctypes.c_void_p, ctypes.c_int, ctypes.c_long, ctypes.c_double
     for fn, argtypes in ((lib.sgdm_block, [c_long] * 3 + [c_int, ptr, c_int, c_int, c_double,
                                                           c_double] + [ptr] * 6),
-                         (lib.error_scan, [c_long] * 3 + [ptr] * 3),
                          (lib.cnoise_init, []),
-                         (lib.cnoise_fill, [ptr] + [c_long] * 3 + [c_double, ptr])):
+                         (lib.cnoise_fill, [ptr] + [c_long] * 3 + [c_double, ptr]),
+                         (lib.cnoise_block, [c_long] * 3 + [ptr, c_double, ptr, ptr, c_long]
+                          + [ptr] * 3)):
         fn.argtypes, fn.restype = argtypes, None
     lib.cnoise_init()
     if not probe(lib.sgdm_block):
         raise RuntimeError("the compiled step kernel differs from numpy on the probe block")
-    if not probe_scan(lib.error_scan):
-        raise RuntimeError("the compiled error scan differs from numpy on the probe blocks")
     if not _cnoise.probe(lib.cnoise_fill):
         raise RuntimeError("the compiled normals differ from numpy's on the probe")
+    if not _cnoise.probe_block(lib.cnoise_block):
+        raise RuntimeError("the compiled block draw or its error sums differ from numpy's "
+                           "on the probe blocks")
     return lib
 
 
@@ -257,40 +220,5 @@ def probe(fn) -> bool:
                         kernel.run(X.copy(), Xp.copy(), rows[1:], rows, a, mask)
                     out.append(rows)
                 if not same_bits(*out):
-                    return False
-    return True
-
-
-def probe_scan(fn) -> bool:
-    """Whether fn reproduces the numpy error scan,
-    runner._WindowAccumulator._segment_error_max, on fixed blocks: segments
-    all of length one, one long segment and mixed lengths, a carried sum and
-    maximum, with and without the carry out; the values include +-0,
-    subnormals, sums that overflow, +-inf and NaN."""
-    import types
-    from .runner import _WindowAccumulator as Acc
-    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,
-                        1e154, 1.7e308, -1e300, np.inf, -np.inf, np.nan])
-    n, S, d = 23, 3, 2
-    k = np.arange(n * S * d)
-    for ln in ([1] * n, [n], [4, 1, 1, 7, 2, 1, 5, 2]):
-        ln = np.array(ln)
-        lo = np.concatenate([[0], np.cumsum(ln)[:-1]])
-        seg_of_row = np.repeat(np.arange(len(ln)), ln)
-        for shift in range(0, len(special), 5):
-            wrows = np.where(k % 5 == 0, np.resize(np.roll(special, shift), len(k)),
-                             np.sin(k)).reshape(n, S, d)
-            carried = dict(psum=np.resize(np.roll(special, -4 - shift), (S, d)),
-                           smax=np.abs(np.resize(np.roll(special, 2 * shift), S)))
-            for carry_out in (False, True):
-                with np.errstate(all="ignore"):
-                    want = Acc._segment_error_max(types.SimpleNamespace(**carried), wrows,
-                                                  lo, ln, seg_of_row, carry_out)
-                    got = Acc._compiled_error_max(
-                        types.SimpleNamespace(**carried, scan=functools.partial(scan, fn)),
-                        wrows.copy(), lo, carry_out)
-                if not same_bits(want[0], got[0]):
-                    return False
-                if carry_out and not same_bits(want[1], got[1]):
                     return False
     return True

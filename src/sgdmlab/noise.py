@@ -16,7 +16,9 @@ the compiled library loads (_ckernel.load, the normals of _cnoise), a
 stream's normals are drawn in C with the same bits, and gaussian noise is
 written straight into the rows it is taken into, with no draw buffer and
 no copy; the other variants, and every variant where the library does
-not load, draw a buffer of rows at a time and copy from it.
+not load, draw a buffer of rows at a time and copy from it.  take_block
+fills a block of many streams' rows at once: one compiled call in tiles
+of rows for direct gaussian streams, one take_into per stream otherwise.
 """
 
 from __future__ import annotations
@@ -169,3 +171,34 @@ class NoiseStream:
     def draw(self) -> np.ndarray:
         """Next single error vector, shape (dim,)."""
         return self.take(1)[0]
+
+
+def take_block(streams: list[NoiseStream], E: np.ndarray, sums=None) -> bool:
+    """Fill E, shape (n, S, dim), with the next n error vectors of each of
+    the S distinct streams, stream s in column s.  With sums = (a, lo, psum,
+    P), where the compiled library loads, also form the block's window
+    error sums: in P (n, S, dim) the restarted prefix sums of the weighted
+    errors a[t] E[t] over the segments that start at rows lo, the first
+    continuing from the carried sum psum (S, dim).  Returns whether it
+    formed them; where the library does not load, the caller sums.
+
+    Gaussian streams that draw straight from the compiled normals, all with
+    one sigma, fill the block in one compiled call that forms the sums in
+    the same pass (_cnoise.block); any other streams take their columns one
+    by one, and the sums are formed after."""
+    from . import _ckernel, _cnoise     # here: importing sgdmlab stays light
+    if E.ndim != 3 or E.shape[1] != len(streams) or any(st.dim != E.shape[2] for st in streams):
+        raise DimensionMismatchError(f"E must have shape (n, {len(streams)}, dim)")
+    if (all(st._direct for st in streams) and len({st.model for st in streams}) == 1
+            and len({id(st) for st in streams}) == len(streams)):
+        _cnoise.block(_ckernel.load().cnoise_block, [st._src for st in streams], E,
+                      streams[0].model.sigma_c, sums)
+        for st in streams:
+            st.position += len(E)
+        return sums is not None
+    for s, stream in enumerate(streams):
+        stream.take_into(E[:, s])
+    lib = None if sums is None else _ckernel.load()
+    if lib is not None:
+        _cnoise.block(lib.cnoise_block, None, E, 0.0, sums)
+    return lib is not None

@@ -24,23 +24,24 @@ one compiled library (_ckernel) loads, in numpy elsewhere, with the same
 bits.  run_batch loads it before the fork; the children inherit it.  A
 block of steps is one C call where grad_batch declares an exact
 elementwise form (quadratic; even_power with p = 1, or p = 2 at d = 1),
-else _Steps in numpy.  The noise child forms a block's error sums in one
-C pass, or with the position-major numpy scan, and draws gaussian noise
-straight into each seed's column of the slot (_cnoise), or with numpy's
-Generator where the library does not load.
+else _Steps in numpy.  The noise child draws a block of gaussian noise in
+one C call (noise.take_block), in tiles of rows that every seed fills in
+turn, and forms the tile's error sums while it is in cache; other noise
+is taken stream by stream and summed in a second C pass.  Where the
+library does not load, numpy's Generator draws and the position-major
+numpy scan sums.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import pickle
 
 import numpy as np
 
 from . import windows as win
-from .noise import NoiseModel, NoiseStream
+from .noise import NoiseModel, NoiseStream, take_block
 from .optimizer import MomentumParams, merit_zeta
 from .problems import Problem
 from .schedules import StepSchedule
@@ -73,7 +74,7 @@ class _WindowAccumulator:
     def __init__(self, partition: win.WindowPartition, K_T: int | None,
                  problem: Problem, params: MomentumParams, n_seeds: int,
                  detail_lo: int, profile: bool, horizon: int,
-                 keep_boundaries: bool = False, scan=None):
+                 keep_boundaries: bool = False):
         self.part = partition
         self.K_T = K_T
         self.gammas = partition.gammas
@@ -98,7 +99,6 @@ class _WindowAccumulator:
         nd = n_decades(horizon)
         self.decade_d_sum = np.zeros((nd, S))
         self.decade_d_cnt = np.zeros(nd)
-        self.scan = scan        # the compiled error scan (_ckernel.scan bound to it), or None
         # state of the open window, carried across block edges: the error
         # sums (cursor ew) run ahead of the iterate statistics (cursor w)
         self.w = self.ew = 1
@@ -143,8 +143,8 @@ class _WindowAccumulator:
         rows of wrows, the first segment continuing from the carried partial
         sum; with the last segment's final partial sum if asked.
 
-        The numpy scan: the fallback of _compiled_error_max where the
-        compiled library does not load, and its oracle.  Each sum stays
+        The numpy scan: the fallback of the compiled sums where the
+        library does not load, and their oracle.  Each sum stays
         sequential within its window, so it is bitwise equal to a per-window
         cumsum.  The rows are laid out position-major with the segments
         sorted by length, so the segments still running at position p are a
@@ -170,14 +170,14 @@ class _WindowAccumulator:
         psum = P[start[ln[-1] - 1] + rank[-1]].copy() if carry_out else None
         return smax, psum
 
-    def _compiled_error_max(self, wrows: np.ndarray, lo: np.ndarray, carry_out: bool):
-        """_segment_error_max with the prefix sums formed in one compiled
-        pass in row order, over wrows in place.  Every sum is the same add
-        of the same operands, so the norms and maxima are the same bits."""
-        self.scan(wrows, lo, self.psum)
-        smax = np.maximum.reduceat(_norms(wrows), lo, axis=0)
+    def _compiled_error_max(self, P: np.ndarray, lo: np.ndarray, carry_out: bool):
+        """_segment_error_max from the prefix sums P of the weighted errors,
+        in row order, as the compiled block draw forms them.  Every sum is
+        the same add of the same operands, so the norms and maxima are the
+        same bits."""
+        smax = np.maximum.reduceat(_norms(P), lo, axis=0)
         smax[0] = np.maximum(smax[0], self.smax)
-        psum = wrows[-1].copy() if carry_out else None
+        psum = P[-1].copy() if carry_out else None
         return smax, psum
 
     @staticmethod
@@ -210,28 +210,34 @@ class _WindowAccumulator:
         ln = hi - lo
         return ks, lo, hi, ln, np.repeat(np.arange(len(ks)), ln), open_tail
 
-    def process_noise(self, b0: int, E: np.ndarray, a: np.ndarray, n: int,
-                      wbuf: np.ndarray):
-        """Advance the error sums over the noise e^{b0}..e^{b0+n-1} (rows of
-        E), with the block's step sizes a (n, 1) and a buffer wbuf for the
-        weighted errors a_t e^t (the compiled scan sums them there).  The
-        sums read only the noise and the step sizes, so they keep their own
-        window cursor and carry."""
+    def error_plan(self, b0: int, n: int):
+        """The window segments (as _segments gives them) of the error sums
+        over the noise e^{b0}..e^{b0+n-1}, or None if the block forms no
+        sums.  The sums read only the noise and the step sizes, so they keep
+        their own window cursor and carry; this advances the cursor."""
         w0 = self.ew
         if w0 > self.W:
-            return
-        ks, lo, hi, ln, seg_of_row, open_tail = self._segments(w0, b0, n)
-        nc = len(ks) - open_tail                # closed windows
-        self.ew = w0 + nc
+            return None
+        plan = self._segments(w0, b0, n)
+        ks, open_tail = plan[0], plan[-1]
+        self.ew = w0 + len(ks) - open_tail
         # s_k is stored only from detail_lo on: a block whose windows all lie
         # before it skips the sums, and the carry it leaves is never read
-        if ks[-1] < self.detail_lo:
-            return
-        wrows = np.multiply(E, a[..., None], wbuf[:n])
-        if self.scan is not None:
-            smax, psum = self._compiled_error_max(wrows, lo, open_tail)
+        return None if ks[-1] < self.detail_lo else plan
+
+    def process_noise(self, plan, E: np.ndarray, a: np.ndarray, P: np.ndarray,
+                      summed: bool):
+        """Store the error-sum maxima of the windows in plan, from the sums P
+        that the compiled block draw formed (summed), else from the noise E
+        and the step sizes a (n,) with the numpy scan, P the buffer of the
+        weighted errors a_t e^t."""
+        ks, lo, hi, ln, seg_of_row, open_tail = plan
+        if summed:
+            smax, psum = self._compiled_error_max(P, lo, open_tail)
         else:
+            wrows = np.multiply(E, a[:, None, None], P)
             smax, psum = self._segment_error_max(wrows, lo, ln, seg_of_row, open_tail)
+        nc = len(ks) - open_tail                # closed windows
         dst = ks[:nc] - self.detail_lo
         det = slice(np.searchsorted(dst, 0), nc)
         self.s_arr[dst[det]] = smax[det]
@@ -549,11 +555,13 @@ class _BlockConsumer:
     def _draw(self, j: int):
         b0, n = self.blocks[j]
         _, E = _slot(self.ring, j, n)
-        for s, stream in enumerate(self.streams):
-            stream.take_into(E[:, s])
-        if self.acc is not None:
-            a = self.schedule.at(np.arange(b0, b0 + n))[:, None]
-            self.acc.process_noise(b0, E, a, n, self.tmp)
+        plan = None if self.acc is None else self.acc.error_plan(b0, n)
+        if plan is None:
+            take_block(self.streams, E)
+            return
+        a, P = self.schedule.at(np.arange(b0, b0 + n)), self.tmp[:n]
+        summed = take_block(self.streams, E, (a, plan[1], self.acc.psum, P))
+        self.acc.process_noise(plan, E, a, P, summed)
 
     def _consume(self, j: int):
         b0, n = self.blocks[j]
@@ -685,7 +693,6 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
 
     from . import _ckernel      # at the first run: importing sgdmlab stays as before
     lib = _ckernel.load()       # here, not in a child, where a load would die with it
-    scan = None if lib is None else functools.partial(_ckernel.scan, lib.error_scan)
     acc = None
     if partition is not None:
         if partition.horizon != horizon:
@@ -698,8 +705,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
         # its arrays are first written in the children, so they take no pages here
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
-                                 keep_boundaries=rp.store_boundary_vectors,
-                                 scan=scan)
+                                 keep_boundaries=rp.store_boundary_vectors)
 
     X = np.tile(x0, (S, 1))             # x^t and x^{t-1} at the next block's start
     Xp = X.copy()

@@ -9,15 +9,16 @@ infinite entries must match bit for bit and NaN must match NaN; NaN payloads
 are not compared, because a diverged seed's rows are overwritten by the
 freeze before anything reads them.
 
-The compiled error scan has its own oracle, the numpy scan
+The compiled error sums (the block draw of _cnoise called without states)
+have their own oracle, the numpy scan
 runner._WindowAccumulator._segment_error_max: the same maxima and carried
-sum for any segment layout, carry and special values.  The library loads
-in the caller of run_batch, once, and never in a forked child.
+sum for any segment layout, step sizes, carry and special values.  The
+library loads in the caller of run_batch, once, and never in a forked
+child, and it loads only if its probes pass.
 """
 
 import ctypes
 import dataclasses
-import functools
 import os
 import types
 
@@ -27,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
-                     build_partition, default_window, make_problem, run_batch, _ckernel)
+                     build_partition, default_window, make_problem, run_batch, _ckernel,
+                     _cnoise)
 from sgdmlab.runner import _Steps, _WindowAccumulator
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -3.3e-157, 1e154, -1e200,
@@ -146,8 +148,8 @@ def test_run_batch_compiles_exactly_the_declared_forms(compiled, monkeypatch, na
 
 @st.composite
 def scans(draw):
-    """A block of weighted errors cut into segments, with the carried sum
-    and maximum of the segment open at its start."""
+    """A block of noise and step sizes cut into segments, with the carried
+    sum and maximum of the segment open at its start."""
     n, S, d = draw(st.integers(1, 64)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
     layout = draw(st.sampled_from(["ones", "one", "mixed"]))
     if layout == "ones":
@@ -170,24 +172,26 @@ def scans(draw):
 
     ln = np.array(ln)
     lo = np.concatenate([[0], np.cumsum(ln)[:-1]])
+    a = draw(st.sampled_from(["ones", "steps", "values"]))
+    a = {"ones": np.ones, "steps": lambda n: rng.random(n) * 0.5, "values": values}[a](n)
     carried = dict(psum=values((S, d)) if draw(st.booleans()) else np.zeros((S, d)),
                    smax=np.abs(values(S)) if draw(st.booleans()) else np.zeros(S))
-    return values((n, S, d)), lo, ln, carried, draw(st.booleans())
+    return values((n, S, d)), a, lo, ln, carried, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(scans())
 def test_compiled_error_scan_matches_numpy_bit_for_bit(library, scan):
-    wrows, lo, ln, carried, carry_out = scan
-    numpy_self = types.SimpleNamespace(**carried)
-    compiled_self = types.SimpleNamespace(
-        **carried, scan=functools.partial(_ckernel.scan, library.error_scan))
+    E, a, lo, ln, carried, carry_out = scan
+    acc = types.SimpleNamespace(**carried)
+    P, noise = np.full_like(E, 7.0), E.copy()
     with np.errstate(all="ignore"):
-        want = _WindowAccumulator._segment_error_max(numpy_self, wrows, lo, ln,
+        _cnoise.block(library.cnoise_block, None, noise, 0.0, (a, lo, acc.psum, P))
+        want = _WindowAccumulator._segment_error_max(acc, E * a[:, None, None], lo, ln,
                                                      np.repeat(np.arange(len(ln)), ln),
                                                      carry_out)
-        got = _WindowAccumulator._compiled_error_max(compiled_self, wrows.copy(), lo,
-                                                     carry_out)
+        got = _WindowAccumulator._compiled_error_max(acc, P, lo, carry_out)
+    assert noise.tobytes() == E.tobytes()       # the sums alone leave the noise as it is
     _bits_equal(want[0], got[0])
     if carry_out:
         _bits_equal(want[1], got[1])
@@ -196,13 +200,32 @@ def test_compiled_error_scan_matches_numpy_bit_for_bit(library, scan):
 
 
 def test_scan_probe_passes_and_rejects_a_wrong_scan(library):
-    fn = library.error_scan
-    assert _ckernel.probe_scan(fn)
+    fn = library.cnoise_block
+    assert _cnoise.probe_block(fn)
 
-    def one_segment(n, m, nseg, lo, psum, P):
-        fn(n, m, 1, lo, psum, P)        # the sums never restart
+    def one_segment(n, S, d, st, scale, E, a, nseg, lo, psum, P):
+        fn(n, S, d, st, scale, E, a, min(nseg, 1), lo, psum, P)    # the sums never restart
 
-    assert not _ckernel.probe_scan(one_segment)
+    def no_draw(n, S, d, st, scale, E, a, nseg, lo, psum, P):
+        fn(n, S, d, None, scale, E, a, nseg, lo, psum, P)          # the sums alone
+
+    assert not _cnoise.probe_block(one_segment)
+    assert not _cnoise.probe_block(no_draw)
+
+
+def test_build_raises_when_the_ziggurat_tables_are_not_read(library, monkeypatch):
+    # with zero tables every draw takes numpy's slow path: the same bits,
+    # but the fast path never runs, and the probe's slow-path share shows it
+    compile_library = _ckernel.compile_library
+
+    def without_tables(source):
+        lib = compile_library(source)
+        lib.cnoise_init = lambda: None
+        return lib
+
+    monkeypatch.setattr(_ckernel, "compile_library", without_tables)
+    with pytest.raises(RuntimeError, match="normals"):
+        _ckernel.build()
 
 
 def _partitioned_run(name, noise, **kw):

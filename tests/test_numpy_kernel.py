@@ -49,6 +49,7 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch):
     monkeypatch.setattr(_WindowAccumulator, "_compiled_error_max", compiled)
     monkeypatch.setattr(_ckernel, "Steps", compiled)        # quadratic declares a form
     monkeypatch.setattr(_cnoise, "Philox", compiled)        # gaussian noise draws normals
+    monkeypatch.setattr(_cnoise, "block", compiled)         # and sums in the same call
     problem, params = make_problem("quadratic", 3, mu=1.0, l=2.0), MomentumParams(0.5)
     schedule = StepSchedule.constant(1e-3)
     part = build_partition(schedule, default_window(problem, params), 300)

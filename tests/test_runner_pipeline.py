@@ -250,15 +250,15 @@ def test_slow_rows_child_gets_every_block_before_its_slot_is_reused(monkeypatch)
 
 def test_noise_child_exception_keeps_its_type(monkeypatch):
     parent, calls = os.getpid(), []
-    take_into = NoiseStream.take_into
+    take_block = runner.take_block
 
-    def failing_take_into(self, out):   # drawn in the noise child only
+    def failing_take_block(streams, E, sums=None):  # each block's draw, in the noise child
         calls.append(1)
         if os.getpid() != parent and len(calls) == 5:
             raise KeyError("noise draw failed")
-        return take_into(self, out)
+        return take_block(streams, E, sums)
 
-    monkeypatch.setattr(NoiseStream, "take_into", failing_take_into)
+    monkeypatch.setattr(runner, "take_block", failing_take_block)
     rp = RecordingPolicy(block_size=8)
     with pytest.raises(KeyError, match="noise draw failed") as info:
         run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 200, recording=rp)
@@ -268,14 +268,14 @@ def test_noise_child_exception_keeps_its_type(monkeypatch):
 
 def test_dead_noise_child_raises_promptly(monkeypatch):
     parent = os.getpid()
-    take_into = NoiseStream.take_into
+    take_block = runner.take_block
 
-    def dying_take_into(self, out):
+    def dying_take_block(streams, E, sums=None):
         if os.getpid() != parent:
             os._exit(3)
-        return take_into(self, out)
+        return take_block(streams, E, sums)
 
-    monkeypatch.setattr(NoiseStream, "take_into", dying_take_into)
+    monkeypatch.setattr(runner, "take_block", dying_take_block)
     t0 = time.perf_counter()
     with pytest.raises(PipelineError, match="noise child"):
         run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000)
