@@ -1,5 +1,5 @@
 """The one compiled library: runner._Steps's momentum loop here, and the
-normals and window error sums of _cnoise, in C.
+block draw of _cnoise (normals and window error sums), in C.
 
 At d = 1 a step is a handful of numpy calls on 20-element rows, and their
 dispatch, not the arithmetic, sets the pace of the parent process.  This
@@ -22,13 +22,12 @@ NaN operand the product carries that operand's NaN either way.
 
 SOURCE and _cnoise.SOURCE are one library, compiled with the system ``cc``
 and linked against numpy's libnpyrandom.a once per process, by the first
-run_batch or normal-drawing NoiseStream (never at import, never in a
-forked child), and loaded with ctypes.  It is used only if all three
-probes match numpy bit for bit: the step kernel on blocks of special
-values (probe), the normals (_cnoise.probe), and the tiled block draw
-with its error sums, and the sums alone (_cnoise.probe_block).
-Otherwise every run of the process uses the numpy kernel, the numpy
-scan and numpy's normals: the same bits.
+run_batch (never at import, never in a forked child), and loaded with
+ctypes.  It is used only if both probes match numpy bit for bit: the step
+kernel on blocks of special values (probe), and the tiled block draw,
+its normals and its error sums (_cnoise.probe_block).  Otherwise every
+run of the process uses the numpy kernel, the numpy scan and numpy's
+normals: the same bits.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class Steps:
 
 @functools.cache
 def load():
-    """The checked library (sgdm_block, cnoise_fill and cnoise_block), built
+    """The checked library (sgdm_block and cnoise_block), built
     on the first call; None if it cannot be built or fails any probe.
     Never retried within a process."""
     try:
@@ -157,8 +156,8 @@ def compile_library(source: str):
 
 def build():
     """Compile and load the library, read numpy's ziggurat tables into it,
-    and check the step kernel, the normals and the block draw on their
-    probes; raises what went wrong."""
+    and check the step kernel and the block draw on their probes; raises
+    what went wrong."""
     import ctypes
     from . import _cnoise
     lib = compile_library(SOURCE + _cnoise.SOURCE)
@@ -166,18 +165,15 @@ def build():
     for fn, argtypes in ((lib.sgdm_block, [c_long] * 3 + [c_int, ptr, c_int, c_int, c_double,
                                                           c_double] + [ptr] * 6),
                          (lib.cnoise_init, []),
-                         (lib.cnoise_fill, [ptr] + [c_long] * 3 + [c_double, ptr]),
                          (lib.cnoise_block, [c_long] * 3 + [ptr, c_double, ptr, ptr, c_long]
                           + [ptr] * 3)):
         fn.argtypes, fn.restype = argtypes, None
     lib.cnoise_init()
     if not probe(lib.sgdm_block):
         raise RuntimeError("the compiled step kernel differs from numpy on the probe block")
-    if not _cnoise.probe(lib.cnoise_fill):
-        raise RuntimeError("the compiled normals differ from numpy's on the probe")
     if not _cnoise.probe_block(lib.cnoise_block):
-        raise RuntimeError("the compiled block draw or its error sums differ from numpy's "
-                           "on the probe blocks")
+        raise RuntimeError("the compiled block draw (its normals or its error sums) differs "
+                           "from numpy's on the probe blocks")
     return lib
 
 

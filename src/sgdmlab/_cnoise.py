@@ -33,16 +33,18 @@ the same normals, bit for bit, with less work per normal:
   formed in the same pass, before the tile leaves the cache.  Called
   without states, it forms the sums alone, over noise already drawn.
 
-The source is compiled with the step kernel into the one library of
-_ckernel (see there), linked against numpy's libnpyrandom.a, never at
-import.  Two of the library's three probes are here: probe draws normals
-for fixed keys, one and two key words, unscaled and scaled into strided
-rows, and passes only if every bit matches numpy and the slow paths take
-no more than their share; probe_block draws tiled blocks of several
-seeds, with segments that start on and beside tile edges, and forms
-sums of special values alone, against numpy's normals and the numpy
-scan.  Where the library does not load, every stream of the process
-draws with numpy's Generator: the same bits either way.
+The block draw is the one place where normals are drawn in C: a run's
+gaussian noise (noise.BlockNoise) calls it with the seeds' states, made
+by states from numpy's own Philox.  The source is compiled with the step
+kernel into the one library of _ckernel (see there), linked against
+numpy's libnpyrandom.a, never at import.  One of the library's two probes
+is here: probe_block draws the probe keys (zero, one and two key words)
+in tiled blocks split over two calls, and passes only if every bit
+matches numpy's normals and the slow paths are taken, but for no more
+than their share of the draws; it checks the sums, formed in the draw's
+pass and alone, with segments on and beside tile edges and over special
+values, against the numpy scan.  Where the library does not load, and
+in every NoiseStream, numpy's Generator draws: the same bits either way.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ import numpy as np
 
 from . import _ckernel
 
-# the state of one stream, as uint64 words: numpy's Philox counter (4),
+# the state of one seed, as uint64 words: numpy's Philox counter (4),
 # key (2), buffer (4) and buffer position, then the slow-path counts
 STATE_WORDS = 13
 WEDGE, TAIL = 11, 12
-# the bytes of the slot in one tile of cnoise_block; the probes and tests
+# the bytes of the slot in one tile of cnoise_block; the probe and tests
 # place segment starts on tile edges through tile_rows
 TILE_BYTES = 1 << 16
 
@@ -132,7 +134,7 @@ static double next_double(void *st)     /* numpy's philox_next_double */
 
 /* n rows of d standard normals times scale, row i at out + i * stride;
    random_standard_normal reads only next_uint64 and next_double */
-void cnoise_fill(philox_t *st, long n, long d, long stride, double scale, double *out)
+static void cnoise_fill(philox_t *st, long n, long d, long stride, double scale, double *out)
 {
     bitgen_t bitgen = {st, next_uint64, 0, next_double, next_uint64};
     for (long i = 0; i < n; i++) {
@@ -160,10 +162,10 @@ void cnoise_fill(philox_t *st, long n, long d, long stride, double scale, double
 
 /* A block of n rows of S seeds' d-vectors, row t at E + t S d, in tiles of
    about TILE_BYTES of rows.  In each tile every seed s in turn draws its
-   rows from its state st[s] (cnoise_fill, times scale), unless st is 0,
-   the sums alone over noise already in E.  Then, unless P is 0, the tile's
-   weighted errors E[t] a[t] and their restarted prefix sums go to P while
-   the tile is in cache.  Segment k starts at row lo[k], lo[0] = 0: row 0
+   rows from its state st[s], times scale, unless st is 0 (the sums alone,
+   over noise already in E).  Then, unless P is 0, the tile's weighted
+   errors E[t] a[t] and their restarted prefix sums go to P while the
+   tile is in cache.  Segment k starts at row lo[k], lo[0] = 0: row 0
    adds the carried sum psum, the first row of a later segment stays as it
    is, and every other row adds the sum of the row before it; these are
    the adds of runner's numpy scan, operand for operand. */
@@ -246,66 +248,21 @@ void cnoise_init(void)
 """
 
 
-class Philox:
-    """One stream's normals: the state of Generator(Philox(key=seed)),
-    drawn by the compiled library's fill function fn.  A block draw makes
-    its state a row of the state array of all the block's sources (states)."""
-
-    def __init__(self, fn, seed: int):
-        bitgen = np.random.Philox(key=seed).state      # numpy's own key check
-        st = np.zeros(STATE_WORDS, dtype=np.uint64)
-        st[0:4] = bitgen["state"]["counter"]
-        st[4:6] = bitgen["state"]["key"]
-        st[6:10] = bitgen["buffer"]
-        st[10] = bitgen["buffer_pos"]
-        self.fn, self.state, self._ptr = fn, st, st.ctypes.data
-
-    def fill(self, out: np.ndarray, scale: float) -> np.ndarray:
-        """Fill out, shape (n, d), with the next n d normals times scale,
-        row by row; rows of unit-stride float64 are written in place."""
-        n, d = out.shape
-        rs, cs = out.strides
-        if n == 0 or d == 0:
-            return out
-        if (out.dtype != np.float64 or (cs != 8 and d > 1) or rs % 8
-                or (rs < 8 * d and n > 1) or not out.flags.writeable):
-            out[...] = self.fill(np.empty((n, d)), scale)
-            return out
-        self.fn(self._ptr, n, d, rs // 8, scale, out.ctypes.data)
-        return out
-
-    def standard_normal(self, out: np.ndarray) -> np.ndarray:
-        """Generator.standard_normal(out=out) for a 2-D out."""
-        return self.fill(out, 1.0)
-
-    @property
-    def slow_paths(self) -> tuple[int, int]:
-        """Draws so far that went to numpy's wedge and tail code."""
-        return int(self.state[WEDGE]), int(self.state[TAIL])
-
-
-def philox(seed: int) -> Philox | None:
-    """The compiled normal source for seed, or None if the library does
-    not load in this process."""
-    lib = _ckernel.load()
-    return None if lib is None else Philox(lib.cnoise_fill, seed)
-
-
 def tile_rows(m: int) -> int:
     """The rows in one tile of cnoise_block for rows of m doubles."""
     return max(TILE_BYTES // (8 * m), 1)
 
 
-def states(srcs: list[Philox]) -> np.ndarray:
-    """The states of the distinct sources srcs as the rows of one
-    (S, STATE_WORDS) array, in order: the array they are rows of already,
-    else a new one, whose rows their states become."""
-    st = srcs[0].state.base
-    if st is None or st.shape != (len(srcs), STATE_WORDS) or any(
-            src._ptr != st.ctypes.data + s * 8 * STATE_WORDS for s, src in enumerate(srcs)):
-        st = np.array([src.state for src in srcs])
-        for src, row in zip(srcs, st):
-            src.state, src._ptr = row, row.ctypes.data
+def states(seeds) -> np.ndarray:
+    """The states of Generator(Philox(key=seed)) for seeds, as the rows of
+    one (S, STATE_WORDS) array, with no slow-path draws yet."""
+    st = np.zeros((len(seeds), STATE_WORDS), dtype=np.uint64)
+    for row, seed in zip(st, seeds):
+        bitgen = np.random.Philox(key=seed).state      # numpy's own key check
+        row[0:4] = bitgen["state"]["counter"]
+        row[4:6] = bitgen["state"]["key"]
+        row[6:10] = bitgen["buffer"]
+        row[10] = bitgen["buffer_pos"]
     return st
 
 
@@ -313,30 +270,28 @@ def _address(arr: np.ndarray | None):
     return None if arr is None else arr.ctypes.data
 
 
-def block(fn, srcs: list[Philox] | None, E: np.ndarray, scale: float, sums=None) -> None:
+def block(fn, st: np.ndarray | None, E: np.ndarray, scale: float, sums=None) -> None:
     """fn, the compiled cnoise_block, over the block E (n, S, d), in tiles:
-    the next n rows of the distinct sources srcs[s] times scale into column
-    s, unless srcs is None; then, with sums = (a, lo, psum, P), the
+    the next n rows of the seed whose state is st[s] times scale into
+    column s, unless st is None; then, with sums = (a, lo, psum, P), the
     restarted prefix sums of the weighted errors a[t] E[t] into P (n, S, d),
     over the segments that start at rows lo, the first continuing from the
     carried sum psum (S, d)."""
     n, S, d = E.shape
-    st = a = lo = psum = P = None
-    if srcs is not None:
-        if len(srcs) != S:
-            raise ValueError(f"a block of {S} seeds needs {S} sources")
-        st = states(srcs) if S else None
-    checks = [(E, E.shape)]
+    a = lo = psum = P = None
+    checks = [(E, np.float64, E.shape)]
+    if st is not None:
+        checks.append((st, np.uint64, (S, STATE_WORDS)))
     if sums is not None:
         a, lo, psum, P = sums
         a = np.ascontiguousarray(a, dtype=np.float64)
         lo = np.ascontiguousarray(lo, dtype=np.dtype("l"))     # C long
-        checks += [(a, (n,)), (psum, (S, d)), (P, E.shape)]
-    for arr, shape in checks:
-        if arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(f"block draw needs a C-contiguous float64 {shape} array")
-    if not E.flags.writeable or (P is not None and not P.flags.writeable):
-        raise ValueError("block draw needs writeable noise and sums")
+        checks += [(a, np.float64, (n,)), (psum, np.float64, (S, d)), (P, np.float64, E.shape)]
+    for arr, dtype, shape in checks:
+        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(f"block draw needs a C-contiguous {np.dtype(dtype)} {shape} array")
+    if any(arr is not None and not arr.flags.writeable for arr in (E, st, P)):
+        raise ValueError("block draw needs writeable noise, states and sums")
     if E.size:
         fn(n, S, d, _address(st), scale, E.ctypes.data, _address(a),
            0 if lo is None else len(lo), _address(lo), _address(psum), _address(P))
@@ -348,69 +303,50 @@ PROBE_KEYS = (0, 20240501, 2**64 + 5, 2**128 - 1)
 SLOW_SHARE = 0.05
 
 
-def probe(fn) -> bool:
-    """Whether fn reproduces Generator(Philox(key)).standard_normal for the
-    probe keys: 2^15 normals in three chunks, the last scaled into strided
-    rows, with both slow paths taken, and no more than SLOW_SHARE of the
-    draws."""
-    n, d, S, scale = 2**15, 4, 3, 0.3
-    slow = np.zeros(2, dtype=np.int64)
-    for key in PROBE_KEYS:
-        want = np.random.Generator(np.random.Philox(key=key)).standard_normal((n // d, d))
-        want[7:] *= scale
-        src = Philox(fn, key)
-        got = np.empty((n // d, S, d))
-        src.fill(got[:1, 1], 1.0)
-        src.fill(got[1:7, 1], 1.0)
-        src.fill(got[7:, 1], scale)
-        if not (got[:, 1].view(np.int64) == want.view(np.int64)).all():
-            return False
-        slow += src.slow_paths
-    return bool((slow > 0).all() and slow.sum() <= SLOW_SHARE * n * len(PROBE_KEYS))
-
-
-def _sums_match(fn, srcs: list[Philox] | None, E: np.ndarray, scale: float,
+def _sums_match(fn, st: np.ndarray | None, E: np.ndarray, scale: float,
                 a: np.ndarray, lo: np.ndarray, carried: dict, carry_out: bool) -> bool:
-    """Whether fn, drawing into E from srcs (unless None), forms sums whose
-    maxima and carry are those of runner's numpy scan over E."""
-    import types
-    from .runner import _WindowAccumulator as Acc
+    """Whether fn, drawing into E from the states st (unless None), forms
+    sums whose maxima and carry are those of runner's numpy scan over E."""
+    from . import runner
     P = np.empty_like(E)
     ln = np.diff(np.append(lo, len(E)))
-    acc = types.SimpleNamespace(**carried)
     with np.errstate(all="ignore"):
-        block(fn, srcs, E, scale, (a, lo, acc.psum, P))
-        want = Acc._segment_error_max(acc, E * a[:, None, None], lo, ln,
-                                      np.repeat(np.arange(len(ln)), ln), carry_out)
-        got = Acc._compiled_error_max(acc, P, lo, carry_out)
+        block(fn, st, E, scale, (a, lo, carried["psum"], P))
+        want = runner._segment_error_max(carried["psum"], carried["smax"], E * a[:, None, None],
+                                         lo, ln, np.repeat(np.arange(len(ln)), ln), carry_out)
+        got = runner._compiled_error_max(carried["smax"], P, lo, carry_out)
     return (_ckernel.same_bits(want[0], got[0])
             and (not carry_out or _ckernel.same_bits(want[1], got[1])))
 
 
 def probe_block(fn) -> bool:
-    """Whether fn, the compiled cnoise_block, reproduces numpy: three seeds
-    drawn in two calls of more than two tiles each, with sums that restart
-    on, just before and just after tile edges, against numpy's normals and
-    runner's numpy scan, then the sums alone over the same noise; and the
-    sums alone over blocks of special values (+-0, subnormals, sums and
-    products that overflow, +-inf and NaN): segments all of length one,
-    one long segment and mixed lengths, a carried sum and maximum, with
-    and without the carry out."""
-    S, d, scale = 3, 2, 0.3
+    """Whether fn, the compiled cnoise_block, reproduces numpy: the probe
+    keys, one seed each, drawn in two calls of more than two tiles each,
+    every seed's rows strided S d apart, against numpy's normals, with
+    both slow paths taken and no more than SLOW_SHARE of the draws on
+    them; sums that restart on, just before and just after tile edges,
+    against runner's numpy scan, then the sums alone over the same noise;
+    and the sums alone over blocks of special values (+-0, subnormals,
+    sums and products that overflow, +-inf and NaN): segments all of
+    length one, one long segment and mixed lengths, a carried sum and
+    maximum, with and without the carry out."""
+    S, d, scale = len(PROBE_KEYS), 4, 0.3
     tile = tile_rows(S * d)
     n = 2 * tile + 5
     want = np.stack([np.random.Generator(np.random.Philox(key=key)).standard_normal((2 * n, d))
-                     for key in PROBE_KEYS[1:]], axis=1) * scale
-    srcs = [Philox(None, key) for key in PROBE_KEYS[1:]]
+                     for key in PROBE_KEYS], axis=1) * scale
+    st = states(PROBE_KEYS)
     a = 0.5 + np.sin(np.arange(n)) ** 2
     lo = np.array([0, 3, tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile, 2 * tile + 1])
     carried = dict(psum=np.cos(np.arange(S * d)).reshape(S, d), smax=np.full(S, 0.5))
     E = np.zeros((2 * n, S, d))
     for half in (E[:n], E[n:]):
-        if not (_sums_match(fn, srcs, half, scale, a, lo, carried, True)
+        if not (_sums_match(fn, st, half, scale, a, lo, carried, True)
                 and _sums_match(fn, None, half, 0.0, a, lo, carried, False)):
             return False
-    if not _ckernel.same_bits(want, E):
+    slow = st[:, [WEDGE, TAIL]].sum(axis=0)
+    if not (_ckernel.same_bits(want, E) and (slow > 0).all()
+            and slow.sum() <= SLOW_SHARE * E.size):
         return False
 
     special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,

@@ -11,14 +11,12 @@ therefore be replayed under different momentum parameters, and replays
 are bitwise identical regardless of how the consumer chunks its reads.
 
 Every seed's values come from Generator(Philox(key=seed)): its normals
-for gaussian and sphere noise, its integers for the axis signs.  Where
-the compiled library loads (_ckernel.load, the normals of _cnoise), a
-stream's normals are drawn in C with the same bits, and gaussian noise is
-written straight into the rows it is taken into, with no draw buffer and
-no copy; the other variants, and every variant where the library does
-not load, draw a buffer of rows at a time and copy from it.  take_block
-fills a block of many streams' rows at once: one compiled call in tiles
-of rows for direct gaussian streams, one take_into per stream otherwise.
+for gaussian and sphere noise, its integers for the axis signs.  A
+NoiseStream draws them with numpy, a buffer of rows at a time, and never
+compiles anything.  A run's noise is a BlockNoise, which fills a block of
+all its seeds' rows at once; for gaussian noise where the compiled
+library loads (_ckernel.load) that is one call into C (_cnoise.block),
+with numpy's bits and the block's error sums formed in the same pass.
 """
 
 from __future__ import annotations
@@ -88,8 +86,8 @@ class NoiseModel:
 
 
 def _draw_block(model: NoiseModel, gen, out: np.ndarray):
-    """Fill out, shape (n, dim), with n consecutive draws, in place; gen is
-    a numpy Generator, or for sphere noise a compiled normal source."""
+    """Fill out, shape (n, dim), with n consecutive draws of the numpy
+    Generator gen, in place."""
     if model.variant == "gaussian":
         gen.standard_normal(out=out)
         np.multiply(out, model.sigma_c, out=out)
@@ -111,10 +109,7 @@ class NoiseStream:
 
     One vector is consumed per optimizer step, so the value at position k
     depends only on (seed, model, dim).  ``take`` may be called with any
-    chunk sizes; the emitted sequence is identical either way.  The stream
-    holds one normal source: the compiled Philox state of _cnoise where
-    the compiled library loads and the model draws normals, numpy's
-    Generator otherwise.
+    chunk sizes; the emitted sequence is identical either way.
     """
 
     _BLOCK = 4096
@@ -124,20 +119,11 @@ class NoiseStream:
         self.model = model
         self.dim = dim
         self.seed = int(seed)
-        self._buf = None        # rows drawn ahead, for every path but the direct one
+        self._buf = np.empty((self._BLOCK, dim))   # rows drawn ahead, refilled in place
         self.reset()
 
     def reset(self):
-        src = None
-        if self.model.variant in ("gaussian", "sphere"):
-            from . import _cnoise       # at the first stream: importing sgdmlab stays light
-            src = _cnoise.philox(self.seed)
-        # gaussian noise from the compiled source goes straight into the rows taken
-        self._direct = src is not None and self.model.variant == "gaussian"
-        self._src = src if src is not None else np.random.Generator(
-            np.random.Philox(key=self.seed))
-        if not self._direct and self._buf is None:
-            self._buf = np.empty((self._BLOCK, self.dim))   # refilled in place
+        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
         self._pos = self._BLOCK
         self.position = 0  # number of vectors emitted so far
 
@@ -147,19 +133,14 @@ class NoiseStream:
 
     def take_into(self, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (shape (n, dim), any strides) with the next n error
-        vectors: drawn in place on the direct path, else copied from the
-        draw buffer."""
+        vectors, copied from the draw buffer."""
         n = len(out)
         if out.shape[1:] != (self.dim,):
             raise DimensionMismatchError(f"out must have shape (n, {self.dim})")
-        if self._direct:
-            self._src.fill(out, self.model.sigma_c)
-            self.position += n
-            return out
         filled = 0
         while filled < n:
             if self._pos == len(self._buf):
-                _draw_block(self.model, self._src, self._buf)
+                _draw_block(self.model, self._gen, self._buf)
                 self._pos = 0
             m = min(n - filled, len(self._buf) - self._pos)
             out[filled:filled + m] = self._buf[self._pos:self._pos + m]
@@ -173,32 +154,46 @@ class NoiseStream:
         return self.take(1)[0]
 
 
-def take_block(streams: list[NoiseStream], E: np.ndarray, sums=None) -> bool:
-    """Fill E, shape (n, S, dim), with the next n error vectors of each of
-    the S distinct streams, stream s in column s.  With sums = (a, lo, psum,
-    P), where the compiled library loads, also form the block's window
-    error sums: in P (n, S, dim) the restarted prefix sums of the weighted
-    errors a[t] E[t] over the segments that start at rows lo, the first
-    continuing from the carried sum psum (S, dim).  Returns whether it
-    formed them; where the library does not load, the caller sums.
+class BlockNoise:
+    """A run's noise: the next rows of S seeds' streams, a block at a time.
 
-    Gaussian streams that draw straight from the compiled normals, all with
-    one sigma, fill the block in one compiled call that forms the sums in
-    the same pass (_cnoise.block); any other streams take their columns one
-    by one, and the sums are formed after."""
-    from . import _ckernel, _cnoise     # here: importing sgdmlab stays light
-    if E.ndim != 3 or E.shape[1] != len(streams) or any(st.dim != E.shape[2] for st in streams):
-        raise DimensionMismatchError(f"E must have shape (n, {len(streams)}, dim)")
-    if (all(st._direct for st in streams) and len({st.model for st in streams}) == 1
-            and len({id(st) for st in streams}) == len(streams)):
-        _cnoise.block(_ckernel.load().cnoise_block, [st._src for st in streams], E,
-                      streams[0].model.sigma_c, sums)
-        for st in streams:
-            st.position += len(E)
-        return sums is not None
-    for s, stream in enumerate(streams):
-        stream.take_into(E[:, s])
-    lib = None if sums is None else _ckernel.load()
-    if lib is not None:
-        _cnoise.block(lib.cnoise_block, None, E, 0.0, sums)
-    return lib is not None
+    Gaussian noise where the compiled library loads is drawn in C from the
+    seeds' Philox states, the rows of one (S, _cnoise.STATE_WORDS) array;
+    any other noise, and all noise where the library does not load, from
+    the seeds' NoiseStreams.  Either way seed s's rows are those of
+    NoiseStream(model, dim, s), bit for bit.
+    """
+
+    def __init__(self, model: NoiseModel, dim: int, seeds):
+        from . import _ckernel, _cnoise     # here: importing sgdmlab stays light
+        model.check_dim(dim)
+        self.model, self.dim, self.lib = model, dim, _ckernel.load()
+        self.n_seeds = len(seeds)
+        self.states = self.streams = None
+        if self.lib is not None and model.variant == "gaussian":
+            self.states = _cnoise.states(seeds)
+        else:
+            self.streams = [NoiseStream(model, dim, seed) for seed in seeds]
+
+    def fill(self, E: np.ndarray, sums=None) -> bool:
+        """Fill E, shape (n, S, dim), with the next n error vectors of each
+        seed, seed s in column s.  With sums = (a, lo, psum, P), where the
+        compiled library loads, also form the block's window error sums: in
+        P (n, S, dim) the restarted prefix sums of the weighted errors
+        a[t] E[t] over the segments that start at rows lo, the first
+        continuing from the carried sum psum (S, dim).  Gaussian noise forms
+        them in the draw's own pass, other noise in a second pass over E.
+        Returns whether it formed them; where the library does not load,
+        the caller sums."""
+        from . import _cnoise
+        if E.ndim != 3 or E.shape[1:] != (self.n_seeds, self.dim):
+            raise DimensionMismatchError(f"E must have shape (n, {self.n_seeds}, {self.dim})")
+        if self.streams is None:
+            _cnoise.block(self.lib.cnoise_block, self.states, E, self.model.sigma_c, sums)
+            return sums is not None
+        for s, stream in enumerate(self.streams):
+            stream.take_into(E[:, s])
+        if sums is None or self.lib is None:
+            return False
+        _cnoise.block(self.lib.cnoise_block, None, E, 0.0, sums)
+        return True

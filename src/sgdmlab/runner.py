@@ -19,17 +19,18 @@ time; it reuses a slot only once the rows child has freed it.  A run
 shares RING_SLOTS (B+1) S d 8 bytes for blocks of B steps, 9.8 MB at
 S = 20 seeds and d = 10.
 
-The momentum steps, the error sums and the normals run in C where the
-one compiled library (_ckernel) loads, in numpy elsewhere, with the same
-bits.  run_batch loads it before the fork; the children inherit it.  A
+The momentum steps, the error sums and gaussian normals run in C where
+the one compiled library (_ckernel) loads, in numpy elsewhere, with the
+same bits.  run_batch loads it before the fork; the children inherit it.  A
 block of steps is one C call where grad_batch declares an exact
 elementwise form (quadratic; even_power with p = 1, or p = 2 at d = 1),
-else _Steps in numpy.  The noise child draws a block of gaussian noise in
-one C call (noise.take_block), in tiles of rows that every seed fills in
-turn, and forms the tile's error sums while it is in cache; other noise
-is taken stream by stream and summed in a second C pass.  Where the
-library does not load, numpy's Generator draws and the position-major
-numpy scan sums.
+else _Steps in numpy.  The noise child fills each block through the run's
+noise.BlockNoise: gaussian noise in one C call, the block draw of
+_cnoise, in tiles of rows that every seed fills in turn, with the tile's
+error sums formed while it is in cache; other noise stream by stream
+from numpy's Generator, summed in a second C pass.  Where the library
+does not load, numpy's Generator draws and the position-major numpy
+scan sums.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import pickle
 import numpy as np
 
 from . import windows as win
-from .noise import NoiseModel, NoiseStream, take_block
+from .noise import BlockNoise, NoiseModel
 from .optimizer import MomentumParams, merit_zeta
 from .problems import Problem
 from .schedules import StepSchedule
@@ -59,6 +60,52 @@ def _norms_sq(A, out=None):
 def _norms(A, out=None):
     """Euclidean norms over the trailing axis."""
     return np.sqrt(_norms_sq(A, out), out=out)
+
+
+def _segment_error_max(psum: np.ndarray, smax: np.ndarray, wrows: np.ndarray,
+                       lo: np.ndarray, ln: np.ndarray, seg_of_row: np.ndarray,
+                       carry_out: bool):
+    """Per segment, the max norm of the restarted prefix sums of its rows
+    of wrows, the first segment continuing from the carried partial sum
+    psum and maximum smax; with the last segment's final partial sum if
+    asked.
+
+    The numpy scan: the fallback of the compiled sums where the
+    library does not load, and their oracle.  Each sum stays
+    sequential within its window, so it is bitwise equal to a per-window
+    cumsum.  The rows are laid out position-major with the segments
+    sorted by length, so the segments still running at position p are a
+    prefix of those at p - 1: one add per position advances all of them,
+    with no padding.
+    """
+    nseg = len(ln)
+    order = np.argsort(-ln, kind="stable")
+    rank = np.empty(nseg, dtype=np.int64)
+    rank[order] = np.arange(nseg)
+    running = np.cumsum(np.bincount(ln)[::-1])[::-1][1:]   # segments longer than p
+    start = np.concatenate([[0], np.cumsum(running)[:-1]])
+    dest = start[np.arange(len(wrows)) - lo[seg_of_row]] + rank[seg_of_row]
+    P = np.empty_like(wrows)
+    P[dest] = wrows
+    P[rank[0]] += psum
+    prev = 0
+    for p0, a in zip(start[1:].tolist(), running[1:].tolist()):
+        np.add(P[prev:prev + a], P[p0:p0 + a], out=P[p0:p0 + a])
+        prev = p0
+    smax_seg = np.maximum.reduceat(_norms(P)[dest], lo, axis=0)
+    smax_seg[0] = np.maximum(smax_seg[0], smax)
+    psum_out = P[start[ln[-1] - 1] + rank[-1]].copy() if carry_out else None
+    return smax_seg, psum_out
+
+
+def _compiled_error_max(smax: np.ndarray, P: np.ndarray, lo: np.ndarray, carry_out: bool):
+    """_segment_error_max from the prefix sums P of the weighted errors,
+    in row order, as the compiled block draw forms them from the carried
+    sum.  Every sum is the same add of the same operands, so the norms and
+    maxima are the same bits."""
+    smax_seg = np.maximum.reduceat(_norms(P), lo, axis=0)
+    smax_seg[0] = np.maximum(smax_seg[0], smax)
+    return smax_seg, P[-1].copy() if carry_out else None
 
 
 class _WindowAccumulator:
@@ -137,49 +184,6 @@ class _WindowAccumulator:
         self.merit_arr[j] = fz + self.zeta * zx**2
         self.gm2_arr[j] = (4.0 * self.zeta**2) * zx**2 + _norms_sq(gblock)
 
-    def _segment_error_max(self, wrows: np.ndarray, lo: np.ndarray, ln: np.ndarray,
-                           seg_of_row: np.ndarray, carry_out: bool):
-        """Per segment, the max norm of the restarted prefix sums of its
-        rows of wrows, the first segment continuing from the carried partial
-        sum; with the last segment's final partial sum if asked.
-
-        The numpy scan: the fallback of the compiled sums where the
-        library does not load, and their oracle.  Each sum stays
-        sequential within its window, so it is bitwise equal to a per-window
-        cumsum.  The rows are laid out position-major with the segments
-        sorted by length, so the segments still running at position p are a
-        prefix of those at p - 1: one add per position advances all of them,
-        with no padding.
-        """
-        nseg = len(ln)
-        order = np.argsort(-ln, kind="stable")
-        rank = np.empty(nseg, dtype=np.int64)
-        rank[order] = np.arange(nseg)
-        running = np.cumsum(np.bincount(ln)[::-1])[::-1][1:]   # segments longer than p
-        start = np.concatenate([[0], np.cumsum(running)[:-1]])
-        dest = start[np.arange(len(wrows)) - lo[seg_of_row]] + rank[seg_of_row]
-        P = np.empty_like(wrows)
-        P[dest] = wrows
-        P[rank[0]] += self.psum
-        prev = 0
-        for p0, a in zip(start[1:].tolist(), running[1:].tolist()):
-            np.add(P[prev:prev + a], P[p0:p0 + a], out=P[p0:p0 + a])
-            prev = p0
-        smax = np.maximum.reduceat(_norms(P)[dest], lo, axis=0)
-        smax[0] = np.maximum(smax[0], self.smax)
-        psum = P[start[ln[-1] - 1] + rank[-1]].copy() if carry_out else None
-        return smax, psum
-
-    def _compiled_error_max(self, P: np.ndarray, lo: np.ndarray, carry_out: bool):
-        """_segment_error_max from the prefix sums P of the weighted errors,
-        in row order, as the compiled block draw forms them.  Every sum is
-        the same add of the same operands, so the norms and maxima are the
-        same bits."""
-        smax = np.maximum.reduceat(_norms(P), lo, axis=0)
-        smax[0] = np.maximum(smax[0], self.smax)
-        psum = P[-1].copy() if carry_out else None
-        return smax, psum
-
     @staticmethod
     def _segment_dev_max(rows: np.ndarray, anchor: np.ndarray, carried: np.ndarray,
                          lo: np.ndarray, ln: np.ndarray, seg_of_row: np.ndarray):
@@ -233,10 +237,11 @@ class _WindowAccumulator:
         weighted errors a_t e^t."""
         ks, lo, hi, ln, seg_of_row, open_tail = plan
         if summed:
-            smax, psum = self._compiled_error_max(P, lo, open_tail)
+            smax, psum = _compiled_error_max(self.smax, P, lo, open_tail)
         else:
             wrows = np.multiply(E, a[:, None, None], P)
-            smax, psum = self._segment_error_max(wrows, lo, ln, seg_of_row, open_tail)
+            smax, psum = _segment_error_max(self.psum, self.smax, wrows, lo, ln, seg_of_row,
+                                            open_tail)
         nc = len(ks) - open_tail                # closed windows
         dst = ks[:nc] - self.detail_lo
         det = slice(np.searchsorted(dst, 0), nc)
@@ -503,15 +508,15 @@ class _BlockConsumer:
     """
 
     def __init__(self, problem: Problem, params: MomentumParams,
-                 streams: list[NoiseStream], schedule: StepSchedule,
+                 block_noise: BlockNoise, schedule: StepSchedule,
                  blocks: list[tuple[int, int]], ring: np.ndarray, X1: np.ndarray,
                  grid: np.ndarray, acc: _WindowAccumulator | None, track_step_norms: bool):
-        self.problem, self.lam, self.streams = problem, params.lam, streams
+        self.problem, self.lam, self.block_noise = problem, params.lam, block_noise
         self.schedule, self.blocks = schedule, blocks
         self.ring = ring
         self.X1, self.grid, self.acc = X1, grid, acc
         # the buffers below are first written in a child
-        G, S = len(grid), len(streams)
+        G, S = len(grid), len(X1)
         self.rec_f = np.empty((G, S))
         self.rec_g = np.empty((G, S))
         self.rec_xz = np.empty((G, S))
@@ -557,10 +562,10 @@ class _BlockConsumer:
         _, E = _slot(self.ring, j, n)
         plan = None if self.acc is None else self.acc.error_plan(b0, n)
         if plan is None:
-            take_block(self.streams, E)
+            self.block_noise.fill(E)
             return
         a, P = self.schedule.at(np.arange(b0, b0 + n)), self.tmp[:n]
-        summed = take_block(self.streams, E, (a, plan[1], self.acc.psum, P))
+        summed = self.block_noise.fill(E, (a, plan[1], self.acc.psum, P))
         self.acc.process_noise(plan, E, a, P, summed)
 
     def _consume(self, j: int):
@@ -724,10 +729,10 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     B = max(rp.block_size, 2)
     blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
     ring = _ring(max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1), S, d)
-    # built here, drawn from in the noise child only: numpy.random then
-    # loads once per process, not once per child
-    streams = [NoiseStream(noise, d, s) for s in seeds]
-    consumer = _BlockConsumer(problem, params, streams, schedule, blocks,
+    # the run's noise: built here, drawn from in the noise child only, so
+    # numpy.random loads once per process, not once per child
+    block_noise = BlockNoise(noise, d, seeds)
+    consumer = _BlockConsumer(problem, params, block_noise, schedule, blocks,
                               ring, X.copy(), record_grid(horizon, rp), acc,
                               rp.track_step_norms)
 

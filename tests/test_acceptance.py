@@ -1,12 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-The run matrix for the window diagnostics is
-  {10-D quadratic (mu=L=1), 1-D quartic ||x||^4}
-  x {plain SGD, heavy ball lam=0.9, Nesterov lam=nu=0.5}
-  x gamma in {0.75, 0.9, 1.0},
-noise budget sigma = 0.1, 20 seeds, one million steps.  Step scales are
-fixed per configuration (chosen once for stability and horizon coverage
-and frozen here).
+The run matrix for the window diagnostics is suites.matrix: 18 configs
+of 20 seeds at one million steps.
 """
 
 import functools
@@ -19,49 +14,37 @@ import pytest
 import sgdmlab as sl
 from sgdmlab.config import parse_config
 from sgdmlab.harness import emit_rate_curves, run_experiment
+from suites import BASE_SEED, HORIZON, SEEDS, config_text, matrix
 
-HORIZON = 1_000_001          # one million steps
-SEEDS = 20
-BASE_SEED = 20240501
-
-# (problem, method, gamma) -> (alpha, beta); frozen after stability tuning
-STEP_TABLE = {
-    "quadratic": {0.75: (0.5, 0.0), 0.9: (0.5, 0.0), 1.0: (2.0, 9.0)},
-    "even_power": {0.75: (0.1, 0.0), 0.9: (0.2, 0.0), 1.0: (2.0, 9.0)},
-}
-STEP_OVERRIDES = {
-    ("even_power", "shb", 0.75): (0.02, 0.0),
-    ("even_power", "shb", 0.9): (0.25, 0.0),
-}
-METHODS = {"sgd": (0.0, 0.0), "shb": (0.9, 0.0), "snag": (0.5, 0.5)}
-PROBLEM_BLOCKS = {
-    "quadratic": ("problem.name = quadratic\nproblem.dim = 10\n"
-                  "problem.mu = 1.0\nproblem.l = 1.0\n"),
-    "even_power": "problem.name = even_power\nproblem.dim = 1\nproblem.p = 2.0\n",
+# suites.matrix key -> config_hash, recorded before the table moved to suites
+MATRIX_HASHES = {
+    ("quadratic", "sgd", 0.75): "3e3b7509707e3541",
+    ("quadratic", "sgd", 0.9): "f20695637eba62d4",
+    ("quadratic", "sgd", 1.0): "7e91dd5cf57baeea",
+    ("quadratic", "shb", 0.75): "ab22238ace0db561",
+    ("quadratic", "shb", 0.9): "77d14ab1646392ce",
+    ("quadratic", "shb", 1.0): "1740676aaa54fa62",
+    ("quadratic", "snag", 0.75): "571b1ba9a7bad659",
+    ("quadratic", "snag", 0.9): "394f7083ba67ff71",
+    ("quadratic", "snag", 1.0): "1187f548efae9516",
+    ("even_power", "sgd", 0.75): "ba91936806c31a0c",
+    ("even_power", "sgd", 0.9): "05737c8d84687d50",
+    ("even_power", "sgd", 1.0): "77e0c85caf75f04c",
+    ("even_power", "shb", 0.75): "52f618f18518b4bb",
+    ("even_power", "shb", 0.9): "581ed2e1b8f92454",
+    ("even_power", "shb", 1.0): "9577ee237f3193ff",
+    ("even_power", "snag", 0.75): "febc5ad025d9eb32",
+    ("even_power", "snag", 0.9): "f475f0f78e1d04d2",
+    ("even_power", "snag", 1.0): "13a2666ea6b0a985",
 }
 
 
 def _matrix_config(pname, method, gamma, extra=""):
-    lam, nu = METHODS[method]
-    alpha, beta = STEP_OVERRIDES.get((pname, method, gamma),
-                                     STEP_TABLE[pname][gamma])
-    return parse_config(f"""{PROBLEM_BLOCKS[pname]}
-opt.lambda = {lam}
-opt.nu = {nu}
-schedule.alpha = {alpha}
-schedule.beta = {beta}
-schedule.gamma = {gamma}
-noise.variant = gaussian
-noise.sigma = 0.1
-run.horizon = {HORIZON}
-run.seeds = {SEEDS}
-run.base_seed = {BASE_SEED}
-{extra}""")
+    return parse_config(config_text((pname, method, gamma), extra=extra))
 
 
-def _matrix_keys():
-    return list(itertools.product(("quadratic", "even_power"),
-                                  ("sgd", "shb", "snag"), (0.75, 0.9, 1.0)))
+def test_matrix_configs_are_frozen():
+    assert {key: _matrix_config(*key).config_hash for key in matrix} == MATRIX_HASHES
 
 
 @functools.lru_cache(maxsize=1)
@@ -69,7 +52,7 @@ def _matrix_results():
     """Shared full-scale run of the 18-configuration diagnostics matrix."""
     t0 = time.time()
     results = {}
-    for key in _matrix_keys():
+    for key in matrix:
         summary, _ = run_experiment(_matrix_config(*key))
         results[key] = summary.data
     return results, time.time() - t0
@@ -185,7 +168,7 @@ def test_criterion_04_window_lengths_across_matrix():
     t0 = time.time()
     worst = 0
     missing_guarantee = 0
-    for key in _matrix_keys():
+    for key in matrix:
         cfg = _matrix_config(*key)
         T = sl.default_window(cfg.problem, cfg.params)
         part = sl.build_partition(cfg.schedule, T, HORIZON)

@@ -10,8 +10,8 @@ are not compared, because a diverged seed's rows are overwritten by the
 freeze before anything reads them.
 
 The compiled error sums (the block draw of _cnoise called without states)
-have their own oracle, the numpy scan
-runner._WindowAccumulator._segment_error_max: the same maxima and carried
+have their own oracle, the numpy scan runner._segment_error_max: the
+same maxima and carried
 sum for any segment layout, step sizes, carry and special values.  The
 library loads in the caller of run_batch, once, and never in a forked
 child, and it loads only if its probes pass.
@@ -20,7 +20,6 @@ child, and it loads only if its probes pass.
 import ctypes
 import dataclasses
 import os
-import types
 
 import numpy as np
 import pytest
@@ -28,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
-                     build_partition, default_window, make_problem, run_batch, _ckernel,
-                     _cnoise)
-from sgdmlab.runner import _Steps, _WindowAccumulator
+                     build_partition, default_window, make_problem, run_batch, runner,
+                     _ckernel, _cnoise)
+from sgdmlab.runner import _Steps
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -3.3e-157, 1e154, -1e200,
            1.7e308, np.inf, -np.inf, np.nan]    # 1e-160 squared is subnormal
@@ -174,23 +173,21 @@ def scans(draw):
     lo = np.concatenate([[0], np.cumsum(ln)[:-1]])
     a = draw(st.sampled_from(["ones", "steps", "values"]))
     a = {"ones": np.ones, "steps": lambda n: rng.random(n) * 0.5, "values": values}[a](n)
-    carried = dict(psum=values((S, d)) if draw(st.booleans()) else np.zeros((S, d)),
-                   smax=np.abs(values(S)) if draw(st.booleans()) else np.zeros(S))
-    return values((n, S, d)), a, lo, ln, carried, draw(st.booleans())
+    psum = values((S, d)) if draw(st.booleans()) else np.zeros((S, d))
+    smax = np.abs(values(S)) if draw(st.booleans()) else np.zeros(S)
+    return values((n, S, d)), a, lo, ln, psum, smax, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(scans())
 def test_compiled_error_scan_matches_numpy_bit_for_bit(library, scan):
-    E, a, lo, ln, carried, carry_out = scan
-    acc = types.SimpleNamespace(**carried)
+    E, a, lo, ln, psum, smax, carry_out = scan
     P, noise = np.full_like(E, 7.0), E.copy()
     with np.errstate(all="ignore"):
-        _cnoise.block(library.cnoise_block, None, noise, 0.0, (a, lo, acc.psum, P))
-        want = _WindowAccumulator._segment_error_max(acc, E * a[:, None, None], lo, ln,
-                                                     np.repeat(np.arange(len(ln)), ln),
-                                                     carry_out)
-        got = _WindowAccumulator._compiled_error_max(acc, P, lo, carry_out)
+        _cnoise.block(library.cnoise_block, None, noise, 0.0, (a, lo, psum, P))
+        want = runner._segment_error_max(psum, smax, E * a[:, None, None], lo, ln,
+                                         np.repeat(np.arange(len(ln)), ln), carry_out)
+        got = runner._compiled_error_max(smax, P, lo, carry_out)
     assert noise.tobytes() == E.tobytes()       # the sums alone leave the noise as it is
     _bits_equal(want[0], got[0])
     if carry_out:
@@ -215,7 +212,8 @@ def test_scan_probe_passes_and_rejects_a_wrong_scan(library):
 
 def test_build_raises_when_the_ziggurat_tables_are_not_read(library, monkeypatch):
     # with zero tables every draw takes numpy's slow path: the same bits,
-    # but the fast path never runs, and the probe's slow-path share shows it
+    # but the fast path never runs, and the block probe's slow-path share
+    # shows it
     compile_library = _ckernel.compile_library
 
     def without_tables(source):
@@ -224,7 +222,21 @@ def test_build_raises_when_the_ziggurat_tables_are_not_read(library, monkeypatch
         return lib
 
     monkeypatch.setattr(_ckernel, "compile_library", without_tables)
-    with pytest.raises(RuntimeError, match="normals"):
+    with pytest.raises(RuntimeError, match="block draw"):
+        _ckernel.build()
+
+
+@pytest.mark.parametrize("mutation", [
+    ("(r & 0x100) << 55", "(r & 0x100) << 54"),      # the fast path's sign bit shifted
+    ("s = 0; st && s < S", "s = t0 > 0; st && s < S"),  # a tile after the first skips seed 0
+    ("lo[k] == t", "lo[k] == -1"),                    # the sums never restart
+])
+def test_build_raises_on_a_wrong_block_draw(library, monkeypatch, mutation):
+    compile_library = _ckernel.compile_library
+    assert _cnoise.SOURCE.count(mutation[0]) == 1
+    monkeypatch.setattr(_ckernel, "compile_library",
+                        lambda source: compile_library(source.replace(*mutation)))
+    with pytest.raises(RuntimeError, match="block draw"):
         _ckernel.build()
 
 
@@ -240,7 +252,7 @@ def test_run_batch_forms_the_error_sums_in_c(library, monkeypatch):
     def numpy_scan(*args):
         raise AssertionError("the numpy error scan ran although the library loads")
 
-    monkeypatch.setattr(_WindowAccumulator, "_segment_error_max", numpy_scan)
+    monkeypatch.setattr(runner, "_segment_error_max", numpy_scan)
     _partitioned_run("rosenbrock", NoiseModel.axis_rademacher(0))
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -98,3 +102,22 @@ def test_conditional_moments_match_declared(model, dim):
     second = np.einsum("nd,nd->n", draws, draws).mean()
     assert second == pytest.approx(model.sigma_sq(dim), rel=2e-2)
     assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
+
+
+def test_streams_compile_nothing():
+    # in a fresh process: importing sgdmlab and drawing from any stream
+    # leaves the compiled library unbuilt and its modules unimported
+    code = """
+import sys
+import numpy as np
+import sgdmlab
+for model in (sgdmlab.NoiseModel.gaussian(0.5), sgdmlab.NoiseModel.sphere(2.0),
+              sgdmlab.NoiseModel.axis_rademacher(1)):
+    stream = sgdmlab.NoiseStream(model, 3, 7)
+    stream.take(5000)
+    stream.take_into(np.empty((10, 2, 3))[:, 1])
+loaded = sorted({"sgdmlab._ckernel", "sgdmlab._cnoise"} & set(sys.modules))
+assert not loaded, loaded
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -5,13 +5,11 @@ same digests, and a run must store the same noise bytes as with the
 library, for both variants that draw normals.
 """
 
-import numpy as np
 import pytest
 
-from sgdmlab import (MomentumParams, NoiseModel, NoiseStream, RecordingPolicy,
-                     StepSchedule, build_partition, default_window, make_problem,
-                     run_batch, _ckernel, _cnoise)
-from sgdmlab.runner import _WindowAccumulator
+from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
+                     build_partition, default_window, make_problem, run_batch, runner,
+                     _ckernel, _cnoise)
 from test_golden_outputs import *       # noqa: F401,F403  (collected again here)
 from test_runner_pipeline import *      # noqa: F401,F403
 
@@ -33,7 +31,6 @@ def compiled_runs():
     function fixture below turns it off."""
     if _ckernel.load() is None:
         pytest.skip("the compiled library does not load here (no C compiler?)")
-    assert isinstance(NoiseStream(VARIANTS["sphere"], 3, 1)._src, _cnoise.Philox)
     return {name: _run(noise) for name, noise in VARIANTS.items()}
 
 
@@ -46,9 +43,9 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch):
     def compiled(*args):
         raise AssertionError("compiled code ran with the library stubbed off")
 
-    monkeypatch.setattr(_WindowAccumulator, "_compiled_error_max", compiled)
+    monkeypatch.setattr(runner, "_compiled_error_max", compiled)
     monkeypatch.setattr(_ckernel, "Steps", compiled)        # quadratic declares a form
-    monkeypatch.setattr(_cnoise, "Philox", compiled)        # gaussian noise draws normals
+    monkeypatch.setattr(_cnoise, "states", compiled)        # gaussian noise draws normals
     monkeypatch.setattr(_cnoise, "block", compiled)         # and sums in the same call
     problem, params = make_problem("quadratic", 3, mu=1.0, l=2.0), MomentumParams(0.5)
     schedule = StepSchedule.constant(1e-3)
@@ -60,8 +57,6 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch):
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_stored_noise_and_rows_match_the_compiled_noise(compiled_runs, variant):
-    noise = VARIANTS[variant]
-    assert isinstance(NoiseStream(noise, 3, 1)._src, np.random.Generator)
-    numpy_run, compiled_run = _run(noise), compiled_runs[variant]
+    numpy_run, compiled_run = _run(VARIANTS[variant]), compiled_runs[variant]
     for name in ("E_hist", "X_hist", "x_final", "f", "grad_norm"):
         assert getattr(numpy_run, name).tobytes() == getattr(compiled_run, name).tobytes(), name

@@ -7,8 +7,7 @@ benchmark horizons, the first heavy-ball config that reaches K_T
 (quadratic, lambda = 0.9, gamma = 1.0 at 1.2e7 steps: 636,044 windows,
 mostly multi-step) and the acceptance matrix's quadratic SGD gamma = 0.9
 config at 1e7 steps (957 windows, the last ones near a million steps).
-The step table is a copy of the acceptance matrix's, kept here so that
-this test does not move with the benchmark.
+The configs are those of the acceptance matrix (suites.config_text).
 
 The memory test builds both long partitions under tracemalloc: the scan
 holds O(windows + chunk) memory, about 17 bytes per window, where a
@@ -23,21 +22,7 @@ import tracemalloc
 import pytest
 
 from sgdmlab import build_partition, parse_config
-
-STEP_TABLE = {
-    "quadratic": {0.75: (0.5, 0.0), 0.9: (0.5, 0.0), 1.0: (2.0, 9.0)},
-    "even_power": {0.75: (0.1, 0.0), 0.9: (0.2, 0.0), 1.0: (2.0, 9.0)},
-}
-STEP_OVERRIDES = {
-    ("even_power", "shb", 0.75): (0.02, 0.0),
-    ("even_power", "shb", 0.9): (0.25, 0.0),
-}
-METHODS = {"sgd": (0.0, 0.0), "shb": (0.9, 0.0)}
-PROBLEM_BLOCKS = {
-    "quadratic": ("problem.name = quadratic\nproblem.dim = 10\n"
-                  "problem.mu = 1.0\nproblem.l = 1.0\n"),
-    "even_power": "problem.name = even_power\nproblem.dim = 1\nproblem.p = 2.0\n",
-}
+from suites import config_text
 
 LONG_HB = (("quadratic", "shb", 1.0), 12_000_001)
 LONG_SGD = (("quadratic", "sgd", 0.9), 10_000_001)
@@ -72,13 +57,7 @@ DIGESTS = {
 
 
 def _partition(key, horizon):
-    pname, method, gamma = key
-    lam, nu = METHODS[method]
-    alpha, beta = STEP_OVERRIDES.get(key, STEP_TABLE[pname][gamma])
-    cfg = parse_config(f"{PROBLEM_BLOCKS[pname]}"
-                       f"opt.lambda = {lam}\nopt.nu = {nu}\n"
-                       f"schedule.alpha = {alpha}\nschedule.beta = {beta}\n"
-                       f"schedule.gamma = {gamma}\nrun.horizon = {horizon}\n")
+    cfg = parse_config(config_text(key, horizon))
     return build_partition(cfg.schedule, cfg.window_T, cfg.horizon)
 
 

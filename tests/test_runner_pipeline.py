@@ -26,6 +26,7 @@ import pytest
 from sgdmlab import (MomentumParams, NoiseModel, NoiseStream, RecordingPolicy,
                      StepSchedule, build_partition, default_window, make_problem,
                      run_batch, runner)
+from sgdmlab.noise import BlockNoise
 from sgdmlab.runner import RING_SLOTS, PipelineError
 
 QUAD = make_problem("quadratic", 2, mu=1.0, l=1.0)
@@ -250,15 +251,15 @@ def test_slow_rows_child_gets_every_block_before_its_slot_is_reused(monkeypatch)
 
 def test_noise_child_exception_keeps_its_type(monkeypatch):
     parent, calls = os.getpid(), []
-    take_block = runner.take_block
+    fill = BlockNoise.fill
 
-    def failing_take_block(streams, E, sums=None):  # each block's draw, in the noise child
+    def failing_fill(self, E, sums=None):       # each block's draw, in the noise child
         calls.append(1)
         if os.getpid() != parent and len(calls) == 5:
             raise KeyError("noise draw failed")
-        return take_block(streams, E, sums)
+        return fill(self, E, sums)
 
-    monkeypatch.setattr(runner, "take_block", failing_take_block)
+    monkeypatch.setattr(BlockNoise, "fill", failing_fill)
     rp = RecordingPolicy(block_size=8)
     with pytest.raises(KeyError, match="noise draw failed") as info:
         run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 200, recording=rp)
@@ -268,14 +269,14 @@ def test_noise_child_exception_keeps_its_type(monkeypatch):
 
 def test_dead_noise_child_raises_promptly(monkeypatch):
     parent = os.getpid()
-    take_block = runner.take_block
+    fill = BlockNoise.fill
 
-    def dying_take_block(streams, E, sums=None):
+    def dying_fill(self, E, sums=None):
         if os.getpid() != parent:
             os._exit(3)
-        return take_block(streams, E, sums)
+        return fill(self, E, sums)
 
-    monkeypatch.setattr(runner, "take_block", dying_take_block)
+    monkeypatch.setattr(BlockNoise, "fill", dying_fill)
     t0 = time.perf_counter()
     with pytest.raises(PipelineError, match="noise child"):
         run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000)

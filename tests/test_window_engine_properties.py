@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
                      applicability_index, build_partition, cauchy_profile,
-                     default_window, make_problem, run_batch)
+                     default_window, make_problem, run_batch, runner)
 from sgdmlab.runner import _WindowAccumulator
 from sgdmlab.windows import DELTA_APPLICABILITY
 
@@ -112,7 +112,7 @@ def test_streaming_engine_matches_history_oracles(lam, nu, schedule, diverge, bl
         assert np.array_equal(w.merit_grad_sq, gm2[anchors])
 
 
-def test_error_scan_skips_blocks_before_the_detail_range():
+def test_error_scan_skips_blocks_before_the_detail_range(monkeypatch):
     # SGD on a cliff schedule: K_T lies a few blocks in, so the first
     # blocks hold only windows whose s is never stored
     params = MomentumParams(0.0)
@@ -129,9 +129,9 @@ def test_error_scan_skips_blocks_before_the_detail_range():
     Z = oracles.z_rows(X, params.lam)
 
     acc = _WindowAccumulator(part, K_T, PROBLEM, params, 1, K_T, False, HORIZON)
-    scans = []
-    scan = acc._segment_error_max
-    acc._segment_error_max = lambda *args: scans.append(1) or scan(*args)
+    scans, scan = [], runner._segment_error_max
+    monkeypatch.setattr(runner, "_segment_error_max",
+                        lambda *args: scans.append(1) or scan(*args))
     acc.start(X[0])
     B, wbuf = 16, np.empty((16, 1, PROBLEM.dim))
     skipped = 0
