@@ -37,7 +37,7 @@ The block draw is the one place where normals are drawn in C: a run's
 gaussian noise (noise.BlockNoise) calls it with the seeds' states, made
 by states from numpy's own Philox.  The source is compiled with the step
 kernel into the one library of _ckernel (see there), linked against
-numpy's libnpyrandom.a, never at import.  One of the library's two probes
+numpy's libnpyrandom.a, never at import.  One of the library's three probes
 is here: probe_block draws the probe keys (zero, one and two key words)
 in tiled blocks split over two calls, and passes only if every bit
 matches numpy's normals and the slow paths are taken, but for no more
@@ -266,10 +266,6 @@ def states(seeds) -> np.ndarray:
     return st
 
 
-def _address(arr: np.ndarray | None):
-    return None if arr is None else arr.ctypes.data
-
-
 def block(fn, st: np.ndarray | None, E: np.ndarray, scale: float, sums=None) -> None:
     """fn, the compiled cnoise_block, over the block E (n, S, d), in tiles:
     the next n rows of the seed whose state is st[s] times scale into
@@ -293,8 +289,9 @@ def block(fn, st: np.ndarray | None, E: np.ndarray, scale: float, sums=None) -> 
     if any(arr is not None and not arr.flags.writeable for arr in (E, st, P)):
         raise ValueError("block draw needs writeable noise, states and sums")
     if E.size:
-        fn(n, S, d, _address(st), scale, E.ctypes.data, _address(a),
-           0 if lo is None else len(lo), _address(lo), _address(psum), _address(P))
+        address = _ckernel._address
+        fn(n, S, d, address(st), scale, E.ctypes.data, address(a),
+           0 if lo is None else len(lo), address(lo), address(psum), address(P))
 
 
 PROBE_KEYS = (0, 20240501, 2**64 + 5, 2**128 - 1)

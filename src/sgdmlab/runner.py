@@ -19,12 +19,19 @@ time; it reuses a slot only once the rows child has freed it.  A run
 shares RING_SLOTS (B+1) S d 8 bytes for blocks of B steps, 9.8 MB at
 S = 20 seeds and d = 10.
 
-The momentum steps, the error sums and gaussian normals run in C where
-the one compiled library (_ckernel) loads, in numpy elsewhere, with the
-same bits.  run_batch loads it before the fork; the children inherit it.  A
-block of steps is one C call where grad_batch declares an exact
-elementwise form (quadratic; even_power with p = 1, or p = 2 at d = 1),
-else _Steps in numpy.  The noise child fills each block through the run's
+The momentum steps, the window spreads, the error sums and gaussian
+normals run in C where the one compiled library (_ckernel) loads, in numpy
+elsewhere, with the same bits.  run_batch loads it before the fork; the
+children inherit it.  A block of steps is one C call where grad_batch
+declares an exact elementwise form (quadratic; even_power with p = 1, or
+p = 2 at d = 1), else _Steps in numpy; either writes the new rows' norms,
+which the divergence scan reads.  The rows child's window spreads of a
+block (interpolation rows, distances to the window anchors, per-window
+maxima) are one C call for every problem (_ckernel.Spreads), else
+_Spreads in numpy.  On a 5e5-step heavy-ball quadratic run (d = 10, 20
+seeds, 2 vCPUs) that took the rows child from 1.4-1.7 s to 0.54-0.59 s of
+CPU; the noise child (1.5-1.7 s) now sets the pace, beside a parent at
+0.53-0.58 s.  The noise child fills each block through the run's
 noise.BlockNoise: gaussian noise in one C call, the block draw of
 _cnoise, in tiles of rows that every seed fills in turn, with the tile's
 error sums formed while it is in cache; other noise stream by stream
@@ -108,6 +115,58 @@ def _compiled_error_max(smax: np.ndarray, P: np.ndarray, lo: np.ndarray, carry_o
     return smax_seg, P[-1].copy() if carry_out else None
 
 
+def _segment_dev_max(rows: np.ndarray, anchor: np.ndarray, carried: np.ndarray,
+                     lo: np.ndarray, ln: np.ndarray, seg_of_row: np.ndarray):
+    """Per-row deviations ||row - anchor of its window|| for rows 1..n and
+    their per-segment maxima; the first segment continues from the
+    carried anchor and maximum."""
+    dev = np.take(rows, lo[seg_of_row], axis=0)
+    dev[:ln[0]] = anchor
+    np.subtract(rows[1:], dev, out=dev)
+    dev = _norms(dev)
+    dmax = np.maximum.reduceat(dev, lo, axis=0)
+    dmax[0] = np.maximum(dmax[0], carried)
+    return dev, dmax
+
+
+def _interpolate(x: np.ndarray, xprev: np.ndarray, lam: float, out=None) -> np.ndarray:
+    """The interpolations z = x/(1-lam) - lam xprev/(1-lam) of the iterates x
+    from their predecessors xprev, as the compiled window spreads form them:
+    x c1 - xprev (lam c1) with c1 = 1/(1-lam)."""
+    c1 = 1.0 / (1.0 - lam)
+    z = np.multiply(x, c1, out=out)
+    return np.subtract(z, xprev * (lam * c1), out=z)
+
+
+class _Spreads:
+    """The numpy window spreads of a block: the fallback of the compiled
+    pass (_ckernel.Spreads) where the library does not load, and its oracle.
+
+    run(rows, lo, ax, xc, az, zc, last) takes the block's iterates
+    x^{b0}..x^{b0+n} (rows 0..n) cut into segments, segment k the rows
+    lo[k] + 1 .. lo[k + 1] (the last through n), each anchored at its row
+    lo[k].  It returns, per segment and seed, the largest distance of an
+    iterate to its anchor (xmax), the same for the interpolations z^t
+    (zmax; xmax itself at lam = 0), and the distance at each segment's last
+    row if last, else None.  The first segment's anchors ax, az and maxima
+    xc, zc are carried from the block before, so z^{b0} is never read.
+    """
+
+    def __init__(self, lam: float):
+        self.lam = lam
+
+    def run(self, rows, lo, ax, xc, az, zc, last: bool):
+        ln = np.diff(lo, append=len(rows) - 1)
+        seg_of_row = np.repeat(np.arange(len(lo)), ln)
+        xdev, xmax = _segment_dev_max(rows, ax, xc, lo, ln, seg_of_row)
+        zmax = xmax
+        if self.lam != 0.0:
+            Z = np.empty_like(rows)
+            _interpolate(rows[1:], rows[:-1], self.lam, out=Z[1:])
+            _, zmax = _segment_dev_max(Z, az, zc, lo, ln, seg_of_row)
+        return xmax, zmax, xdev[lo + ln - 1] if last else None
+
+
 class _WindowAccumulator:
     """Streaming per-window statistics over a run batch.
 
@@ -121,13 +180,15 @@ class _WindowAccumulator:
     def __init__(self, partition: win.WindowPartition, K_T: int | None,
                  problem: Problem, params: MomentumParams, n_seeds: int,
                  detail_lo: int, profile: bool, horizon: int,
-                 keep_boundaries: bool = False):
+                 keep_boundaries: bool = False, spreads=None):
         self.part = partition
         self.K_T = K_T
         self.gammas = partition.gammas
         self.W = partition.n_windows
         self.problem = problem
         self.lam = params.lam
+        # the window spreads of a block: _Spreads, or its compiled counterpart
+        self.spreads = _Spreads(params.lam) if spreads is None else spreads
         self.zeta = merit_zeta(problem, params)
         self.detail_lo = detail_lo
         S, d = n_seeds, problem.dim
@@ -162,18 +223,27 @@ class _WindowAccumulator:
         if self.boundary_x is not None:
             self.boundary_x[0] = X1
             self.boundary_xp[0] = X1   # x^0 = x^1
-        self._anchor_eval(np.array([1]), X1[None], X1[None], np.array([0]))
+        if self.detail_lo == 1 and len(self.zx_arr):
+            self._ledger(np.array([0]), X1[None], X1[None])
 
-    def _anchor_eval(self, bidx: np.ndarray, xrows: np.ndarray, zrows: np.ndarray,
-                     rows: np.ndarray):
+    def _z(self, xrows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The interpolations z at rows (>= 1) of xrows."""
+        if self.lam == 0.0:
+            return xrows[rows]
+        return _interpolate(xrows[rows], xrows[rows - 1], self.lam)
+
+    def _anchor_eval(self, bidx: np.ndarray, xrows: np.ndarray, rows: np.ndarray):
         """Merit ledger at anchors ``bidx`` (ascending), which are the
-        iterates ``xrows[rows]`` and interpolations ``zrows[rows]``."""
+        iterates ``xrows[rows]`` (rows >= 1)."""
         j = bidx - self.detail_lo
         keep = slice(np.searchsorted(j, 0), np.searchsorted(j, len(self.zx_arr)))
-        j, rows = j[keep], rows[keep]
-        if not len(j):
-            return
-        ax, az = xrows[rows], zrows[rows]
+        if keep.start < keep.stop:
+            rows = rows[keep]
+            self._ledger(j[keep], xrows[rows], self._z(xrows, rows))
+
+    def _ledger(self, j: np.ndarray, ax: np.ndarray, az: np.ndarray):
+        """Merit ledger at the anchors j - detail_lo, the iterates ax and
+        interpolations az."""
         diff = az - ax
         zx = _norms(diff)
         gzv = self.problem.grad_batch(az)
@@ -183,20 +253,6 @@ class _WindowAccumulator:
         self.gz_arr[j] = _norms(gzv)
         self.merit_arr[j] = fz + self.zeta * zx**2
         self.gm2_arr[j] = (4.0 * self.zeta**2) * zx**2 + _norms_sq(gblock)
-
-    @staticmethod
-    def _segment_dev_max(rows: np.ndarray, anchor: np.ndarray, carried: np.ndarray,
-                         lo: np.ndarray, ln: np.ndarray, seg_of_row: np.ndarray):
-        """Per-row deviations ||row - anchor of its window|| for rows 1..n and
-        their per-segment maxima; the first segment continues from the
-        carried anchor and maximum."""
-        dev = np.take(rows, lo[seg_of_row], axis=0)
-        dev[:ln[0]] = anchor
-        np.subtract(rows[1:], dev, out=dev)
-        dev = _norms(dev)
-        dmax = np.maximum.reduceat(dev, lo, axis=0)
-        dmax[0] = np.maximum(dmax[0], carried)
-        return dev, dmax
 
     def _segments(self, w0: int, b0: int, n: int):
         """The windows w0.. that a block's rows 1..n (x^{b0+1}..x^{b0+n}, or
@@ -252,21 +308,17 @@ class _WindowAccumulator:
             self.psum = np.zeros_like(self.psum)
             self.smax = np.zeros_like(self.smax)
 
-    def process_block(self, b0: int, xrows: np.ndarray, zrows: np.ndarray, n: int):
-        """Advance the iterate statistics over x^{b0}..x^{b0+n} (rows 0..n)
-        and interpolations zrows."""
+    def process_block(self, b0: int, xrows: np.ndarray, n: int):
+        """Advance the iterate statistics over x^{b0}..x^{b0+n} (rows 0..n)."""
         w0 = self.w
         if w0 > self.W:
             return
         G = self.gammas
-        ks, lo, hi, ln, seg_of_row, open_tail = self._segments(w0, b0, n)
-        xdev, xmax = self._segment_dev_max(xrows[:n + 1], self.anchor_x, self.xmax,
-                                           lo, ln, seg_of_row)
-        if self.lam == 0.0:
-            zmax = xmax
-        else:
-            _, zmax = self._segment_dev_max(zrows[:n + 1], self.anchor_z, self.zmax,
-                                            lo, ln, seg_of_row)
+        ks, lo, hi, _, _, open_tail = self._segments(w0, b0, n)
+        xrows = xrows[:n + 1]
+        xmax, zmax, xlast = self.spreads.run(xrows, lo, self.anchor_x, self.xmax,
+                                             self.anchor_z, self.zmax,
+                                             self.boundary_step is not None)
 
         nc = len(ks) - open_tail                # closed windows
         if nc:
@@ -276,14 +328,14 @@ class _WindowAccumulator:
             self.xdev_arr[dst[det]] = xmax[det]
             self.zdev_arr[dst[det]] = zmax[det]
             if self.boundary_step is not None:
-                self.boundary_step[kk - 1] = xdev[rc - 1]
+                self.boundary_step[kk - 1] = xlast[:nc]
             if self.boundary_x is not None:
                 self.boundary_x[kk] = xrows[rc]
                 self.boundary_xp[kk] = xrows[rc - 1]
             self._decade_sums(decade_of(G[kk - 1]), np.maximum(xmax[:nc], zmax[:nc]))
-            self._anchor_eval(kk + 1, xrows, zrows, rc)
+            self._anchor_eval(kk + 1, xrows, rc)
             self.anchor_x = xrows[rc[-1]].copy()
-            self.anchor_z = zrows[rc[-1]].copy()
+            self.anchor_z = self._z(xrows, rc[-1:])[0]
             self.w = w0 + nc
         if open_tail:
             self.xmax, self.zmax = xmax[-1], zmax[-1]
@@ -502,9 +554,9 @@ class _BlockConsumer:
     block's ring slot, ahead of the step loop but never into a slot the rows
     child still reads, and forms the block's error sums at once, before the
     parent overwrites those rows.  Its result is the error sums.  In the rows
-    child it consumes the finished rows block by block, in order:
-    interpolation rows, step norms, iterate window statistics and the scalar
-    record grid.  Its result is everything else the run recorded.
+    child it consumes the finished rows block by block, in order: step
+    norms, iterate window statistics and the scalar record grid.  Its result
+    is everything else the run recorded.
     """
 
     def __init__(self, problem: Problem, params: MomentumParams,
@@ -524,8 +576,6 @@ class _BlockConsumer:
         self.sn_ok = np.zeros(S, dtype=np.int64) if track_step_norms else None
         self.sn_total = np.zeros(S) if track_step_norms else None
         self.gp = 0                     # next record-grid point
-        self.prev_row = None            # last-but-one row of the previous block
-        self.zbuf = np.empty_like(ring[0])
         self.tmp = np.empty_like(ring[0])
 
     def noise(self, rx, tx):
@@ -571,22 +621,6 @@ class _BlockConsumer:
     def _consume(self, j: int):
         b0, n = self.blocks[j]
         rows, _ = _slot(self.ring, j, n)
-        lam = self.lam
-        # interpolation rows, for the window accumulator only: z^t =
-        # x^t/(1-lam) - lam x^{t-1}/(1-lam); block temporaries live in
-        # buffers kept across blocks, not fresh pages
-        zrows = rows
-        if lam != 0.0 and self.acc is not None:
-            c1 = 1.0 / (1.0 - lam)
-            zrows, lagged = self.zbuf[:n + 1], self.tmp[:n + 1]
-            np.multiply(rows, c1, out=zrows)
-            np.multiply(rows[:-1], lam * c1, out=lagged[1:])
-            np.multiply(rows[0] if b0 == 1 else self.prev_row, lam * c1, out=lagged[0])
-            np.subtract(zrows, lagged, out=zrows)
-            if b0 == 1:
-                zrows[0] = rows[0]      # the run starts from a standstill
-            self.prev_row = rows[n - 1].copy()
-
         if self.sn_ok is not None:
             a = self.schedule.at(np.arange(b0, b0 + n))[:, None]
             dn = _norms(np.diff(rows, axis=0))
@@ -594,12 +628,12 @@ class _BlockConsumer:
             self.sn_total += dn.sum(axis=0)
 
         if self.acc is not None:
-            self.acc.process_block(b0, rows, zrows, n)
+            self.acc.process_block(b0, rows, n)
 
         grid = self.grid
         while self.gp < len(grid) and grid[self.gp] <= b0 + n:
             row = int(grid[self.gp] - b0)
-            self._record(rows[row], rows[row - 1] if lam != 0.0 else None)
+            self._record(rows[row], rows[row - 1] if self.lam != 0.0 else None)
 
     def _record(self, xk: np.ndarray, xprev: np.ndarray | None):
         """Scalar records of the next grid point at iterate xk; ||x - z||
@@ -623,6 +657,7 @@ class _Steps:
     writes x^{t+1} over it.  The buffers are allocated once per run.  Plain
     SGD (lam = nu = 0) runs x^{t+1} = x^t - a_t (grad f(x^t) - e_t) without
     the momentum terms: the same values, up to the sign of an exact zero.
+    Given norms (n, S), run also writes the norms of rows 1..n there.
 
     Every call in the loops passes out by position, and lam and nu as 0-d
     float64 arrays: at (seeds x d) sizes numpy's dispatch costs more than
@@ -636,7 +671,14 @@ class _Steps:
         self.g = np.empty((S, d))
         self.dX = np.empty((S, d))
         self.xl = np.empty((S, d))
-        self.run = self._sgd if params.lam == 0.0 and params.nu == 0.0 else self._momentum
+        self.step = self._sgd if params.lam == 0.0 and params.nu == 0.0 else self._momentum
+
+    def run(self, X, Xp, E, rows, step_sizes, frozen, norms=None):
+        """The block's steps; then, unless norms is None, the norms of rows
+        1..n into norms (n, S)."""
+        self.step(X, Xp, E, rows, step_sizes, frozen)
+        if norms is not None:
+            _norms(rows[1:], out=norms)
 
     def _sgd(self, X, Xp, E, rows, step_sizes, frozen):
         grad, g, sub, mul = self.grad, self.g, np.subtract, np.multiply
@@ -707,10 +749,11 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             detail_lo = 1
         else:
             detail_lo = partition.n_windows + 1 if K_T is None else K_T
+        spreads = None if lib is None else _ckernel.Spreads(lib.window_spread, params.lam)
         # its arrays are first written in the children, so they take no pages here
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
-                                 keep_boundaries=rp.store_boundary_vectors)
+                                 keep_boundaries=rp.store_boundary_vectors, spreads=spreads)
 
     X = np.tile(x0, (S, 1))             # x^t and x^{t-1} at the next block's start
     Xp = X.copy()
@@ -749,12 +792,12 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             if E_hist is not None:
                 E_hist[b0 - 1:b0 - 1 + n] = E
             rows[0] = X
+            # the steps, and the divergence scan over the norms of rows 1..n:
+            # a NaN or +-inf coordinate makes its row's norm non-finite; a
+            # finite norm may still exceed the cap
+            rnorm = rnorm_buf[:n]                                   # (n, S)
             with np.errstate(over="ignore", invalid="ignore"):
-                kernel.run(X, Xp, E, rows, schedule.at(np.arange(b0, b0 + n)), frozen)
-            # divergence scan: a NaN or +-inf coordinate makes its row's norm
-            # non-finite; a finite norm may still exceed the cap
-            with np.errstate(invalid="ignore", over="ignore"):
-                rnorm = _norms(rows[1:], out=rnorm_buf[:n])        # (n, S)
+                kernel.run(X, Xp, E, rows, schedule.at(np.arange(b0, b0 + n)), frozen, rnorm)
                 bad = ~np.isfinite(rnorm) | (rnorm > cap)
             if bad.any():
                 for s_idx in np.nonzero(bad.any(axis=0) & active)[0]:

@@ -20,6 +20,7 @@ child, and it loads only if its probes pass.
 import ctypes
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_compiled_block_matches_numpy_bit_for_bit(compiled, block):
     out = []
     for kernel in (_Steps(problem.grad_batch, params, S, d),
                    _ckernel.Steps(compiled, problem.grad_batch, params, S, d)):
-        rows = np.full((len(E) + 1, S, d), 7.0)
+        rows, norms = np.full((len(E) + 1, S, d), 7.0), np.full((len(E), S), 7.0)
         rows[0] = X
         if in_rows:             # the runner's layout: the noise rides in the row slots
             rows[1:] = E
@@ -102,17 +103,21 @@ def test_compiled_block_matches_numpy_bit_for_bit(compiled, block):
             noise = E.copy()
         X0, Xp0 = X.copy(), Xp.copy()
         with np.errstate(all="ignore"):
-            kernel.run(X0, Xp0, noise, rows, a, frozen)
+            kernel.run(X0, Xp0, noise, rows, a, frozen, norms)
         assert X0.tobytes() == X.tobytes() and Xp0.tobytes() == Xp.tobytes()
-        out.append(rows)
-    _bits_equal(*out)
+        out.append((rows, norms))
+    _bits_equal(out[0][0], out[1][0])
+    # the divergence scan's norms, written by the kernel in the same pass
+    with np.errstate(all="ignore"):
+        _bits_equal(runner._norms(out[1][0][1:]), out[1][1])
+    _bits_equal(out[0][1], out[1][1])
 
 
 def test_probe_passes_and_rejects_a_wrong_kernel(compiled):
     assert _ckernel.probe(compiled)
 
-    def one_ulp_up(n, S, d, form, h, momentum, look, lam, nu, a, frozen, X, Xp, E, rows):
-        compiled(n, S, d, form, h, momentum, look, lam, nu, a, frozen, X, Xp, E, rows)
+    def one_ulp_up(n, S, d, form, h, momentum, look, lam, nu, a, frozen, X, Xp, E, rows, norms):
+        compiled(n, S, d, form, h, momentum, look, lam, nu, a, frozen, X, Xp, E, rows, norms)
         out = np.ctypeslib.as_array(ctypes.cast(rows, ctypes.POINTER(ctypes.c_double)),
                                     shape=((n + 1) * S * d,))[S * d:]
         out[:] = np.nextafter(out, np.inf)
@@ -226,6 +231,42 @@ def test_build_raises_when_the_ziggurat_tables_are_not_read(library, monkeypatch
         _ckernel.build()
 
 
+SUM_SQ = re.compile(r"INLINE double sum_sq\(.*?\n}\n", re.S)
+SEQUENTIAL_SUM_SQ = """INLINE double sum_sq(int kind, const double *v, const double *w,
+                     const double *a, const double *b, double c1, double lc1, long d)
+{
+    double q = 0.0;
+    for (long j = 0; j < d; j++) {
+        const double u = elem(kind, v, w, a, b, c1, lc1, j);
+        q = u * u + q;
+    }
+    return q;
+}
+"""
+
+
+@pytest.mark.parametrize("mutation, probe", [
+    ("sequential", "probe"),            # the step kernel's norms, summed in index order
+    ("sequential", "probe_spread"),     # the window spreads' distances likewise
+    ("drops_nan", "probe_spread"),      # a maximum that keeps the later value over a NaN
+])
+def test_build_raises_on_a_wrong_norm_or_maximum(library, monkeypatch, mutation, probe):
+    # each probe alone must see it: the other passes unchecked
+    compile_library = _ckernel.compile_library
+    assert len(SUM_SQ.findall(_ckernel.SOURCE)) == 1
+    nan_max = ("return a != a || a >= b ? a : b;", "return a >= b ? a : b;")
+    assert _ckernel.SOURCE.count(nan_max[0]) == 1
+    mutate = {"sequential": lambda source: SUM_SQ.sub(SEQUENTIAL_SUM_SQ, source),
+              "drops_nan": lambda source: source.replace(*nan_max)}[mutation]
+    monkeypatch.setattr(_ckernel, "compile_library",
+                        lambda source: compile_library(mutate(source)))
+    other = {"probe": "probe_spread", "probe_spread": "probe"}[probe]
+    monkeypatch.setattr(_ckernel, other, lambda fn: True)
+    with pytest.raises(RuntimeError, match={"probe": "step kernel",
+                                            "probe_spread": "window spreads"}[probe]):
+        _ckernel.build()
+
+
 @pytest.mark.parametrize("mutation", [
     ("(r & 0x100) << 55", "(r & 0x100) << 54"),      # the fast path's sign bit shifted
     ("s = 0; st && s < S", "s = t0 > 0; st && s < S"),  # a tile after the first skips seed 0
@@ -249,10 +290,12 @@ def _partitioned_run(name, noise, **kw):
 
 
 def test_run_batch_forms_the_error_sums_in_c(library, monkeypatch):
+    # and the window spreads: neither numpy scan runs in either child
     def numpy_scan(*args):
-        raise AssertionError("the numpy error scan ran although the library loads")
+        raise AssertionError("a numpy scan ran although the library loads")
 
     monkeypatch.setattr(runner, "_segment_error_max", numpy_scan)
+    monkeypatch.setattr(runner, "_segment_dev_max", numpy_scan)
     _partitioned_run("rosenbrock", NoiseModel.axis_rademacher(0))
 
 

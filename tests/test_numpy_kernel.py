@@ -5,6 +5,8 @@ same digests, and a run must store the same noise bytes as with the
 library, for both variants that draw normals.
 """
 
+import os
+
 import pytest
 
 from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
@@ -45,6 +47,7 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch):
 
     monkeypatch.setattr(runner, "_compiled_error_max", compiled)
     monkeypatch.setattr(_ckernel, "Steps", compiled)        # quadratic declares a form
+    monkeypatch.setattr(_ckernel, "Spreads", compiled)      # the run has windows
     monkeypatch.setattr(_cnoise, "states", compiled)        # gaussian noise draws normals
     monkeypatch.setattr(_cnoise, "block", compiled)         # and sums in the same call
     problem, params = make_problem("quadratic", 3, mu=1.0, l=2.0), MomentumParams(0.5)
@@ -53,6 +56,25 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch):
     batch = run_batch(problem, params, schedule, NoiseModel.gaussian(0.1), [0, 1], 300,
                       partition=part, recording=RecordingPolicy(window_profile=True))
     assert batch.window.n_windows == part.n_windows
+
+
+def test_stub_runs_the_numpy_window_spreads_in_the_rows_child(monkeypatch, tmp_path):
+    log, segment_dev_max = tmp_path / "calls", runner._segment_dev_max
+
+    def spy(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return segment_dev_max(*args)
+
+    monkeypatch.setattr(runner, "_segment_dev_max", spy)
+    problem, params = make_problem("quadratic", 3, mu=1.0, l=2.0), MomentumParams(0.5)
+    schedule = StepSchedule.constant(1e-3)
+    part = build_partition(schedule, default_window(problem, params), 300)
+    run_batch(problem, params, schedule, NoiseModel.gaussian(0.1), [0, 1], 300,
+              partition=part, recording=RecordingPolicy(block_size=64))
+    calls = log.read_text().split()
+    # the x and z rows of each of the five blocks, all in one forked child
+    assert len(calls) == 10 and len(set(calls)) == 1 and calls[0] != str(os.getpid())
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

@@ -126,7 +126,6 @@ def test_error_scan_skips_blocks_before_the_detail_range(monkeypatch):
                      recording=rp, partition=part).trajectory(0)
     X, E = traj.X_hist[:, None], traj.E_hist[:, None]
     a = schedule.prefix(HORIZON - 1)
-    Z = oracles.z_rows(X, params.lam)
 
     acc = _WindowAccumulator(part, K_T, PROBLEM, params, 1, K_T, False, HORIZON)
     scans, scan = [], runner._segment_error_max
@@ -142,7 +141,7 @@ def test_error_scan_skips_blocks_before_the_detail_range(monkeypatch):
         if plan is not None:
             acc.process_noise(plan, E[b0 - 1:b0 - 1 + n], a[b0 - 1:b0 - 1 + n], wbuf[:n],
                               summed=False)
-        acc.process_block(b0, X[b0 - 1:b0 + n], Z[b0 - 1:b0 + n], n)
+        acc.process_block(b0, X[b0 - 1:b0 + n], n)
         # the window holding the block's last step, and whether it scanned
         last = int(np.searchsorted(part.gammas, b0 + n - 1, side="right"))
         assert len(scans) - before == (last >= K_T)
