@@ -37,7 +37,10 @@ ctypes.  It is used only if its three probes match numpy bit for bit: the
 step kernel and its norms on blocks of special values (probe), the tiled
 block draw, its normals and its error sums (_cnoise.probe_block), and the
 window spreads (probe_spread).  Otherwise every run of the process uses the
-numpy kernel, the numpy scans and numpy's normals: the same bits.
+numpy kernel, the numpy scans and numpy's normals: the same bits.  The
+block draw picks its path when the library loads, and cnoise_lanes()
+tells which: 8 where the CPU runs its AVX-512 code, else 1.  Its header
+<immintrin.h> takes the one cc call from about 0.5 to 1.1 s.
 """
 
 from __future__ import annotations
@@ -210,6 +213,14 @@ def _check(what: str, *arrays):
             raise ValueError(f"{what} needs a C-contiguous float64 {shape} array")
 
 
+def check_starts(lo: np.ndarray, n: int):
+    """Raise ValueError unless lo, the segment starts of a block of n rows,
+    are C longs with 0 = lo[0] < ... < n; the C passes trust them."""
+    if (lo.dtype != np.dtype("l") or lo.ndim != 1 or not lo.flags.c_contiguous
+            or not len(lo) or lo[0] != 0 or lo[-1] >= n or (np.diff(lo) <= 0).any()):
+        raise ValueError("segment starts must be C longs with 0 = lo[0] < ... < n")
+
+
 def _address(arr):
     return None if arr is None else arr.ctypes.data
 
@@ -244,7 +255,7 @@ class Steps:
 
 class Spreads:
     """The compiled counterpart of runner._Spreads, with the same run().
-    Its segment starts are checked, 0 = lo[0] < ... < n, before any call."""
+    Its segment starts are checked (check_starts) before any call."""
 
     def __init__(self, fn, lam: float):
         self.fn, self.z = fn, lam != 0.0
@@ -253,9 +264,7 @@ class Spreads:
 
     def run(self, rows, lo, ax, xc, az, zc, last: bool):
         n, S, d = len(rows) - 1, *rows.shape[1:]
-        if (lo.dtype != np.dtype("l") or lo.ndim != 1 or not lo.flags.c_contiguous
-                or not len(lo) or lo[0] != 0 or lo[-1] >= n or (np.diff(lo) <= 0).any()):
-            raise ValueError("segment starts must be C longs with 0 = lo[0] < ... < n")
+        check_starts(lo, n)
         arrays = [(rows, (n + 1, S, d)), (ax, (S, d)), (xc, (S,))]
         if self.z:
             arrays += [(az, (S, d)), (zc, (S,))]
@@ -323,6 +332,7 @@ def build():
                          (lib.cnoise_block, [c_long] * 3 + [ptr, c_double, ptr, ptr, c_long]
                           + [ptr] * 3)):
         fn.argtypes, fn.restype = argtypes, None
+    lib.cnoise_lanes.argtypes, lib.cnoise_lanes.restype = [], c_int
     lib.cnoise_init()
     if not probe(lib.sgdm_block):
         raise RuntimeError("the compiled step kernel differs from numpy on the probe block")

@@ -30,11 +30,15 @@ block (interpolation rows, distances to the window anchors, per-window
 maxima) are one C call for every problem (_ckernel.Spreads), else
 _Spreads in numpy.  On a 5e5-step heavy-ball quadratic run (d = 10, 20
 seeds, 2 vCPUs) that took the rows child from 1.4-1.7 s to 0.54-0.59 s of
-CPU; the noise child (1.5-1.7 s) now sets the pace, beside a parent at
-0.53-0.58 s.  The noise child fills each block through the run's
+CPU.  The noise child fills each block through the run's
 noise.BlockNoise: gaussian noise in one C call, the block draw of
 _cnoise, in tiles of rows that every seed fills in turn, with the tile's
-error sums formed while it is in cache; other noise stream by stream
+error sums formed while it is in cache.  The draw computes the Philox
+words of many counters ahead, eight per vector where the CPU has AVX-512,
+then runs the ziggurat over them; that took the noise child of the same
+run from 1.4-1.7 s to 0.9-1.35 s of CPU, beside a rows child at 0.5-0.7 s
+and a parent at 0.4-0.6 s, so the three keep both vCPUs busy and none
+alone sets the pace.  Other noise is drawn stream by stream
 from numpy's Generator, summed in a second C pass.  Where the library
 does not load, numpy's Generator draws and the position-major numpy
 scan sums.

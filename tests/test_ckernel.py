@@ -268,15 +268,25 @@ def test_build_raises_on_a_wrong_norm_or_maximum(library, monkeypatch, mutation,
 
 
 @pytest.mark.parametrize("mutation", [
-    ("(r & 0x100) << 55", "(r & 0x100) << 54"),      # the fast path's sign bit shifted
-    ("s = 0; st && s < S", "s = t0 > 0; st && s < S"),  # a tile after the first skips seed 0
-    ("lo[k] == t", "lo[k] == -1"),                    # the sums never restart
+    # the scalar fast path's sign bit shifted, built with the vector path left out
+    ("(r & 0x100) << 55", "(r & 0x100) << 54", "scalar"),
+    ("s = 0; st && s < S", "s = t0 > 0; st && s < S", "native"),  # a later tile skips seed 0
+    ("lo[k] == t", "lo[k] == -1", "native"),                        # the sums never restart
+    # the vector fast path's sign bit shifted
+    ("_mm512_and_si512(r, sign), 55)", "_mm512_and_si512(r, sign), 54)", "vector"),
+    ("    words_out(st, &b);\n", "", "native"),        # the state is never written back
+    ("z[k++] = random_standard_normal", "b->q++;\n        z[k++] = random_standard_normal",
+     "native"),                                                     # a slow lane one word late
 ])
 def test_build_raises_on_a_wrong_block_draw(library, monkeypatch, mutation):
+    old, new, path = mutation
+    if path == "vector" and library.cnoise_lanes() != 8:
+        pytest.skip("the CPU lacks AVX-512F/DQ: the vector path does not run here")
+    prefix = "#define CNOISE_SCALAR 1\n" if path == "scalar" else ""
     compile_library = _ckernel.compile_library
-    assert _cnoise.SOURCE.count(mutation[0]) == 1
+    assert _cnoise.SOURCE.count(old) == 1
     monkeypatch.setattr(_ckernel, "compile_library",
-                        lambda source: compile_library(source.replace(*mutation)))
+                        lambda source: compile_library(prefix + source.replace(old, new)))
     with pytest.raises(RuntimeError, match="block draw"):
         _ckernel.build()
 
