@@ -37,7 +37,7 @@ ctypes.  It is used only if its three probes match numpy bit for bit: the
 step kernel and its norms on blocks of special values (probe), the tiled
 block draw, its normals and its error sums (_cnoise.probe_block), and the
 window spreads (probe_spread).  Otherwise every run of the process uses the
-numpy kernel, the numpy scans and numpy's normals: the same bits.  The
+numpy kernel, spreads and error sums and numpy's normals: the same bits.  The
 block draw picks its path when the library loads, and cnoise_lanes()
 tells which: 8 where the CPU runs its AVX-512 code, else 1.  Its header
 <immintrin.h> takes the one cc call from about 0.5 to 1.1 s.
@@ -52,6 +52,10 @@ import numpy as np
 
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 FORMS = {"mul": 0, "cube": 1}
+# the special values of the three probes: +-0, subnormals, values whose
+# squares are subnormal or overflow, +-inf and NaN, among ordinary ones
+SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,
+                    1e154, 1.7e308, -1e300, np.inf, -np.inf, np.nan])
 
 SOURCE = r"""
 #include <math.h>
@@ -205,12 +209,12 @@ void window_spread(long n, long S, long d, const double *rows, long nseg, const 
 """
 
 
-def _check(what: str, *arrays):
+def check(what: str, dtype, *arrays):
     """Raise ValueError unless each (array, shape) pair is a C-contiguous
-    float64 array of that shape."""
+    array of dtype and that shape."""
     for arr, shape in arrays:
-        if arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(f"{what} needs a C-contiguous float64 {shape} array")
+        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(f"{what} needs a C-contiguous {np.dtype(dtype)} {shape} array")
 
 
 def check_starts(lo: np.ndarray, n: int):
@@ -244,7 +248,7 @@ class Steps:
         arrays = [(X, (S, d)), (Xp, (S, d)), (E, (n, S, d)), (rows, (n + 1, S, d)), (a, (n,))]
         if norms is not None:
             arrays.append((norms, (n, S)))
-        _check("step kernel", *arrays)
+        check("step kernel", np.float64, *arrays)
         mask = None
         if frozen is not None:
             mask = np.ascontiguousarray(frozen, dtype=np.uint8).reshape(S)
@@ -270,7 +274,7 @@ class Spreads:
             arrays += [(az, (S, d)), (zc, (S,))]
         else:
             az = zc = None
-        _check("window spread", *arrays)
+        check("window spread", np.float64, *arrays)
         xmax = np.empty((len(lo), S))
         zmax = np.empty_like(xmax) if self.z else None
         xlast = np.empty_like(xmax) if last else None
@@ -330,7 +334,7 @@ def build():
                           + [c_double] * 2 + [ptr] * 3),
                          (lib.cnoise_init, []),
                          (lib.cnoise_block, [c_long] * 3 + [ptr, c_double, ptr, ptr, c_long]
-                          + [ptr] * 3)):
+                          + [ptr] * 4)):
         fn.argtypes, fn.restype = argtypes, None
     lib.cnoise_lanes.argtypes, lib.cnoise_lanes.restype = [], c_int
     lib.cnoise_init()
@@ -356,30 +360,30 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def probe(fn) -> bool:
     """Whether fn reproduces runner._Steps on a fixed block, the rows and
     their norms: both gradient forms, plain SGD, heavy ball and Nesterov,
-    frozen seeds, and the noise in the row slots; the values include +-0,
-    subnormals, squares that are subnormal, products that overflow, +-inf
-    and NaN."""
+    frozen seeds, and the noise in the row slots.  The iterates are SPECIAL
+    values, and so is every fifth noise value among smooth ones."""
     from .optimizer import MomentumParams
     from .problems import make_problem
     from .runner import _Steps
-    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,
-                        1e154, -1e300, np.inf, -np.inf, np.nan])
-    S, n = len(special), 4
+    S, n = len(SPECIAL), 4
     a = np.array([0.5, 1e-3, 2.0, 0.1])
     frozen = (np.arange(S) % 3 == 1)[:, None]
     for problem in (make_problem("quadratic", 2, mu=0.5, l=2.0),
                     make_problem("even_power", 3, p=1.0),
                     make_problem("even_power", 1, p=2.0)):
         grad, d = problem.grad_batch, problem.dim
-        X = np.resize(special, (S, d))
-        Xp = np.resize(special[::-1], (S, d))
+        X = np.resize(SPECIAL, (S, d))
+        Xp = np.resize(SPECIAL[::-1], (S, d))
+        k = np.arange(n * S * d)
+        noise = np.where(k % 5 == 0, np.resize(np.roll(SPECIAL, 5), len(k)),
+                         np.sin(k)).reshape(n, S, d)
         for params in (MomentumParams(0.0), MomentumParams(0.9), MomentumParams(0.5, 0.5)):
             for mask in (None, frozen):
                 out = []
                 for kernel in (_Steps(grad, params, S, d), Steps(fn, grad, params, S, d)):
                     rows, norms = np.empty((n + 1, S, d)), np.empty((n, S))
                     rows[0] = X
-                    rows[1:] = np.resize(np.roll(special, 5), (n, S, d))
+                    rows[1:] = noise
                     with np.errstate(all="ignore"):
                         kernel.run(X.copy(), Xp.copy(), rows[1:], rows, a, mask, norms)
                     out.append((rows, norms))
@@ -395,16 +399,14 @@ def probe_spread(fn) -> bool:
     overflow, +-inf and NaN; segments all of length one, one long segment
     and mixed lengths; carried anchors and maxima; lam = 0 and 0.9."""
     from .runner import _Spreads
-    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,
-                        1e154, 1.7e308, -1e300, np.inf, -np.inf, np.nan])
     S, n = 3, 23
     for d in (1, 2, 3, 9, 10, 17):
         k = np.arange((n + 3) * S * d)
         for shift in (0, 5):
-            values = np.where(k % 5 == 0, np.resize(np.roll(special, shift), len(k)),
+            values = np.where(k % 5 == 0, np.resize(np.roll(SPECIAL, shift), len(k)),
                               np.sin(k)).reshape(n + 3, S, d)
             rows, ax, az = values[:-2], values[-2], values[-1]
-            xc, zc = np.abs(np.resize(np.roll(special, 3 * shift), (2, S)))
+            xc, zc = np.abs(np.resize(np.roll(SPECIAL, 3 * shift), (2, S)))
             for ln in ([1] * n, [n], [4, 1, 1, 7, 2, 1, 5, 2]):
                 lo = np.concatenate([[0], np.cumsum(ln)[:-1]])
                 for lam in (0.0, 0.9):

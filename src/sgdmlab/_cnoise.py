@@ -1,14 +1,11 @@
-"""Compiled Gaussian noise: Generator(Philox(key=seed)).standard_normal in C.
+"""Compiled Gaussian noise: Generator(Philox(key=seed)).standard_normal in C,
+and the window error sums s_k of the block it draws.
 
 At d = 10 the noise child of run_batch sets the pace of a run, and most of
 its time goes into numpy's normals: a Philox word fetched through a
 function pointer, then numpy's ziggurat (Marsaglia and Tsang, 2000), whose
 sign is a branch that mispredicts about half the time.  This module draws
-the same normals, bit for bit, with less work per normal.  On one core at
-S = 20 seeds and d = 10 (2,048-row blocks, with the error sums) a normal
-takes about 13 ns on the AVX-512 path where one Philox word at a time,
-each a serial chain of ten multiply rounds, took about 18 ns; the scalar
-path takes about as long as that did.
+the same normals, bit for bit, with less work per normal.
 
 - Each fill of one seed's rows runs in two phases.  First the Philox4x64-10
   words (Salmon et al., SC 2011) of the counters it needs, about 64
@@ -49,10 +46,15 @@ path takes about as long as that did.
 - A block of S seeds is one call (cnoise_block), in tiles of rows of
   about TILE_BYTES: every seed draws its rows of a tile in turn, so the
   tile stays in cache while its rows fill, where one seed's whole column
-  would sweep the slot once per seed.  The tile's weighted errors a_t e^t
-  and their restarted prefix sums (the window error sums of runner) are
-  formed in the same pass, before the tile leaves the cache.  Called
-  without states, it forms the sums alone, over noise already drawn.
+  would sweep the slot once per seed.
+- The same pass forms the window error sums, before the tile leaves the
+  cache: each row's weighted errors a_t e^t go into the restarted prefix
+  sum of their window, kept in place in the carried sum, and each row's
+  sums into its window's largest norm, as window_spread forms its
+  maxima (_ckernel's sum_sq and nan_max).  Only the windows' maxima s_k
+  and the open window's sum leave the call.  Called without states, it
+  forms the sums alone, over noise already drawn.  sums_numpy does the
+  same adds in numpy: the fallback, and the probe's oracle.
 
 The block draw is the one place where normals are drawn in C: a run's
 gaussian noise (noise.BlockNoise) calls it with the seeds' states, made
@@ -64,7 +66,7 @@ in tiled blocks split over two calls, and passes only if every bit
 matches numpy's normals and the slow paths are taken, but for no more
 than their share of the draws; it checks the sums, formed in the draw's
 pass and alone, with segments on and beside tile edges and over special
-values, against the numpy scan.  Where the library does not load, and
+values, against sums_numpy.  Where the library does not load, and
 in every NoiseStream, numpy's Generator draws: the same bits either way.
 """
 
@@ -449,37 +451,53 @@ static void cnoise_fill(philox_t *st, long n, long d, long stride, double scale,
 /* A block of n rows of S seeds' d-vectors, row t at E + t S d, in tiles of
    about TILE_BYTES of rows.  In each tile every seed s in turn draws its
    rows from its state st[s], times scale, unless st is 0 (the sums alone,
-   over noise already in E).  Then, unless P is 0, the tile's weighted
-   errors E[t] a[t] and their restarted prefix sums go to P while the
-   tile is in cache.  Segment k starts at row lo[k], lo[0] = 0: row 0
-   adds the carried sum psum, the first row of a later segment stays as it
-   is, and every other row adds the sum of the row before it; these are
-   the adds of runner's numpy scan, operand for operand. */
+   over noise already in E).  Then, unless lo is 0, the tile's weighted
+   errors E[t] a[t] go into their restarted prefix sums, kept in psum
+   (S d) in place, and each row's sums into its window's maximum, while
+   the tile is in cache.  Segment k starts at row lo[k], 0 = lo[0] < ... <
+   n: row 0 adds the carried sum psum, the first row of a later segment
+   restarts the sums, and every other row adds to them; these are the
+   adds of sums_numpy, operand for operand.  smax[k S + s] receives
+   segment k's largest norm of seed s's sums, the first segment's also
+   against the carried maximum scarry[s]; as in window_spread the maximum
+   is taken over squared norms and rooted at the segment's last row.  At
+   return psum holds the sums of row n - 1. */
 void cnoise_block(long n, long S, long d, philox_t *st, double scale, double *E,
-                  const double *a, long nseg, const long *lo, const double *psum,
-                  double *P)
+                  const double *a, long nseg, const long *lo, double *psum,
+                  const double *scarry, double *smax)
 {
     const long m = S * d;
     const long tile = TILE_BYTES / (8 * m) > 1 ? TILE_BYTES / (8 * m) : 1;
-    long k = 1;
+    long k = 0;
     for (long t0 = 0; t0 < n; t0 += tile) {
         const long t1 = n - t0 < tile ? n : t0 + tile;
         for (long s = 0; st && s < S; s++)
             cnoise_fill(st + s, t1 - t0, d, m, scale, E + t0 * m + s * d);
-        for (long t = t0; P && t < t1; t++) {
+        for (long t = t0; lo && t < t1; t++) {
             const double *e = E + t * m;
-            double *p = P + t * m;
             const double at = a[t];
+            const int first = t == 0 || (k + 1 < nseg && lo[k + 1] == t);
             if (t == 0) {
                 for (long i = 0; i < m; i++)
-                    p[i] = e[i] * at + psum[i];
-            } else if (k < nseg && lo[k] == t) {
+                    psum[i] = e[i] * at + psum[i];
+            } else if (first) {
                 k++;
                 for (long i = 0; i < m; i++)
-                    p[i] = e[i] * at;
+                    psum[i] = e[i] * at;
             } else {
                 for (long i = 0; i < m; i++)
-                    p[i] = p[i - m] + e[i] * at;
+                    psum[i] = psum[i] + e[i] * at;
+            }
+            const int last = t + 1 == (k + 1 < nseg ? lo[k + 1] : n);
+            double *q = smax + k * S;
+            for (long s = 0; s < S; s++) {
+                const double qs = sum_sq(0, psum + s * d, 0, 0, 0, 0.0, 0.0, d);
+                q[s] = first ? qs : nan_max(q[s], qs);
+                if (!last)
+                    continue;
+                q[s] = sqrt(q[s]);
+                if (k == 0)
+                    q[s] = nan_max(q[s], scarry[s]);
             }
         }
     }
@@ -563,34 +581,55 @@ def states(seeds) -> np.ndarray:
     return st
 
 
-def block(fn, st: np.ndarray | None, E: np.ndarray, scale: float, sums=None) -> None:
+def block(fn, st: np.ndarray | None, E: np.ndarray, scale: float, sums=None):
     """fn, the compiled cnoise_block, over the block E (n, S, d), in tiles:
     the next n rows of the seed whose state is st[s] times scale into
-    column s, unless st is None; then, with sums = (a, lo, psum, P), the
-    restarted prefix sums of the weighted errors a[t] E[t] into P (n, S, d),
-    over the segments that start at rows lo, 0 = lo[0] < ... < n (else
-    ValueError, before any call), the first continuing from the carried
-    sum psum (S, d)."""
+    column s, unless st is None.  Then, with sums = (a, lo, psum, smax),
+    the window error sums of the weighted errors a[t] E[t] over the
+    segments that start at rows lo, 0 = lo[0] < ... < n (else ValueError,
+    before any call), the first continuing from the carried sum psum (S, d)
+    and maximum smax (S,): returns each segment's largest norm per seed
+    (len(lo), S) and leaves the sums of row n - 1 in psum.  Without sums,
+    returns None."""
     n, S, d = E.shape
-    a = lo = psum = P = None
-    checks = [(E, np.float64, E.shape)]
+    _ckernel.check("block draw", np.float64, (E, E.shape))
     if st is not None:
-        checks.append((st, np.uint64, (S, STATE_WORDS)))
+        _ckernel.check("block draw", np.uint64, (st, (S, STATE_WORDS)))
+    a = lo = psum = scarry = out = None
     if sums is not None:
-        a, lo, psum, P = sums
+        a, lo, psum, scarry = sums
         a = np.ascontiguousarray(a, dtype=np.float64)
         lo = np.ascontiguousarray(lo, dtype=np.dtype("l"))     # C long
         _ckernel.check_starts(lo, n)
-        checks += [(a, np.float64, (n,)), (psum, np.float64, (S, d)), (P, np.float64, E.shape)]
-    for arr, dtype, shape in checks:
-        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(f"block draw needs a C-contiguous {np.dtype(dtype)} {shape} array")
-    if any(arr is not None and not arr.flags.writeable for arr in (E, st, P)):
+        _ckernel.check("block draw", np.float64, (a, (n,)), (psum, (S, d)), (scarry, (S,)))
+        out = np.empty((len(lo), S))
+    if any(arr is not None and not arr.flags.writeable for arr in (E, st, psum)):
         raise ValueError("block draw needs writeable noise, states and sums")
     if E.size:
         address = _ckernel._address
         fn(n, S, d, address(st), scale, E.ctypes.data, address(a),
-           0 if lo is None else len(lo), address(lo), address(psum), address(P))
+           0 if lo is None else len(lo), address(lo), address(psum), address(scarry),
+           address(out))
+    return out
+
+
+def sums_numpy(E: np.ndarray, a: np.ndarray, lo: np.ndarray, psum: np.ndarray,
+               smax: np.ndarray) -> np.ndarray:
+    """The window error sums of block, sums = (a, lo, psum, smax), over the
+    noise E, in numpy: the same adds in the same order, so the same bits.
+    The fallback where the library does not load, and the oracle of its
+    probe.  Each segment's sums are one add.accumulate down its rows, in
+    place, the first segment's from row 0 plus the carried sum."""
+    W = E * a[:, None, None]
+    W[0] += psum
+    ends = np.append(lo[1:], len(E))
+    for k in np.flatnonzero(ends - lo > 1).tolist():
+        run = W[lo[k]:ends[k]]
+        np.add.accumulate(run, axis=0, out=run)
+    out = np.maximum.reduceat(np.sqrt(np.einsum("...d,...d->...", W, W)), lo, axis=0)
+    out[0] = np.maximum(out[0], smax)
+    psum[...] = W[-1]
+    return out
 
 
 PROBE_KEYS = (0, 20240501, 2**64 + 5, 2**128 - 1)
@@ -600,19 +639,14 @@ SLOW_SHARE = 0.05
 
 
 def _sums_match(fn, st: np.ndarray | None, E: np.ndarray, scale: float,
-                a: np.ndarray, lo: np.ndarray, carried: dict, carry_out: bool) -> bool:
+                a: np.ndarray, lo: np.ndarray, psum: np.ndarray, smax: np.ndarray) -> bool:
     """Whether fn, drawing into E from the states st (unless None), forms
-    sums whose maxima and carry are those of runner's numpy scan over E."""
-    from . import runner
-    P = np.empty_like(E)
-    ln = np.diff(np.append(lo, len(E)))
+    the maxima and the carried sum of sums_numpy over E."""
+    got_sum, want_sum = psum.copy(), psum.copy()
     with np.errstate(all="ignore"):
-        block(fn, st, E, scale, (a, lo, carried["psum"], P))
-        want = runner._segment_error_max(carried["psum"], carried["smax"], E * a[:, None, None],
-                                         lo, ln, np.repeat(np.arange(len(ln)), ln), carry_out)
-        got = runner._compiled_error_max(carried["smax"], P, lo, carry_out)
-    return (_ckernel.same_bits(want[0], got[0])
-            and (not carry_out or _ckernel.same_bits(want[1], got[1])))
+        got = block(fn, st, E, scale, (a, lo, got_sum, smax))
+        want = sums_numpy(E, a, lo, want_sum, smax)
+    return _ckernel.same_bits(want, got) and _ckernel.same_bits(want_sum, got_sum)
 
 
 def probe_block(fn) -> bool:
@@ -621,11 +655,11 @@ def probe_block(fn) -> bool:
     every seed's rows strided S d apart, against numpy's normals, with
     both slow paths taken and no more than SLOW_SHARE of the draws on
     them; sums that restart on, just before and just after tile edges,
-    against runner's numpy scan, then the sums alone over the same noise;
-    and the sums alone over blocks of special values (+-0, subnormals,
+    against sums_numpy, then the sums alone over the same noise; and the
+    sums alone over blocks of _ckernel.SPECIAL values (+-0, subnormals,
     sums and products that overflow, +-inf and NaN): segments all of
-    length one, one long segment and mixed lengths, a carried sum and
-    maximum, with and without the carry out."""
+    length one, one long segment and mixed lengths, with a carried sum
+    and maximum."""
     S, d, scale = len(PROBE_KEYS), 4, 0.3
     tile = tile_rows(S * d)
     n = 2 * tile + 5
@@ -634,19 +668,18 @@ def probe_block(fn) -> bool:
     st = states(PROBE_KEYS)
     a = 0.5 + np.sin(np.arange(n)) ** 2
     lo = np.array([0, 3, tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile, 2 * tile + 1])
-    carried = dict(psum=np.cos(np.arange(S * d)).reshape(S, d), smax=np.full(S, 0.5))
+    psum, smax = np.cos(np.arange(S * d)).reshape(S, d), np.full(S, 0.5)
     E = np.zeros((2 * n, S, d))
     for half in (E[:n], E[n:]):
-        if not (_sums_match(fn, st, half, scale, a, lo, carried, True)
-                and _sums_match(fn, None, half, 0.0, a, lo, carried, False)):
+        if not (_sums_match(fn, st, half, scale, a, lo, psum, smax)
+                and _sums_match(fn, None, half, 0.0, a, lo, psum, smax)):
             return False
     slow = st[:, [WEDGE, TAIL]].sum(axis=0)
     if not (_ckernel.same_bits(want, E) and (slow > 0).all()
             and slow.sum() <= SLOW_SHARE * E.size):
         return False
 
-    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,
-                        1e154, 1.7e308, -1e300, np.inf, -np.inf, np.nan])
+    special = _ckernel.SPECIAL
     n = 23
     k = np.arange(n * S * d)
     a = np.resize([1.0, 0.5, 1e-3, 2.0, 5e-324, 1e300], n)
@@ -655,9 +688,8 @@ def probe_block(fn) -> bool:
         for shift in range(0, len(special), 5):
             E = np.where(k % 5 == 0, np.resize(np.roll(special, shift), len(k)),
                          np.sin(k)).reshape(n, S, d)
-            carried = dict(psum=np.resize(np.roll(special, -4 - shift), (S, d)),
-                           smax=np.abs(np.resize(np.roll(special, 2 * shift), S)))
-            for carry_out in (False, True):
-                if not _sums_match(fn, None, E, 0.0, a, lo, carried, carry_out):
-                    return False
+            psum = np.resize(np.roll(special, -4 - shift), (S, d))
+            smax = np.abs(np.resize(np.roll(special, 2 * shift), S))
+            if not _sums_match(fn, None, E, 0.0, a, lo, psum, smax):
+                return False
     return True

@@ -161,7 +161,10 @@ class BlockNoise:
     seeds' Philox states, the rows of one (S, _cnoise.STATE_WORDS) array;
     any other noise, and all noise where the library does not load, from
     the seeds' NoiseStreams.  Either way seed s's rows are those of
-    NoiseStream(model, dim, s), bit for bit.
+    NoiseStream(model, dim, s), bit for bit.  A fill may also form the
+    block's window error sums s_k, with the same bits on every path: in
+    the C draw's own pass, in a C pass over the streams' rows, or in
+    numpy (_cnoise.sums_numpy).
     """
 
     def __init__(self, model: NoiseModel, dim: int, seeds):
@@ -175,25 +178,26 @@ class BlockNoise:
         else:
             self.streams = [NoiseStream(model, dim, seed) for seed in seeds]
 
-    def fill(self, E: np.ndarray, sums=None) -> bool:
+    def fill(self, E: np.ndarray, sums=None):
         """Fill E, shape (n, S, dim), with the next n error vectors of each
-        seed, seed s in column s.  With sums = (a, lo, psum, P), where the
-        compiled library loads, also form the block's window error sums: in
-        P (n, S, dim) the restarted prefix sums of the weighted errors
-        a[t] E[t] over the segments that start at rows lo, the first
-        continuing from the carried sum psum (S, dim).  Gaussian noise forms
-        them in the draw's own pass, other noise in a second pass over E.
-        Returns whether it formed them; where the library does not load,
-        the caller sums."""
+        seed, seed s in column s.  With sums = (a, lo, psum, smax), also
+        form the block's window error sums (_cnoise.block): the restarted
+        prefix sums of the weighted errors a[t] E[t] over the segments
+        that start at rows lo, the first continuing from the carried sum
+        psum (S, dim) and maximum smax (S,).  Returns each segment's
+        largest norm per seed and leaves the last row's sums in psum;
+        without sums, returns None.  Gaussian noise in C forms them in the
+        draw's own pass, other noise in a second C pass over E, and
+        _cnoise.sums_numpy where the library does not load."""
         from . import _cnoise
         if E.ndim != 3 or E.shape[1:] != (self.n_seeds, self.dim):
             raise DimensionMismatchError(f"E must have shape (n, {self.n_seeds}, {self.dim})")
         if self.streams is None:
-            _cnoise.block(self.lib.cnoise_block, self.states, E, self.model.sigma_c, sums)
-            return sums is not None
+            return _cnoise.block(self.lib.cnoise_block, self.states, E, self.model.sigma_c, sums)
         for s, stream in enumerate(self.streams):
             stream.take_into(E[:, s])
-        if sums is None or self.lib is None:
-            return False
-        _cnoise.block(self.lib.cnoise_block, None, E, 0.0, sums)
-        return True
+        if sums is None:
+            return None
+        if self.lib is None:
+            return _cnoise.sums_numpy(E, *sums)
+        return _cnoise.block(self.lib.cnoise_block, None, E, 0.0, sums)

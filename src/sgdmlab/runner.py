@@ -28,20 +28,14 @@ p = 2 at d = 1), else _Steps in numpy; either writes the new rows' norms,
 which the divergence scan reads.  The rows child's window spreads of a
 block (interpolation rows, distances to the window anchors, per-window
 maxima) are one C call for every problem (_ckernel.Spreads), else
-_Spreads in numpy.  On a 5e5-step heavy-ball quadratic run (d = 10, 20
-seeds, 2 vCPUs) that took the rows child from 1.4-1.7 s to 0.54-0.59 s of
-CPU.  The noise child fills each block through the run's
-noise.BlockNoise: gaussian noise in one C call, the block draw of
-_cnoise, in tiles of rows that every seed fills in turn, with the tile's
-error sums formed while it is in cache.  The draw computes the Philox
-words of many counters ahead, eight per vector where the CPU has AVX-512,
-then runs the ziggurat over them; that took the noise child of the same
-run from 1.4-1.7 s to 0.9-1.35 s of CPU, beside a rows child at 0.5-0.7 s
-and a parent at 0.4-0.6 s, so the three keep both vCPUs busy and none
-alone sets the pace.  Other noise is drawn stream by stream
-from numpy's Generator, summed in a second C pass.  Where the library
-does not load, numpy's Generator draws and the position-major numpy
-scan sums.
+_Spreads in numpy.  The noise child fills each block through the run's
+noise.BlockNoise, which also returns the maxima s_k of the windows the
+block touches and carries the open window's sum: gaussian noise in one
+C call, the block draw of _cnoise, in tiles of rows that every seed
+fills in turn, with each tile's error sums formed while it is in cache.
+Other noise is drawn stream by stream from numpy's Generator and summed
+by the same C call without drawing.  Where the library does not load,
+numpy's Generator draws and _cnoise.sums_numpy sums.
 """
 
 from __future__ import annotations
@@ -71,52 +65,6 @@ def _norms_sq(A, out=None):
 def _norms(A, out=None):
     """Euclidean norms over the trailing axis."""
     return np.sqrt(_norms_sq(A, out), out=out)
-
-
-def _segment_error_max(psum: np.ndarray, smax: np.ndarray, wrows: np.ndarray,
-                       lo: np.ndarray, ln: np.ndarray, seg_of_row: np.ndarray,
-                       carry_out: bool):
-    """Per segment, the max norm of the restarted prefix sums of its rows
-    of wrows, the first segment continuing from the carried partial sum
-    psum and maximum smax; with the last segment's final partial sum if
-    asked.
-
-    The numpy scan: the fallback of the compiled sums where the
-    library does not load, and their oracle.  Each sum stays
-    sequential within its window, so it is bitwise equal to a per-window
-    cumsum.  The rows are laid out position-major with the segments
-    sorted by length, so the segments still running at position p are a
-    prefix of those at p - 1: one add per position advances all of them,
-    with no padding.
-    """
-    nseg = len(ln)
-    order = np.argsort(-ln, kind="stable")
-    rank = np.empty(nseg, dtype=np.int64)
-    rank[order] = np.arange(nseg)
-    running = np.cumsum(np.bincount(ln)[::-1])[::-1][1:]   # segments longer than p
-    start = np.concatenate([[0], np.cumsum(running)[:-1]])
-    dest = start[np.arange(len(wrows)) - lo[seg_of_row]] + rank[seg_of_row]
-    P = np.empty_like(wrows)
-    P[dest] = wrows
-    P[rank[0]] += psum
-    prev = 0
-    for p0, a in zip(start[1:].tolist(), running[1:].tolist()):
-        np.add(P[prev:prev + a], P[p0:p0 + a], out=P[p0:p0 + a])
-        prev = p0
-    smax_seg = np.maximum.reduceat(_norms(P)[dest], lo, axis=0)
-    smax_seg[0] = np.maximum(smax_seg[0], smax)
-    psum_out = P[start[ln[-1] - 1] + rank[-1]].copy() if carry_out else None
-    return smax_seg, psum_out
-
-
-def _compiled_error_max(smax: np.ndarray, P: np.ndarray, lo: np.ndarray, carry_out: bool):
-    """_segment_error_max from the prefix sums P of the weighted errors,
-    in row order, as the compiled block draw forms them from the carried
-    sum.  Every sum is the same add of the same operands, so the norms and
-    maxima are the same bits."""
-    smax_seg = np.maximum.reduceat(_norms(P), lo, axis=0)
-    smax_seg[0] = np.maximum(smax_seg[0], smax)
-    return smax_seg, P[-1].copy() if carry_out else None
 
 
 def _segment_dev_max(rows: np.ndarray, anchor: np.ndarray, carried: np.ndarray,
@@ -178,7 +126,11 @@ class _WindowAccumulator:
     every statistic of those windows comes from a fixed number of array
     operations over the block (a segmented scan).  Only the first segment
     carries state in from the previous block and only the last carries
-    state out; a single-step window is a segment of length one.
+    state out; a single-step window is a segment of length one.  The
+    aggregated errors s_k are formed where the noise is drawn: the noise
+    child's fill (noise.BlockNoise.fill) forms them over the segments of
+    error_plan from the carried psum and smax, and process_noise only
+    stores them.
     """
 
     def __init__(self, partition: win.WindowPartition, K_T: int | None,
@@ -212,7 +164,8 @@ class _WindowAccumulator:
         self.decade_d_sum = np.zeros((nd, S))
         self.decade_d_cnt = np.zeros(nd)
         # state of the open window, carried across block edges: the error
-        # sums (cursor ew) run ahead of the iterate statistics (cursor w)
+        # sums (cursor ew) run ahead of the iterate statistics (cursor w);
+        # the noise fill keeps the open window's sum in psum, in place
         self.w = self.ew = 1
         self.anchor_x = None
         self.anchor_z = None
@@ -260,9 +213,8 @@ class _WindowAccumulator:
 
     def _segments(self, w0: int, b0: int, n: int):
         """The windows w0.. that a block's rows 1..n (x^{b0+1}..x^{b0+n}, or
-        e^{b0}..e^{b0+n-1}) touch: their numbers ks, rows lo+1..hi and
-        lengths ln, the segment of each row, and whether the last window
-        stays open past the block."""
+        e^{b0}..e^{b0+n-1}) touch: their numbers ks, rows lo+1..hi, and
+        whether the last window stays open past the block."""
         G = self.gammas
         end = b0 + n
         # windows w0..kc close in this block; an open window may follow
@@ -271,8 +223,7 @@ class _WindowAccumulator:
         ks = np.arange(w0, kc + 1 + open_tail)
         lo = np.maximum(G[ks - 1] - b0, 0)
         hi = np.minimum(G[ks] - b0, n)
-        ln = hi - lo
-        return ks, lo, hi, ln, np.repeat(np.arange(len(ks)), ln), open_tail
+        return ks, lo, hi, open_tail
 
     def error_plan(self, b0: int, n: int):
         """The window segments (as _segments gives them) of the error sums
@@ -289,27 +240,19 @@ class _WindowAccumulator:
         # before it skips the sums, and the carry it leaves is never read
         return None if ks[-1] < self.detail_lo else plan
 
-    def process_noise(self, plan, E: np.ndarray, a: np.ndarray, P: np.ndarray,
-                      summed: bool):
-        """Store the error-sum maxima of the windows in plan, from the sums P
-        that the compiled block draw formed (summed), else from the noise E
-        and the step sizes a (n,) with the numpy scan, P the buffer of the
-        weighted errors a_t e^t."""
-        ks, lo, hi, ln, seg_of_row, open_tail = plan
-        if summed:
-            smax, psum = _compiled_error_max(self.smax, P, lo, open_tail)
-        else:
-            wrows = np.multiply(E, a[:, None, None], P)
-            smax, psum = _segment_error_max(self.psum, self.smax, wrows, lo, ln, seg_of_row,
-                                            open_tail)
+    def process_noise(self, plan, smax: np.ndarray):
+        """Store the error-sum maxima smax (one row per window in plan) that
+        the block's noise fill formed from the carried psum and smax; the
+        fill left the open window's sum in psum."""
+        ks, _, _, open_tail = plan
         nc = len(ks) - open_tail                # closed windows
         dst = ks[:nc] - self.detail_lo
         det = slice(np.searchsorted(dst, 0), nc)
         self.s_arr[dst[det]] = smax[det]
         if open_tail:
-            self.psum, self.smax = psum, smax[-1]
+            self.smax = smax[-1]
         else:
-            self.psum = np.zeros_like(self.psum)
+            self.psum.fill(0.0)
             self.smax = np.zeros_like(self.smax)
 
     def process_block(self, b0: int, xrows: np.ndarray, n: int):
@@ -318,7 +261,7 @@ class _WindowAccumulator:
         if w0 > self.W:
             return
         G = self.gammas
-        ks, lo, hi, _, _, open_tail = self._segments(w0, b0, n)
+        ks, lo, hi, open_tail = self._segments(w0, b0, n)
         xrows = xrows[:n + 1]
         xmax, zmax, xlast = self.spreads.run(xrows, lo, self.anchor_x, self.xmax,
                                              self.anchor_z, self.zmax,
@@ -580,7 +523,6 @@ class _BlockConsumer:
         self.sn_ok = np.zeros(S, dtype=np.int64) if track_step_norms else None
         self.sn_total = np.zeros(S) if track_step_norms else None
         self.gp = 0                     # next record-grid point
-        self.tmp = np.empty_like(ring[0])
 
     def noise(self, rx, tx):
         """The noise child: block j's noise once the rows child has freed
@@ -618,9 +560,8 @@ class _BlockConsumer:
         if plan is None:
             self.block_noise.fill(E)
             return
-        a, P = self.schedule.at(np.arange(b0, b0 + n)), self.tmp[:n]
-        summed = self.block_noise.fill(E, (a, plan[1], self.acc.psum, P))
-        self.acc.process_noise(plan, E, a, P, summed)
+        sums = (self.schedule.at(np.arange(b0, b0 + n)), plan[1], self.acc.psum, self.acc.smax)
+        self.acc.process_noise(plan, self.block_noise.fill(E, sums))
 
     def _consume(self, j: int):
         b0, n = self.blocks[j]

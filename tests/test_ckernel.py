@@ -10,11 +10,10 @@ are not compared, because a diverged seed's rows are overwritten by the
 freeze before anything reads them.
 
 The compiled error sums (the block draw of _cnoise called without states)
-have their own oracle, the numpy scan runner._segment_error_max: the
-same maxima and carried
-sum for any segment layout, step sizes, carry and special values.  The
-library loads in the caller of run_batch, once, and never in a forked
-child, and it loads only if its probes pass.
+have their own oracle, their numpy twin _cnoise.sums_numpy: the same
+window maxima and carried sum for any segment layout, step sizes, carry
+and special values.  The library loads in the caller of run_batch, once,
+and never in a forked child, and it loads only if its probes pass.
 """
 
 import ctypes
@@ -180,36 +179,33 @@ def scans(draw):
     a = {"ones": np.ones, "steps": lambda n: rng.random(n) * 0.5, "values": values}[a](n)
     psum = values((S, d)) if draw(st.booleans()) else np.zeros((S, d))
     smax = np.abs(values(S)) if draw(st.booleans()) else np.zeros(S)
-    return values((n, S, d)), a, lo, ln, psum, smax, draw(st.booleans())
+    return values((n, S, d)), a, lo, psum, smax
 
 
 @settings(max_examples=300, deadline=None)
 @given(scans())
 def test_compiled_error_scan_matches_numpy_bit_for_bit(library, scan):
-    E, a, lo, ln, psum, smax, carry_out = scan
-    P, noise = np.full_like(E, 7.0), E.copy()
+    E, a, lo, psum, smax = scan
+    noise = E.copy()
+    sums = [psum.copy(), psum.copy()]
     with np.errstate(all="ignore"):
-        _cnoise.block(library.cnoise_block, None, noise, 0.0, (a, lo, psum, P))
-        want = runner._segment_error_max(psum, smax, E * a[:, None, None], lo, ln,
-                                         np.repeat(np.arange(len(ln)), ln), carry_out)
-        got = runner._compiled_error_max(smax, P, lo, carry_out)
+        got = _cnoise.block(library.cnoise_block, None, noise, 0.0, (a, lo, sums[0], smax))
+        want = _cnoise.sums_numpy(E, a, lo, sums[1], smax)
     assert noise.tobytes() == E.tobytes()       # the sums alone leave the noise as it is
-    _bits_equal(want[0], got[0])
-    if carry_out:
-        _bits_equal(want[1], got[1])
-    else:
-        assert want[1] is None and got[1] is None
+    assert got.shape == (len(lo), E.shape[1])
+    _bits_equal(want, got)
+    _bits_equal(sums[1], sums[0])               # the carried sum, left in psum
 
 
 def test_scan_probe_passes_and_rejects_a_wrong_scan(library):
     fn = library.cnoise_block
     assert _cnoise.probe_block(fn)
 
-    def one_segment(n, S, d, st, scale, E, a, nseg, lo, psum, P):
-        fn(n, S, d, st, scale, E, a, min(nseg, 1), lo, psum, P)    # the sums never restart
+    def one_segment(n, S, d, st, scale, E, a, nseg, lo, psum, scarry, smax):
+        fn(n, S, d, st, scale, E, a, min(nseg, 1), lo, psum, scarry, smax)  # no restart
 
-    def no_draw(n, S, d, st, scale, E, a, nseg, lo, psum, P):
-        fn(n, S, d, None, scale, E, a, nseg, lo, psum, P)          # the sums alone
+    def no_draw(n, S, d, st, scale, E, a, nseg, lo, psum, scarry, smax):
+        fn(n, S, d, None, scale, E, a, nseg, lo, psum, scarry, smax)        # the sums alone
 
     assert not _cnoise.probe_block(one_segment)
     assert not _cnoise.probe_block(no_draw)
@@ -245,13 +241,19 @@ SEQUENTIAL_SUM_SQ = """INLINE double sum_sq(int kind, const double *v, const dou
 """
 
 
+PROBES = {"probe": (_ckernel, "step kernel"), "probe_spread": (_ckernel, "window spreads"),
+          "probe_block": (_cnoise, "block draw")}
+
+
 @pytest.mark.parametrize("mutation, probe", [
     ("sequential", "probe"),            # the step kernel's norms, summed in index order
     ("sequential", "probe_spread"),     # the window spreads' distances likewise
     ("drops_nan", "probe_spread"),      # a maximum that keeps the later value over a NaN
+    ("sequential", "probe_block"),      # the norms of the window error sums
+    ("drops_nan", "probe_block"),       # their maxima
 ])
 def test_build_raises_on_a_wrong_norm_or_maximum(library, monkeypatch, mutation, probe):
-    # each probe alone must see it: the other passes unchecked
+    # each probe alone must see it: the other two pass unchecked
     compile_library = _ckernel.compile_library
     assert len(SUM_SQ.findall(_ckernel.SOURCE)) == 1
     nan_max = ("return a != a || a >= b ? a : b;", "return a >= b ? a : b;")
@@ -260,10 +262,10 @@ def test_build_raises_on_a_wrong_norm_or_maximum(library, monkeypatch, mutation,
               "drops_nan": lambda source: source.replace(*nan_max)}[mutation]
     monkeypatch.setattr(_ckernel, "compile_library",
                         lambda source: compile_library(mutate(source)))
-    other = {"probe": "probe_spread", "probe_spread": "probe"}[probe]
-    monkeypatch.setattr(_ckernel, other, lambda fn: True)
-    with pytest.raises(RuntimeError, match={"probe": "step kernel",
-                                            "probe_spread": "window spreads"}[probe]):
+    for other, (module, _) in PROBES.items():
+        if other != probe:
+            monkeypatch.setattr(module, other, lambda fn: True)
+    with pytest.raises(RuntimeError, match=PROBES[probe][1]):
         _ckernel.build()
 
 
@@ -271,12 +273,15 @@ def test_build_raises_on_a_wrong_norm_or_maximum(library, monkeypatch, mutation,
     # the scalar fast path's sign bit shifted, built with the vector path left out
     ("(r & 0x100) << 55", "(r & 0x100) << 54", "scalar"),
     ("s = 0; st && s < S", "s = t0 > 0; st && s < S", "native"),  # a later tile skips seed 0
-    ("lo[k] == t", "lo[k] == -1", "native"),                        # the sums never restart
+    ("lo[k + 1] == t", "lo[k + 1] == -1", "native"),                # the sums never restart
     # the vector fast path's sign bit shifted
     ("_mm512_and_si512(r, sign), 55)", "_mm512_and_si512(r, sign), 54)", "vector"),
     ("    words_out(st, &b);\n", "", "native"),        # the state is never written back
     ("z[k++] = random_standard_normal", "b->q++;\n        z[k++] = random_standard_normal",
      "native"),                                                     # a slow lane one word late
+    # the first window's maximum not folded with the carried one
+    ("q[s] = nan_max(q[s], scarry[s]);", ";", "native"),
+    ("psum[i] = e[i] * at + psum[i];", "psum[i] = e[i] * at;", "native"),  # no carried sum
 ])
 def test_build_raises_on_a_wrong_block_draw(library, monkeypatch, mutation):
     old, new, path = mutation
@@ -300,11 +305,11 @@ def _partitioned_run(name, noise, **kw):
 
 
 def test_run_batch_forms_the_error_sums_in_c(library, monkeypatch):
-    # and the window spreads: neither numpy scan runs in either child
+    # and the window spreads: neither numpy twin runs in either child
     def numpy_scan(*args):
-        raise AssertionError("a numpy scan ran although the library loads")
+        raise AssertionError("a numpy twin ran although the library loads")
 
-    monkeypatch.setattr(runner, "_segment_error_max", numpy_scan)
+    monkeypatch.setattr(_cnoise, "sums_numpy", numpy_scan)
     monkeypatch.setattr(runner, "_segment_dev_max", numpy_scan)
     _partitioned_run("rosenbrock", NoiseModel.axis_rademacher(0))
 

@@ -5,9 +5,9 @@ numpy is the oracle: for any keys below 2**128 (one or two key words) and
 any split of a block of seeds into chunks, tile edges crossed, the noise
 the block draw writes into seed s's column must be numpy's normals for
 key s times sigma, the same bits as np.multiply.  A run's BlockNoise must
-give each seed the rows of its NoiseStream, and the error sums it forms
-must give the maxima and carry of the numpy scan,
-runner._segment_error_max.  The slow paths (numpy's wedge and tail code,
+give each seed the rows of its NoiseStream, and the window error sums it
+forms must give the maxima and carried sum of their numpy twin,
+_cnoise.sums_numpy.  The slow paths (numpy's wedge and tail code,
 which reads the same words from the one that missed the compiled fast
 path) are checked to be taken.
 
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdmlab import NoiseModel, NoiseStream, _ckernel, _cnoise, runner
+from sgdmlab import NoiseModel, NoiseStream, _ckernel, _cnoise
 from sgdmlab.noise import BlockNoise
 
 KEYS = st.one_of(st.integers(0, 2**128 - 1), st.integers(0, 2**64 - 1),
@@ -112,7 +112,7 @@ def test_block_draws_match_numpy_per_seed(compiled, S, d, data, sigma):
     E = np.full((n, S, d), 7.0)
     lo = 0
     for m in chunks:
-        assert noise.fill(E[lo:lo + m]) is False
+        assert noise.fill(E[lo:lo + m]) is None
         lo += m
     for s, key in enumerate(keys):
         assert _same_bits(E[:, s], _numpy_normals(key, n, d, sigma))
@@ -131,20 +131,15 @@ def test_block_sums_match_the_numpy_scan(compiled, S, d, data, variant):
     if near:
         pool = st.one_of(st.sampled_from(near), pool)
     lo = np.array(sorted({0, *data.draw(st.lists(pool, max_size=12))}))
-    ln = np.diff(np.append(lo, n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     psum = rng.standard_normal((S, d)) if data.draw(st.booleans()) else np.zeros((S, d))
     smax = rng.random(S) * 3 if data.draw(st.booleans()) else np.zeros(S)
-    carry_out = data.draw(st.booleans())
     a = rng.random(n) * 0.5
     model = NoiseModel.gaussian(0.1) if variant == "gaussian" else NoiseModel.sphere(0.5)
-    E, P = np.empty((n, S, d)), np.empty((n, S, d))
-    assert BlockNoise(model, d, range(S)).fill(E, (a, lo, psum, P)) is True
-    want = runner._segment_error_max(psum, smax, E * a[:, None, None], lo, ln,
-                                     np.repeat(np.arange(len(ln)), ln), carry_out)
-    got = runner._compiled_error_max(smax, P, lo, carry_out)
-    assert _same_bits(got[0], want[0])
-    assert (got[1] is None and want[1] is None) or _same_bits(got[1], want[1])
+    E, sums = np.empty((n, S, d)), [psum.copy(), psum.copy()]
+    got = BlockNoise(model, d, range(S)).fill(E, (a, lo, sums[0], smax))
+    want = _cnoise.sums_numpy(E, a, lo, sums[1], smax)
+    assert _same_bits(got, want) and _same_bits(sums[0], sums[1])
     for s in range(S):
         assert _same_bits(E[:, s], NoiseStream(model, d, s).take(n))
 
@@ -223,7 +218,6 @@ def test_bad_segment_starts_raise_before_the_block_draw(lo):
         raise AssertionError("the compiled block draw was called")
 
     S, d, n = 2, 3, 8
-    E, P = np.zeros((n, S, d)), np.zeros((n, S, d))
     with pytest.raises(ValueError, match="segment starts"):
-        _cnoise.block(never, _cnoise.states(range(S)), E, 1.0,
-                      (np.ones(n), lo, np.zeros((S, d)), P))
+        _cnoise.block(never, _cnoise.states(range(S)), np.zeros((n, S, d)), 1.0,
+                      (np.ones(n), lo, np.zeros((S, d)), np.zeros(S)))

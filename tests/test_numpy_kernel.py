@@ -1,6 +1,6 @@
 """The golden-digest and runner-pipeline tests once more, with the compiled
 library stubbed off, as on a machine without a C compiler: the numpy step
-kernel, the numpy error scan and numpy's normals together must give the
+kernel, the numpy error sums and numpy's normals together must give the
 same digests, and a run must store the same noise bytes as with the
 library, for both variants that draw normals.
 """
@@ -41,11 +41,18 @@ def numpy_fallback(monkeypatch):
     monkeypatch.setattr(_ckernel, "load", lambda: None)
 
 
-def test_stub_runs_the_numpy_error_scan(monkeypatch):
+def test_stub_runs_the_numpy_error_scan(monkeypatch, tmp_path):
     def compiled(*args):
         raise AssertionError("compiled code ran with the library stubbed off")
 
-    monkeypatch.setattr(runner, "_compiled_error_max", compiled)
+    log, sums_numpy = tmp_path / "calls", _cnoise.sums_numpy
+
+    def spy(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return sums_numpy(*args)
+
+    monkeypatch.setattr(_cnoise, "sums_numpy", spy)
     monkeypatch.setattr(_ckernel, "Steps", compiled)        # quadratic declares a form
     monkeypatch.setattr(_ckernel, "Spreads", compiled)      # the run has windows
     monkeypatch.setattr(_cnoise, "states", compiled)        # gaussian noise draws normals
@@ -56,6 +63,8 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch):
     batch = run_batch(problem, params, schedule, NoiseModel.gaussian(0.1), [0, 1], 300,
                       partition=part, recording=RecordingPolicy(window_profile=True))
     assert batch.window.n_windows == part.n_windows
+    calls = log.read_text().split()     # one call per block, in the noise child
+    assert len(calls) == 1 and calls[0] != str(os.getpid())
 
 
 def test_stub_runs_the_numpy_window_spreads_in_the_rows_child(monkeypatch, tmp_path):

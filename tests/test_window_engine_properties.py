@@ -10,6 +10,11 @@ from window 1 on (window_profile), the others only the default detail
 range from K_T on, where the blocks before K_T skip the error sums; an
 aligned draw of those puts a block edge at the first detail anchor.
 Every comparison is exact.
+
+The numpy twin of the window error sums, _cnoise.sums_numpy, has an
+oracle of its own: per segment of a random segmentation, a from-scratch
+np.cumsum of its weighted errors after the carried sum, as
+oracles.aggregate_errors sums a window.
 """
 
 import dataclasses
@@ -21,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sgdmlab import (MomentumParams, NoiseModel, RecordingPolicy, StepSchedule,
                      applicability_index, build_partition, cauchy_profile,
-                     default_window, make_problem, run_batch, runner)
+                     default_window, make_problem, run_batch, _cnoise)
 from sgdmlab.runner import _WindowAccumulator
 from sgdmlab.windows import DELTA_APPLICABILITY
 
@@ -112,7 +117,7 @@ def test_streaming_engine_matches_history_oracles(lam, nu, schedule, diverge, bl
         assert np.array_equal(w.merit_grad_sq, gm2[anchors])
 
 
-def test_error_scan_skips_blocks_before_the_detail_range(monkeypatch):
+def test_error_scan_skips_blocks_before_the_detail_range():
     # SGD on a cliff schedule: K_T lies a few blocks in, so the first
     # blocks hold only windows whose s is never stored
     params = MomentumParams(0.0)
@@ -128,27 +133,61 @@ def test_error_scan_skips_blocks_before_the_detail_range(monkeypatch):
     a = schedule.prefix(HORIZON - 1)
 
     acc = _WindowAccumulator(part, K_T, PROBLEM, params, 1, K_T, False, HORIZON)
-    scans, scan = [], runner._segment_error_max
-    monkeypatch.setattr(runner, "_segment_error_max",
-                        lambda *args: scans.append(1) or scan(*args))
     acc.start(X[0])
-    B, wbuf = 16, np.empty((16, 1, PROBLEM.dim))
-    skipped = 0
+    B, skipped = 16, 0
     for b0 in range(1, HORIZON, B):
         n = min(B, HORIZON - b0)
-        before = len(scans)
         plan = acc.error_plan(b0, n)
         if plan is not None:
-            acc.process_noise(plan, E[b0 - 1:b0 - 1 + n], a[b0 - 1:b0 - 1 + n], wbuf[:n],
-                              summed=False)
+            acc.process_noise(plan, _cnoise.sums_numpy(E[b0 - 1:b0 - 1 + n], a[b0 - 1:b0 - 1 + n],
+                                                       plan[1], acc.psum, acc.smax))
         acc.process_block(b0, X[b0 - 1:b0 + n], n)
-        # the window holding the block's last step, and whether it scanned
+        # the window holding the block's last step, and whether it formed sums
         last = int(np.searchsorted(part.gammas, b0 + n - 1, side="right"))
-        assert len(scans) - before == (last >= K_T)
+        assert (plan is not None) == (last >= K_T)
         skipped += last < K_T
     assert K_T > 1 and skipped >= 2
     trace = acc.finish()
     assert np.array_equal(trace.s[:, 0], oracles.aggregate_errors(traj, part)[K_T - 1:])
+
+
+VALUES = [0.0, -0.0, 5e-324, 1e-160, 1e154, 1.7e308, -1e300, np.inf, -np.inf, np.nan]
+
+
+def _same_bits(a, b) -> bool:
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()
+                and (a[~nan].view(np.int64) == b[~nan].view(np.int64)).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), S=st.integers(1, 4), d=st.integers(1, 12), data=st.data())
+def test_sums_numpy_matches_per_window_cumsums(n, S, d, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    share = data.draw(st.sampled_from([0.0, 0.05, 0.5]))
+
+    def values(shape):
+        v = rng.standard_normal(shape)
+        special = rng.random(shape) < share
+        v[special] = rng.choice(VALUES, int(special.sum()))
+        return v
+
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else []
+    lo = np.array(sorted({0, *cuts}))
+    E, a, psum, smax = values((n, S, d)), np.abs(values(n)), values((S, d)), np.abs(values(S))
+    smax[rng.random(S) < 0.3] = np.nan          # a carried maximum may be NaN
+    carry = psum.copy()
+    with np.errstate(all="ignore"):
+        got = _cnoise.sums_numpy(E, a, lo, carry, smax)
+        for k, (l, h) in enumerate(zip(lo, np.append(lo[1:], n))):
+            # the window's sums from scratch; the first one's after the carried sum
+            W = E[l:h] * a[l:h, None, None]
+            if k == 0:
+                W = np.concatenate([psum[None], W])
+            P = np.cumsum(W, axis=0)[1 if k == 0 else 0:]
+            want = np.sqrt(np.einsum("...d,...d->...", P, P)).max(axis=0)
+            assert _same_bits(got[k], np.maximum(want, smax) if k == 0 else want)
+    assert _same_bits(carry, P[-1])             # the last window's sum, left in psum
 
 
 @pytest.mark.parametrize("block", [4, 7, 2048])
