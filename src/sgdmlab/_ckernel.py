@@ -16,8 +16,8 @@ replaced with ``dataclasses.replace`` or wrapped in any way runs the numpy
 kernel and is called as before.  The same call writes each new row's norm,
 which the divergence scan reads.
 
-The rows child's window spreads are one C call per block too
-(window_spread): the interpolation rows, each row's distance to its
+The window spreads, which run_batch's parent forms after each block's
+steps, are one C call per block too (window_spread): the interpolation rows, each row's distance to its
 window's anchor and each window segment's maximum, in one pass over the
 block's slot, for every problem.
 

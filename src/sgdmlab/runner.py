@@ -9,33 +9,33 @@ seed alone or inside a batch yields bitwise-identical records.
 Per-window statistics (aggregated error, iterate spread, merit ledger at
 anchors) are accumulated streaming so that million-step runs never hold
 full iterate histories; a ring of block buffers serves the scalar record
-grid and the window segments.  The ring is shared by three processes (a
-three-stage pipeline; it needs POSIX fork): a forked noise child draws
-the noise ahead, the caller runs the momentum steps, and a forked rows
-child consumes each finished block.  The ring holds row slots only: the
-noise child draws a block's noise into rows 1..n of its slot, where the
-steps read it and overwrite it, and forms the block's error sums at draw
-time; it reuses a slot only once the rows child has freed it.  A run
-shares RING_SLOTS (B+1) S d 8 bytes for blocks of B steps, 9.8 MB at
-S = 20 seeds and d = 10.
+grid and the window segments.  The ring is shared by two processes (a
+two-stage pipeline; it needs POSIX fork): a forked noise child draws the
+noise ahead, and the caller runs the momentum steps and then consumes each
+finished block itself.  The ring holds row slots only: the noise child
+draws a block's noise into rows 1..n of its slot, where the steps read it
+and overwrite it, and forms the block's error sums at draw time; it reuses
+a slot only once the caller has freed it.  A run shares RING_SLOTS (B+1)
+S d 8 bytes for blocks of B steps, 9.8 MB at S = 20 seeds and d = 10.
 
 The momentum steps, the window spreads, the error sums and gaussian
 normals run in C where the one compiled library (_ckernel) loads, in numpy
 elsewhere, with the same bits.  run_batch loads it before the fork; the
-children inherit it.  A block of steps is one C call where grad_batch
+child inherits it.  A block of steps is one C call where grad_batch
 declares an exact elementwise form (quadratic; even_power with p = 1, or
 p = 2 at d = 1), else _Steps in numpy; either writes the new rows' norms,
-which the divergence scan reads.  The rows child's window spreads of a
-block (interpolation rows, distances to the window anchors, per-window
-maxima) are one C call for every problem (_ckernel.Spreads), else
-_Spreads in numpy.  The noise child fills each block through the run's
-noise.BlockNoise, which also returns the maxima s_k of the windows the
-block touches and carries the open window's sum: gaussian noise in one
-C call, the block draw of _cnoise, in tiles of rows that every seed
-fills in turn, with each tile's error sums formed while it is in cache.
-Other noise is drawn stream by stream from numpy's Generator and summed
-by the same C call without drawing.  Where the library does not load,
-numpy's Generator draws and _cnoise.sums_numpy sums.
+which the divergence scan reads.  The window spreads of a block
+(interpolation rows, distances to the window anchors, per-window maxima)
+are one C call for every problem (_ckernel.Spreads), else _Spreads in
+numpy, and its record grid is one f_batch and one grad_batch call.  The
+noise child fills each block through the run's noise.BlockNoise, which
+also returns the maxima s_k of the windows the block touches and carries
+the open window's sum: gaussian noise in one C call, the block draw of
+_cnoise, in tiles of rows that every seed fills in turn, with each tile's
+error sums formed while it is in cache.  Other noise is drawn stream by
+stream from numpy's Generator and summed by the same C call without
+drawing.  Where the library does not load, numpy's Generator draws and
+_cnoise.sums_numpy sums.
 """
 
 from __future__ import annotations
@@ -315,25 +315,24 @@ class _WindowAccumulator:
 
 
 # ---------------------------------------------------------------------------
-# three-stage block pipeline
+# two-stage block pipeline
 #
-# run_batch forks two children per call, and the three processes pass each
-# block's ring slot on around a ring of pipes.  The noise child draws the
-# block's noise into rows 1..n of its slot and forms the block's error sums
-# from it there and then.  The parent reads e^t in the step that overwrites
-# its row with x^{t+1} and runs the divergence scan, whose frozen rows set
-# the next block's start; once the rows are final it copies x^t and x^{t-1}
-# out of the slot and hands the slot on.  The rows child consumes the
-# finished rows in order and hands the slot back to the noise child, which
-# only then draws a later block into it.  Block j lives in slot
-# j % RING_SLOTS; one token byte per block passes each hand-over: "noise in
-# slot" (noise child to parent), "rows final" (parent to rows child) and
-# "slot free" (rows child to noise child).  Each child's result comes back
-# pickled at the end, on a report pipe of its own.  A run shares
-# RING_SLOTS (B+1) S d 8 bytes: 9.8 MB at S = 20, d = 10 and B = 2048.
+# run_batch forks one child per call, joined to it by one pipe each way, and
+# the two processes pass each block's ring slot back and forth.  The noise
+# child draws the block's noise into rows 1..n of its slot, forms the
+# block's error sums from it there and then, and sends "noise in slot".  The
+# parent reads e^t in the step that overwrites its row with x^{t+1}, runs
+# the divergence scan, whose frozen rows set the next block's start, and
+# consumes the final rows: step norms, iterate window statistics and the
+# record grid.  It then copies x^t and x^{t-1} out of the slot and sends
+# "slot free"; only then does the noise child draw a later block into it.
+# Block j lives in slot j % RING_SLOTS, and one token byte per block passes
+# each way.  After its last block the child sends its error sums, pickled,
+# or the exception that ended it.  A run shares RING_SLOTS (B+1) S d 8
+# bytes: 9.8 MB at S = 20, d = 10 and B = 2048.
 
-RING_SLOTS = 3          # blocks in flight between the three processes
-_NOISE, _ROWS, _FREE, _RESULT, _ERROR = b"N", b"R", b"F", b"D", b"X"
+RING_SLOTS = 3          # blocks in flight between the two processes
+_NOISE, _FREE, _RESULT, _ERROR = b"N", b"F", b"D", b"X"
 
 
 class PipelineError(RuntimeError):
@@ -342,7 +341,7 @@ class PipelineError(RuntimeError):
 
 def _ring(slots: int, B: int, S: int, d: int) -> np.ndarray:
     """Row slots (slots, B+1, S, d) in one anonymous shared mapping, which
-    forked children share with their parent."""
+    a forked child shares with its parent."""
     import mmap     # here and below: importing sgdmlab stays as light as before
     size = slots * (B + 1) * S * d
     flat = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
@@ -362,38 +361,23 @@ def _send(fh, tag: bytes, *payload):
     fh.flush()
 
 
-def _report(reports, i: int):
-    """Child i's result, read from its report pipe.  Its exception is raised
-    here, and so is its early death.  A child that stopped only because the
-    child before it in the ring ended raises what ended that one instead."""
-    name, fh = reports[i]
-    tag = fh.read(1)
-    if tag == _RESULT:
-        return pickle.load(fh)
+def _recv(rx, want: bytes):
+    """Read the noise child's next message, which must be want: "noise in
+    slot", or its result, which is returned.  Its exception is raised
+    here, and so is its early end."""
+    tag = rx.read(1)
     if tag == _ERROR:
-        exc = pickle.load(fh)
-        if isinstance(exc, PipelineError) and i > 0:
-            _report(reports, i - 1)
-        raise exc
-    raise PipelineError(f"the {name} child of run_batch exited without its result")
+        raise pickle.load(rx)
+    if tag != want:
+        raise PipelineError("the noise child of run_batch ended before finishing its side")
+    return pickle.load(rx) if tag == _RESULT else None
 
 
-def _recv(rx, reports):
-    """Wait until the next block's noise is in its slot; if the noise child
-    ended instead, raise what ended it."""
-    if rx.read(1) != _NOISE:
-        _report(reports, len(reports) - 1)
-        raise PipelineError("the noise child of run_batch ended before its last block")
-
-
-def _hand_over(reports, tx):
-    """Tell the rows child that the current block's rows are final; if it
-    has ended, raise what ended it."""
-    try:
-        tx.write(_ROWS)
-    except BrokenPipeError:
-        _report(reports, 0)
-        raise
+def _free(tx):
+    """Tell the noise child that the current block's slot is free.  A child
+    that has ended cannot read it; the next _recv raises what ended it."""
+    with contextlib.suppress(BrokenPipeError):
+        tx.write(_FREE)
 
 
 def _portable(exc: BaseException, name: str) -> BaseException:
@@ -411,99 +395,57 @@ def _portable(exc: BaseException, name: str) -> BaseException:
     return exc
 
 
-def _keep_heap():
-    """Serve this process's large temporaries from a heap that is never
-    trimmed (glibc's mallopt; elsewhere nothing).  With glibc's dynamic
-    thresholds the heap at the fork decides whether a child's block
-    temporaries reuse pages or map fresh ones, at 18,000 page faults and a
-    quarter more CPU per 1e5 steps of the rows child at S = 20."""
-    import ctypes
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD: its maximum, 32 MB
-        mallopt(-1, 1 << 30)        # M_TRIM_THRESHOLD
-
-
-def _child(name: str, main, rx_fd: int, tx_fd: int, report_fd: int, fds: list[int]):
-    """A forked child's life: main(rx, tx) on its ring ends, then its result
-    or its exception on its report pipe, then os._exit."""
-    status = 1
-    try:
-        _keep_heap()
-        for fd in fds:
-            if fd not in (rx_fd, tx_fd, report_fd):
-                os.close(fd)    # a pipe end held open here would hide an EOF
-        with open(rx_fd, "rb") as rx, open(tx_fd, "wb") as tx, \
-                open(report_fd, "wb") as report:
-            try:
-                _send(report, _RESULT, main(rx, tx))
-                status = 0
-            except BaseException as exc:    # the parent raises it; this process ends
-                _send(report, _ERROR, _portable(exc, name))
-    finally:
-        os._exit(status)
-
-
 @contextlib.contextmanager
-def _forked(**mains):
-    """Fork one child per named main, joined with the parent in a ring of
-    pipes: the parent writes to the first child, each child to the next and
-    the last child to the parent.  A child runs main(rx, tx) on its ring ends
-    and sends what it returns or raises on a report pipe of its own; it
-    always ends with os._exit.  Yields the parent's ring ends (rx, tx) and
-    the (name, report) read ends in ring order.  The parent always reaps
-    every child, killing them first when its side raised."""
+def _forked(main):
+    """Fork the noise child, joined with the parent by one pipe each way.
+    The child runs main(rx, tx) on its ends, sends what main returned or
+    raised on the same pipe and always ends with os._exit.  Yields the
+    parent's ends (rx, tx).  The parent always reaps the child, killing it
+    first when its side raised."""
     import signal
-    n = len(mains)
-    ring = [os.pipe() for _ in range(n + 1)]    # pipe i is read by child i, pipe n by the parent
-    reps = [os.pipe() for _ in range(n)]
-    fds = [fd for pair in ring + reps for fd in pair]
-    pids = []
+    down, up = os.pipe(), os.pipe()     # parent to child, child to parent
     try:
-        named = list(mains.items())
-        for i in reversed(range(n)):    # the last child feeds the parent: it starts first
-            pid = os.fork()
-            if pid == 0:
-                _child(*named[i], ring[i][0], ring[i + 1][1], reps[i][1], fds)
-            pids.append(pid)
-    except BaseException:       # a failed or interrupted fork: end the ones forked
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in fds:
+        pid = os.fork()
+    except BaseException:       # a failed or interrupted fork
+        for fd in down + up:
             os.close(fd)
         raise
-    mine = [ring[n][0], ring[0][1]] + [r for r, _ in reps]
-    for fd in fds:
-        if fd not in mine:
-            os.close(fd)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(down[1])   # a write end held open here would hide an EOF
+            os.close(up[0])
+            with open(down[0], "rb") as rx, open(up[1], "wb") as tx:
+                try:
+                    _send(tx, _RESULT, main(rx, tx))
+                    status = 0
+                except BaseException as exc:    # the parent raises it; this process ends
+                    _send(tx, _ERROR, _portable(exc, "noise"))
+        finally:
+            os._exit(status)
+    os.close(down[0])
+    os.close(up[1])
     finished = False
     try:
-        with contextlib.ExitStack() as files:
-            rx = files.enter_context(open(ring[n][0], "rb"))
-            tx = files.enter_context(open(ring[0][1], "wb", buffering=0))
-            reports = [(name, files.enter_context(open(r, "rb")))
-                       for name, (r, _) in zip(mains, reps)]
-            yield rx, tx, reports
+        with open(up[0], "rb") as rx, open(down[1], "wb", buffering=0) as tx:
+            yield rx, tx
         finished = True
     finally:
         if not finished:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 class _BlockConsumer:
-    """The children's sides of run_batch.
+    """The two sides of run_batch's ring slots.
 
     In the noise child it draws each block's noise into rows 1..n of the
-    block's ring slot, ahead of the step loop but never into a slot the rows
-    child still reads, and forms the block's error sums at once, before the
-    parent overwrites those rows.  Its result is the error sums.  In the rows
-    child it consumes the finished rows block by block, in order: step
-    norms, iterate window statistics and the scalar record grid.  Its result
-    is everything else the run recorded.
+    block's ring slot, ahead of the step loop but never into a slot the
+    parent still reads, and forms the block's error sums at once, before the
+    parent overwrites those rows.  Its result is the error sums.  In the
+    parent it consumes the finished rows block by block, in order: step
+    norms, iterate window statistics and the scalar record grid, one
+    f_batch and one grad_batch call over the block's grid rows.
     """
 
     def __init__(self, problem: Problem, params: MomentumParams,
@@ -514,7 +456,6 @@ class _BlockConsumer:
         self.schedule, self.blocks = schedule, blocks
         self.ring = ring
         self.X1, self.grid, self.acc = X1, grid, acc
-        # the buffers below are first written in a child
         G, S = len(grid), len(X1)
         self.rec_f = np.empty((G, S))
         self.rec_g = np.empty((G, S))
@@ -525,33 +466,14 @@ class _BlockConsumer:
         self.gp = 0                     # next record-grid point
 
     def noise(self, rx, tx):
-        """The noise child: block j's noise once the rows child has freed
-        the slot of block j - RING_SLOTS."""
+        """The noise child: block j's noise once the parent has freed the
+        slot of block j - RING_SLOTS."""
         for j in range(len(self.blocks)):
             if j >= len(self.ring) and rx.read(1) != _FREE:
-                raise PipelineError("the rows child of run_batch ended before freeing a slot")
+                raise PipelineError("the parent of run_batch ended before freeing a slot")
             self._draw(j)
             _send(tx, _NOISE)
         return self.acc.s_arr if self.acc is not None else None
-
-    def rows(self, rx, tx):
-        """The rows child: each block's final rows, in order."""
-        blocks, ahead = self.blocks, len(self.ring)
-        if self.acc is not None:
-            self.acc.start(self.X1)
-        if len(self.grid) and self.grid[0] == 1:
-            self._record(self.X1, None)
-        for j in range(len(blocks)):
-            if rx.read(1) != _ROWS:
-                raise PipelineError("the parent of run_batch ended before its last block")
-            self._consume(j)
-            if j + ahead < len(blocks):
-                _send(tx, _FREE)
-        trace = self.acc.finish() if self.acc is not None else None
-        if trace is not None:
-            trace.partition = trace.s = None    # the parent holds one, the noise child sends the other
-        return (self.rec_f, self.rec_g, self.rec_xz, self.rec_dist,
-                trace, self.sn_ok, self.sn_total)
 
     def _draw(self, j: int):
         b0, n = self.blocks[j]
@@ -563,33 +485,40 @@ class _BlockConsumer:
         sums = (self.schedule.at(np.arange(b0, b0 + n)), plan[1], self.acc.psum, self.acc.smax)
         self.acc.process_noise(plan, self.block_noise.fill(E, sums))
 
-    def _consume(self, j: int):
-        b0, n = self.blocks[j]
-        rows, _ = _slot(self.ring, j, n)
+    def start(self):
+        """The parent's records at x^1, the first grid point."""
+        if self.acc is not None:
+            self.acc.start(self.X1)
+        self._record(self.X1[None], None)
+
+    def consume(self, b0: int, rows: np.ndarray, step_sizes: np.ndarray):
+        """The parent's side of a block: its final rows x^{b0}..x^{b0+n}
+        (rows 0..n), reached with the step sizes a_{b0}..a_{b0+n-1}."""
+        n = len(step_sizes)
         if self.sn_ok is not None:
-            a = self.schedule.at(np.arange(b0, b0 + n))[:, None]
             dn = _norms(np.diff(rows, axis=0))
-            self.sn_ok += (dn >= a - STEP_NORM_TOL).sum(axis=0)
+            self.sn_ok += (dn >= step_sizes[:, None] - STEP_NORM_TOL).sum(axis=0)
             self.sn_total += dn.sum(axis=0)
 
         if self.acc is not None:
             self.acc.process_block(b0, rows, n)
 
         grid = self.grid
-        while self.gp < len(grid) and grid[self.gp] <= b0 + n:
-            row = int(grid[self.gp] - b0)
-            self._record(rows[row], rows[row - 1] if self.lam != 0.0 else None)
+        idx = grid[self.gp:np.searchsorted(grid, b0 + n, side="right")] - b0
+        if len(idx):
+            self._record(rows[idx], rows[idx - 1] if self.lam != 0.0 else None)
 
-    def _record(self, xk: np.ndarray, xprev: np.ndarray | None):
-        """Scalar records of the next grid point at iterate xk; ||x - z||
-        from the previous iterate xprev, 0 at k = 1 and without momentum."""
-        gp, problem, lam = self.gp, self.problem, self.lam
-        self.rec_f[gp] = problem.f_batch(xk)
-        self.rec_g[gp] = _norms(problem.grad_batch(xk))
-        self.rec_xz[gp] = 0.0 if xprev is None else lam / (1.0 - lam) * _norms(xk - xprev)
+    def _record(self, P: np.ndarray, Pprev: np.ndarray | None):
+        """Scalar records of the next len(P) grid points at their iterates
+        P (g, S, d); ||x - z|| from the iterates Pprev before them, 0 at
+        k = 1 and without momentum (Pprev None)."""
+        at, problem, lam = slice(self.gp, self.gp + len(P)), self.problem, self.lam
+        self.rec_f[at] = problem.f_batch(P)
+        self.rec_g[at] = _norms(problem.grad_batch(P))
+        self.rec_xz[at] = 0.0 if Pprev is None else lam / (1.0 - lam) * _norms(P - Pprev)
         if self.rec_dist is not None:
-            self.rec_dist[gp] = _norms(xk - problem.x_star)
-        self.gp += 1
+            self.rec_dist[at] = _norms(P - problem.x_star)
+        self.gp = at.stop
 
 
 class _Steps:
@@ -658,12 +587,12 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
               partition: win.WindowPartition | None = None) -> RunBatch:
     """Run one trajectory per seed, vectorized across seeds.
 
-    The work is split over three processes (POSIX fork): a forked noise
-    child draws the noise, this one runs the momentum steps and the
-    divergence scan, and a forked rows child consumes the finished blocks;
-    see _BlockConsumer.  The noise child reuses a ring slot only after the
-    rows child sends it "slot free".  As with any fork, call it from a
-    process whose other threads hold no locks the children could need.
+    The work is split over two processes (POSIX fork): a forked noise
+    child draws the noise, and this one runs the momentum steps and the
+    divergence scan and then consumes each finished block; see
+    _BlockConsumer.  The noise child reuses a ring slot only after this
+    process sends it "slot free".  As with any fork, call it from a
+    process whose other threads hold no locks the child could need.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -695,7 +624,6 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
         else:
             detail_lo = partition.n_windows + 1 if K_T is None else K_T
         spreads = None if lib is None else _ckernel.Spreads(lib.window_spread, params.lam)
-        # its arrays are first written in the children, so they take no pages here
         acc = _WindowAccumulator(partition, K_T, problem, params, S, detail_lo,
                                  rp.window_profile, horizon,
                                  keep_boundaries=rp.store_boundary_vectors, spreads=spreads)
@@ -718,7 +646,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
     ring = _ring(max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1), S, d)
     # the run's noise: built here, drawn from in the noise child only, so
-    # numpy.random loads once per process, not once per child
+    # numpy.random loads once per process, not in every run's child
     block_noise = BlockNoise(noise, d, seeds)
     consumer = _BlockConsumer(problem, params, block_noise, schedule, blocks,
                               ring, X.copy(), record_grid(horizon, rp), acc,
@@ -730,9 +658,10 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     else:
         kernel = _Steps(grad, params, S, d)
     rnorm_buf = np.empty((ring.shape[1] - 1, S))
-    with _forked(rows=consumer.rows, noise=consumer.noise) as (rx, tx, reports):
+    with _forked(consumer.noise) as (rx, tx):
+        consumer.start()
         for j, (b0, n) in enumerate(blocks):
-            _recv(rx, reports)          # this block's noise is in its slot
+            _recv(rx, _NOISE)           # this block's noise is in its slot
             rows, E = _slot(ring, j, n)
             if E_hist is not None:
                 E_hist[b0 - 1:b0 - 1 + n] = E
@@ -741,8 +670,9 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             # a NaN or +-inf coordinate makes its row's norm non-finite; a
             # finite norm may still exceed the cap
             rnorm = rnorm_buf[:n]                                   # (n, S)
+            a = schedule.at(np.arange(b0, b0 + n))
             with np.errstate(over="ignore", invalid="ignore"):
-                kernel.run(X, Xp, E, rows, schedule.at(np.arange(b0, b0 + n)), frozen, rnorm)
+                kernel.run(X, Xp, E, rows, a, frozen, rnorm)
                 bad = ~np.isfinite(rnorm) | (rnorm > cap)
             if bad.any():
                 for s_idx in np.nonzero(bad.any(axis=0) & active)[0]:
@@ -756,22 +686,24 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
                 box_exits += (rnorm > box).sum(axis=0)
             if X_hist is not None:
                 X_hist[b0:b0 + n] = rows[1:]
-            # once handed over, the slot takes a later block's noise
+            consumer.consume(b0, rows, a)
+            # once freed, the slot takes a later block's noise
             np.copyto(X, rows[n])
             np.copyto(Xp, rows[n - 1])
-            _hand_over(reports, tx)
-        rec_f, rec_g, rec_xz, rec_dist, trace, sn_ok, sn_total = _report(reports, 0)
-        s = _report(reports, 1)
-    if trace is not None:
-        trace.partition, trace.s = partition, s
+            if j + len(ring) < len(blocks):
+                _free(tx)
+        s = _recv(rx, _RESULT)
+    if acc is not None:
+        acc.s_arr = s           # formed by the noise child's copy of acc
 
     return RunBatch(
         seeds=seeds, horizon=horizon, config=config, ks=consumer.grid,
-        f=rec_f, grad_norm=rec_g, dist=rec_dist, xz=rec_xz,
+        f=consumer.rec_f, grad_norm=consumer.rec_g, dist=consumer.rec_dist, xz=consumer.rec_xz,
         x_final=X.copy(),
-        diverged_at=diverged_at, box_exits=box_exits, window=trace,
+        diverged_at=diverged_at, box_exits=box_exits,
+        window=acc.finish() if acc is not None else None,
         X_hist=X_hist, E_hist=E_hist,
-        step_norm_ok=sn_ok, step_norm_total=sn_total)
+        step_norm_ok=consumer.sn_ok, step_norm_total=consumer.sn_total)
 
 
 def run_trajectory(problem: Problem, params: MomentumParams, schedule: StepSchedule,

@@ -67,12 +67,11 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch, tmp_path):
     assert len(calls) == 1 and calls[0] != str(os.getpid())
 
 
-def test_stub_runs_the_numpy_window_spreads_in_the_rows_child(monkeypatch, tmp_path):
-    log, segment_dev_max = tmp_path / "calls", runner._segment_dev_max
+def test_stub_runs_the_numpy_window_spreads_in_the_parent(monkeypatch):
+    calls, segment_dev_max = [], runner._segment_dev_max
 
     def spy(*args):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
+        calls.append(os.getpid())
         return segment_dev_max(*args)
 
     monkeypatch.setattr(runner, "_segment_dev_max", spy)
@@ -81,9 +80,8 @@ def test_stub_runs_the_numpy_window_spreads_in_the_rows_child(monkeypatch, tmp_p
     part = build_partition(schedule, default_window(problem, params), 300)
     run_batch(problem, params, schedule, NoiseModel.gaussian(0.1), [0, 1], 300,
               partition=part, recording=RecordingPolicy(block_size=64))
-    calls = log.read_text().split()
-    # the x and z rows of each of the five blocks, all in one forked child
-    assert len(calls) == 10 and len(set(calls)) == 1 and calls[0] != str(os.getpid())
+    # the x and z rows of each of the five blocks, all in the parent
+    assert calls == [os.getpid()] * 10
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

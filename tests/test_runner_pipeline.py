@@ -1,17 +1,16 @@
-"""The runner's three-stage block pipeline: divergence freezing across
-blocks, the hand-overs around the ring, and failures in any of its
-processes.
+"""The runner's two-stage block pipeline: divergence freezing across
+blocks, the tokens on the two pipes, and failures in either process.
 
 The forked noise child draws each block's noise into the block's row slot;
-the parent runs the momentum steps and the divergence scan over it; the
-forked rows child evaluates the record grid and the window statistics from
-the finished rows, then frees the slot for the noise child to reuse.  A
-parent that lags the noise child still starts every block from its own
-rows, and a rows child that lags both still reads every block as the
-parent left it.  A failure in a child must come back as an exception of
-its original type, not as the other child's follow-on; a dead child must
-show as an exception that names it rather than a hang, and no run may
-leave a child process behind.
+the parent runs the momentum steps and the divergence scan over it,
+evaluates the record grid and the window statistics from the finished
+rows, then frees the slot for the noise child to reuse.  run_batch forks
+exactly one child.  A parent that frees a slot and then lags still starts
+every block from its own rows, and a parent that lags before consuming a
+block still reads it as its steps left it.  An exception in the noise child
+must come back with its original type, a dead child must show as an
+exception that names it rather than a hang, and no run, whichever side
+fails, may leave a child process behind.
 """
 
 import dataclasses
@@ -81,10 +80,9 @@ def test_replaced_grad_batch_is_called():
     # the built-in gradient declares a compiled form; a replacement, even
     # one computing the same values, runs the numpy kernel and is called
     calls = []
-    parent = os.getpid()
 
     def grad_batch(x, out=None):
-        if os.getpid() == parent:
+        if x.ndim == 2:             # the step kernel's calls, not the record grid's
             calls.append(1)
         return QUAD.grad_batch(x, out)
 
@@ -96,54 +94,44 @@ def test_replaced_grad_batch_is_called():
     _assert_no_children()
 
 
-def test_child_exception_keeps_its_type():
+def _failing(fn, n: int, exc: Exception):
+    """fn, except that its n-th call raises exc."""
     calls = []
 
-    def f_batch(x):                     # the record grid runs in the child
+    def call(*args):
         calls.append(1)
-        if len(calls) == 5:
-            raise ValueError("record-grid evaluation failed")
-        return QUAD.f_batch(x)
-
-    prob = dataclasses.replace(QUAD, f_batch=f_batch)
-    rp = RecordingPolicy(block_size=8)
-    with pytest.raises(ValueError, match="record-grid evaluation failed") as info:
-        run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 200, recording=rp)
-    assert any("child process" in note for note in info.value.__notes__)
-    _assert_no_children()
-
-
-def test_dead_child_raises_promptly():
-    parent = os.getpid()
-
-    def f_batch(x):
-        if os.getpid() != parent:
-            os._exit(3)
-        return QUAD.f_batch(x)
-
-    prob = dataclasses.replace(QUAD, f_batch=f_batch)
-    t0 = time.perf_counter()
-    with pytest.raises(PipelineError):
-        run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000)
-    assert time.perf_counter() - t0 < 10.0
-    _assert_no_children()
+        if len(calls) == n:
+            raise exc
+        return fn(*args)
+    return call
 
 
 def test_parent_exception_kills_and_reaps_child():
-    parent = os.getpid()
-    calls = []
+    # the step loop and the record grid both run in the parent: a failure in
+    # either keeps its type and object, and the child is killed and reaped
+    for name, n, exc in [("grad_batch", 100, FloatingPointError("step kernel failed")),
+                         ("f_batch", 5, ValueError("record-grid evaluation failed"))]:
+        prob = dataclasses.replace(QUAD, **{name: _failing(getattr(QUAD, name), n, exc)})
+        rp = RecordingPolicy(block_size=16)
+        with pytest.raises(type(exc)) as info:
+            run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000, recording=rp)
+        assert info.value is exc
+        _assert_no_children()
 
-    def grad_batch(x, out=None):
-        if os.getpid() == parent:       # the step loop runs in the parent
-            calls.append(1)
-            if len(calls) == 100:
-                raise FloatingPointError("step kernel failed")
-        return QUAD.grad_batch(x, out)
 
-    prob = dataclasses.replace(QUAD, grad_batch=grad_batch)
-    rp = RecordingPolicy(block_size=16)
-    with pytest.raises(FloatingPointError, match="step kernel failed"):
-        run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000, recording=rp)
+def test_run_batch_forks_exactly_once(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    part = build_partition(StepSchedule.constant(0.5), default_window(QUAD, MomentumParams.sgd()),
+                           200)
+    run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 200, partition=part,
+              recording=RecordingPolicy(block_size=8, track_step_norms=True))
+    assert len(forks) == 1
     _assert_no_children()
 
 
@@ -164,10 +152,10 @@ def test_ring_edges_keep_the_noise_streams():
 @pytest.mark.parametrize("params", [MomentumParams(0.6), MomentumParams.sgd()],
                          ids=["heavy_ball", "sgd"])
 def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypatch):
-    # ten blocks of four steps: once block j is handed over, the child draws
-    # block j + RING_SLOTS's noise into the same slot, over the rows that
-    # held x^t and x^{t-1}.  A parent that sleeps after every hand-over
-    # lets it do so before the parent starts block j + 1.
+    # ten blocks of four steps: once block j's slot is free, the child draws
+    # block j + RING_SLOTS's noise into it, over the rows that held x^t and
+    # x^{t-1}.  A parent that sleeps after every "slot free" lets it do so
+    # before the parent starts block j + 1.
     prob = make_problem("quadratic", 2, mu=0.5, l=2.0)
     schedule = StepSchedule.polynomial(0.3, 1.0, 0.6)
     horizon, B, seeds = 41, 4, [3, 4]
@@ -180,19 +168,21 @@ def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypat
                          recording=rp, partition=part)
 
     plain = run()
-    rings = []
-    ring, hand_over = runner._ring, runner._hand_over
+    rings, frees = [], []
+    ring, free = runner._ring, runner._free
 
-    def delayed_hand_over(rx, tx):
-        hand_over(rx, tx)
+    def delayed_free(tx):
+        free(tx)
+        frees.append(1)
         time.sleep(0.05)
 
     monkeypatch.setattr(runner, "_ring", lambda *args: rings.append(ring(*args)) or rings[-1])
-    monkeypatch.setattr(runner, "_hand_over", delayed_hand_over)
+    monkeypatch.setattr(runner, "_free", delayed_free)
     delayed = run()
     _assert_no_children()
 
     assert (horizon - 1) // B >= 2 * RING_SLOTS
+    assert len(frees) == (horizon - 1) // B - RING_SLOTS     # every reused slot
     for name in ("X_hist", "E_hist", "x_final", "f", "grad_norm", "xz"):
         assert getattr(delayed, name).tobytes() == getattr(plain, name).tobytes(), name
     for field in dataclasses.fields(plain.window):
@@ -213,10 +203,10 @@ def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypat
     assert len(base.obj) == RING_SLOTS * (B + 1) * len(seeds) * prob.dim * 8
 
 
-def test_slow_rows_child_gets_every_block_before_its_slot_is_reused(monkeypatch):
+def test_slow_consumer_in_the_parent_gets_every_block_before_its_slot_is_reused(monkeypatch):
     # ten blocks of four steps: the noise child may draw block j + RING_SLOTS
-    # only into the slot the rows child has freed.  A rows child that sleeps
-    # before every block lets the other two run ahead up to that wait.
+    # only into the slot the parent has freed.  A parent that sleeps before
+    # consuming every block lets the noise child run ahead up to that wait.
     prob = make_problem("quadratic", 2, mu=0.5, l=2.0)
     params, schedule = MomentumParams(0.6), StepSchedule.polynomial(0.3, 1.0, 0.6)
     horizon, B = 41, 4
@@ -230,13 +220,13 @@ def test_slow_rows_child_gets_every_block_before_its_slot_is_reused(monkeypatch)
                          recording=rp, partition=part)
 
     plain = run()
-    consume = runner._BlockConsumer._consume
+    consume = runner._BlockConsumer.consume
 
-    def slow_consume(self, j):
+    def slow_consume(self, *args):
         time.sleep(0.05)
-        consume(self, j)
+        consume(self, *args)
 
-    monkeypatch.setattr(runner._BlockConsumer, "_consume", slow_consume)
+    monkeypatch.setattr(runner._BlockConsumer, "consume", slow_consume)
     slow = run()
     _assert_no_children()
     assert (horizon - 1) // B >= 2 * RING_SLOTS
@@ -280,25 +270,5 @@ def test_dead_noise_child_raises_promptly(monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(PipelineError, match="noise child"):
         run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000)
-    assert time.perf_counter() - t0 < 10.0
-    _assert_no_children()
-
-
-def test_dead_rows_child_raises_promptly_while_the_noise_child_waits():
-    # 25 blocks: the rows child dies at its first record, before it frees a
-    # slot, so the noise child stops at block RING_SLOTS and reports that
-    # the rows child ended; the error names the rows child, which died
-    parent = os.getpid()
-
-    def f_batch(x):
-        if os.getpid() != parent:
-            os._exit(3)
-        return QUAD.f_batch(x)
-
-    prob = dataclasses.replace(QUAD, f_batch=f_batch)
-    rp = RecordingPolicy(block_size=8)
-    t0 = time.perf_counter()
-    with pytest.raises(PipelineError, match="rows child"):
-        run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 201, recording=rp)
     assert time.perf_counter() - t0 < 10.0
     _assert_no_children()
