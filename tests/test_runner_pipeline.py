@@ -106,17 +106,26 @@ def _failing(fn, n: int, exc: Exception):
     return call
 
 
+def _assert_raised_as_is(name: str, n: int, exc: Exception):
+    """A run whose problem's `name` fails on its n-th call raises exc itself,
+    and leaves the noise child killed and reaped."""
+    prob = dataclasses.replace(QUAD, **{name: _failing(getattr(QUAD, name), n, exc)})
+    rp = RecordingPolicy(block_size=16)
+    with pytest.raises(type(exc)) as info:
+        run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000, recording=rp)
+    assert info.value is exc
+    _assert_no_children()
+
+
 def test_parent_exception_kills_and_reaps_child():
-    # the step loop and the record grid both run in the parent: a failure in
-    # either keeps its type and object, and the child is killed and reaped
-    for name, n, exc in [("grad_batch", 100, FloatingPointError("step kernel failed")),
-                         ("f_batch", 5, ValueError("record-grid evaluation failed"))]:
-        prob = dataclasses.replace(QUAD, **{name: _failing(getattr(QUAD, name), n, exc)})
-        rp = RecordingPolicy(block_size=16)
-        with pytest.raises(type(exc)) as info:
-            run_batch(prob, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000, recording=rp)
-        assert info.value is exc
-        _assert_no_children()
+    # the step loop runs in the parent
+    _assert_raised_as_is("grad_batch", 100, FloatingPointError("step kernel failed"))
+
+
+def test_child_exception_keeps_its_type():
+    # the record grid, once run in a child of its own, runs in the parent:
+    # its failure keeps its type and object, not a pipeline error
+    _assert_raised_as_is("f_batch", 5, ValueError("record-grid evaluation failed"))
 
 
 def test_run_batch_forks_exactly_once(monkeypatch):
