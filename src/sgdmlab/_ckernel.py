@@ -3,7 +3,7 @@ runner._Spreads's window spreads here, and the block draw of _cnoise
 (normals and window error sums), in C.
 
 At d = 1 a step is a handful of numpy calls on 20-element rows, and their
-dispatch, not the arithmetic, sets the pace of the parent process.  This
+dispatch, not the arithmetic, sets the pace of run_batch's step loop.  This
 module runs a whole block in one C call for gradients that are exact
 elementwise IEEE operations.  A built-in ``grad_batch`` declares such a form
 in its attribute ``_c_form``:
@@ -16,7 +16,7 @@ replaced with ``dataclasses.replace`` or wrapped in any way runs the numpy
 kernel and is called as before.  The same call writes each new row's norm,
 which the divergence scan reads.
 
-The window spreads, which run_batch's parent forms after each block's
+The window spreads, which run_batch's caller forms after each block's
 steps, are one C call per block too (window_spread): the interpolation rows, each row's distance to its
 window's anchor and each window segment's maximum, in one pass over the
 block's slot, for every problem.
@@ -32,8 +32,8 @@ monotone, the root of the largest squared norm is the largest norm.
 
 SOURCE and _cnoise.SOURCE are one library, compiled with the system ``cc``
 and linked against numpy's libnpyrandom.a once per process, by the first
-run_batch (never at import, never in a forked child), and loaded with
-ctypes.  It is used only if its three probes match numpy bit for bit: the
+run_batch before its noise thread starts (never at import), and loaded
+with ctypes.  It is used only if its three probes match numpy bit for bit: the
 step kernel and its norms on blocks of special values (probe), the tiled
 block draw, its normals and its error sums (_cnoise.probe_block), and the
 window spreads (probe_spread).  Otherwise every run of the process uses the

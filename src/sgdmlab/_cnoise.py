@@ -1,7 +1,7 @@
 """Compiled Gaussian noise: Generator(Philox(key=seed)).standard_normal in C,
 and the window error sums s_k of the block it draws.
 
-At d = 10 the noise child of run_batch sets the pace of a run, and most of
+At d = 10 the noise thread of run_batch sets the pace of a run, and most of
 its time goes into numpy's normals: a Philox word fetched through a
 function pointer, then numpy's ziggurat (Marsaglia and Tsang, 2000), whose
 sign is a branch that mispredicts about half the time.  This module draws

@@ -17,6 +17,8 @@ compiles anything.  A run's noise is a BlockNoise, which fills a block of
 all its seeds' rows at once; for gaussian noise where the compiled
 library loads (_ckernel.load) that is one call into C (_cnoise.block),
 with numpy's bits and the block's error sums formed in the same pass.
+run_batch fills its BlockNoise on a thread of its own; the C call releases
+the GIL, so that fill runs beside the caller's steps.
 """
 
 from __future__ import annotations

@@ -9,26 +9,26 @@ seed alone or inside a batch yields bitwise-identical records.
 Per-window statistics (aggregated error, iterate spread, merit ledger at
 anchors) are accumulated streaming so that million-step runs never hold
 full iterate histories; a ring of block buffers serves the scalar record
-grid and the window segments.  The ring is shared by two processes (a
-two-stage pipeline; it needs POSIX fork): a forked noise child draws the
-noise ahead, and the caller runs the momentum steps and then consumes each
-finished block itself.  The ring holds row slots only: the noise child
-draws a block's noise into rows 1..n of its slot, where the steps read it
-and overwrite it, and forms the block's error sums at draw time; it reuses
-a slot only once the caller has freed it.  A run shares RING_SLOTS (B+1)
-S d 8 bytes for blocks of B steps, 9.8 MB at S = 20 seeds and d = 10.
+grid and the window segments.  The ring is shared by two threads (a
+two-stage pipeline): a noise thread draws the noise ahead, and the caller
+runs the momentum steps and then consumes each finished block itself.  The
+ring holds row slots only: the noise thread draws a block's noise into rows
+1..n of its slot, where the steps read it and overwrite it, and forms the
+block's error sums at draw time; it reuses a slot only once the caller has
+freed it.  A run's ring is RING_SLOTS (B+1) S d 8 bytes for blocks of B
+steps, 9.8 MB at S = 20 seeds and d = 10.
 
 The momentum steps, the window spreads, the error sums and gaussian
 normals run in C where the one compiled library (_ckernel) loads, in numpy
-elsewhere, with the same bits.  run_batch loads it before the fork; the
-child inherits it.  A block of steps is one C call where grad_batch
+elsewhere, with the same bits.  run_batch loads it before the noise thread
+starts.  A block of steps is one C call where grad_batch
 declares an exact elementwise form (quadratic; even_power with p = 1, or
 p = 2 at d = 1), else _Steps in numpy; either writes the new rows' norms,
 which the divergence scan reads.  The window spreads of a block
 (interpolation rows, distances to the window anchors, per-window maxima)
 are one C call for every problem (_ckernel.Spreads), else _Spreads in
 numpy, and its record grid is one f_batch and one grad_batch call.  The
-noise child fills each block through the run's noise.BlockNoise, which
+noise thread fills each block through the run's noise.BlockNoise, which
 also returns the maxima s_k of the windows the block touches and carries
 the open window's sum: gaussian noise in one C call, the block draw of
 _cnoise, in tiles of rows that every seed fills in turn, with each tile's
@@ -41,8 +41,6 @@ _cnoise.sums_numpy sums.
 from __future__ import annotations
 
 import contextlib
-import os
-import pickle
 
 import numpy as np
 
@@ -128,9 +126,10 @@ class _WindowAccumulator:
     carries state in from the previous block and only the last carries
     state out; a single-step window is a segment of length one.  The
     aggregated errors s_k are formed where the noise is drawn: the noise
-    child's fill (noise.BlockNoise.fill) forms them over the segments of
+    thread's fill (noise.BlockNoise.fill) forms them over the segments of
     error_plan from the carried psum and smax, and process_noise only
-    stores them.
+    stores them.  The noise thread alone touches ew, psum, smax and s_arr
+    until it has been joined; finish reads them after that.
     """
 
     def __init__(self, partition: win.WindowPartition, K_T: int | None,
@@ -317,35 +316,19 @@ class _WindowAccumulator:
 # ---------------------------------------------------------------------------
 # two-stage block pipeline
 #
-# run_batch forks one child per call, joined to it by one pipe each way, and
-# the two processes pass each block's ring slot back and forth.  The noise
-# child draws the block's noise into rows 1..n of its slot, forms the
-# block's error sums from it there and then, and sends "noise in slot".  The
-# parent reads e^t in the step that overwrites its row with x^{t+1}, runs
-# the divergence scan, whose frozen rows set the next block's start, and
+# run_batch draws the noise on one thread of its own while the caller runs
+# the steps, and the two pass each block's ring slot back and forth.  The
+# noise thread draws the block's noise into rows 1..n of its slot, forms the
+# block's error sums from it there and then, and reports "block drawn".  The
+# caller reads e^t in the step that overwrites its row with x^{t+1}, runs the
+# divergence scan, whose frozen rows set the next block's start, and
 # consumes the final rows: step norms, iterate window statistics and the
-# record grid.  It then copies x^t and x^{t-1} out of the slot and sends
-# "slot free"; only then does the noise child draw a later block into it.
-# Block j lives in slot j % RING_SLOTS, and one token byte per block passes
-# each way.  After its last block the child sends its error sums, pickled,
-# or the exception that ended it.  A run shares RING_SLOTS (B+1) S d 8
-# bytes: 9.8 MB at S = 20, d = 10 and B = 2048.
+# record grid.  It then copies x^t and x^{t-1} out of the slot and frees it;
+# only then does the noise thread draw a later block into it.  Block j lives
+# in slot j % RING_SLOTS.  A block's gaussian draw is one C call, which
+# releases the GIL, so the draw runs beside the caller's steps.
 
-RING_SLOTS = 3          # blocks in flight between the two processes
-_NOISE, _FREE, _RESULT, _ERROR = b"N", b"F", b"D", b"X"
-
-
-class PipelineError(RuntimeError):
-    """A process of the block pipeline ended before finishing its side."""
-
-
-def _ring(slots: int, B: int, S: int, d: int) -> np.ndarray:
-    """Row slots (slots, B+1, S, d) in one anonymous shared mapping, which
-    a forked child shares with its parent."""
-    import mmap     # here and below: importing sgdmlab stays as light as before
-    size = slots * (B + 1) * S * d
-    flat = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
-    return flat[:size].reshape(slots, B + 1, S, d)
+RING_SLOTS = 3          # blocks in flight between the two threads
 
 
 def _slot(ring: np.ndarray, j: int, n: int):
@@ -354,98 +337,53 @@ def _slot(ring: np.ndarray, j: int, n: int):
     return rows, rows[1:]
 
 
-def _send(fh, tag: bytes, *payload):
-    fh.write(tag)
-    for obj in payload:
-        pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    fh.flush()
-
-
-def _recv(rx, want: bytes):
-    """Read the noise child's next message, which must be want: "noise in
-    slot", or its result, which is returned.  Its exception is raised
-    here, and so is its early end."""
-    tag = rx.read(1)
-    if tag == _ERROR:
-        raise pickle.load(rx)
-    if tag != want:
-        raise PipelineError("the noise child of run_batch ended before finishing its side")
-    return pickle.load(rx) if tag == _RESULT else None
-
-
-def _free(tx):
-    """Tell the noise child that the current block's slot is free.  A child
-    that has ended cannot read it; the next _recv raises what ended it."""
-    with contextlib.suppress(BrokenPipeError):
-        tx.write(_FREE)
-
-
-def _portable(exc: BaseException, name: str) -> BaseException:
-    """exc with the child's traceback attached as a note; a RuntimeError
-    naming it instead if it does not survive a pickle round trip."""
-    import traceback
-    note = (f"raised in the {name} child process of run_batch:\n"
-            + "".join(traceback.format_exception(exc)))
-    try:
-        exc.add_note(note)
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        exc.add_note(note)
-    return exc
-
-
 @contextlib.contextmanager
-def _forked(main):
-    """Fork the noise child, joined with the parent by one pipe each way.
-    The child runs main(rx, tx) on its ends, sends what main returned or
-    raised on the same pipe and always ends with os._exit.  Yields the
-    parent's ends (rx, tx).  The parent always reaps the child, killing it
-    first when its side raised."""
-    import signal
-    down, up = os.pipe(), os.pipe()     # parent to child, child to parent
-    try:
-        pid = os.fork()
-    except BaseException:       # a failed or interrupted fork
-        for fd in down + up:
-            os.close(fd)
-        raise
-    if pid == 0:
-        status = 1
+def _noise_thread(draw, n_blocks: int, slots: int):
+    """Run draw(0), ..., draw(n_blocks - 1) on one daemon thread, draw(j)
+    only once the caller has freed block j - slots.  Yields (drawn, free):
+    drawn() waits for the next block and raises the exception that ended
+    the thread, the same object; free() frees the oldest block's slot.  On
+    exit the thread is stopped and joined; a draw under way finishes first."""
+    import queue
+    import threading        # here: importing sgdmlab stays as light as before
+    slot_free, done, stop = threading.Semaphore(slots), queue.SimpleQueue(), []
+
+    def main():
         try:
-            os.close(down[1])   # a write end held open here would hide an EOF
-            os.close(up[0])
-            with open(down[0], "rb") as rx, open(up[1], "wb") as tx:
-                try:
-                    _send(tx, _RESULT, main(rx, tx))
-                    status = 0
-                except BaseException as exc:    # the parent raises it; this process ends
-                    _send(tx, _ERROR, _portable(exc, "noise"))
-        finally:
-            os._exit(status)
-    os.close(down[0])
-    os.close(up[1])
-    finished = False
+            for j in range(n_blocks):
+                slot_free.acquire()
+                if stop:
+                    return
+                draw(j)
+                done.put(None)
+        except BaseException as exc:    # the caller raises it
+            done.put(exc)
+
+    def drawn():
+        exc = done.get()
+        if exc is not None:
+            raise exc
+
+    thread = threading.Thread(target=main, name="sgdmlab-noise", daemon=True)
+    thread.start()
     try:
-        with open(up[0], "rb") as rx, open(down[1], "wb", buffering=0) as tx:
-            yield rx, tx
-        finished = True
+        yield drawn, slot_free.release
     finally:
-        if not finished:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        stop.append(True)
+        slot_free.release()             # wakes a thread that waits for a slot
+        thread.join()
 
 
 class _BlockConsumer:
     """The two sides of run_batch's ring slots.
 
-    In the noise child it draws each block's noise into rows 1..n of the
+    On the noise thread it draws each block's noise into rows 1..n of the
     block's ring slot, ahead of the step loop but never into a slot the
-    parent still reads, and forms the block's error sums at once, before the
-    parent overwrites those rows.  Its result is the error sums.  In the
-    parent it consumes the finished rows block by block, in order: step
-    norms, iterate window statistics and the scalar record grid, one
-    f_batch and one grad_batch call over the block's grid rows.
+    caller still reads, and forms the block's error sums at once, before the
+    caller overwrites those rows.  On the caller's thread it consumes the
+    finished rows block by block, in order: step norms, iterate window
+    statistics and the scalar record grid, one f_batch and one grad_batch
+    call over the block's grid rows.
     """
 
     def __init__(self, problem: Problem, params: MomentumParams,
@@ -465,17 +403,8 @@ class _BlockConsumer:
         self.sn_total = np.zeros(S) if track_step_norms else None
         self.gp = 0                     # next record-grid point
 
-    def noise(self, rx, tx):
-        """The noise child: block j's noise once the parent has freed the
-        slot of block j - RING_SLOTS."""
-        for j in range(len(self.blocks)):
-            if j >= len(self.ring) and rx.read(1) != _FREE:
-                raise PipelineError("the parent of run_batch ended before freeing a slot")
-            self._draw(j)
-            _send(tx, _NOISE)
-        return self.acc.s_arr if self.acc is not None else None
-
     def _draw(self, j: int):
+        """The noise thread's side of block j."""
         b0, n = self.blocks[j]
         _, E = _slot(self.ring, j, n)
         plan = None if self.acc is None else self.acc.error_plan(b0, n)
@@ -486,13 +415,13 @@ class _BlockConsumer:
         self.acc.process_noise(plan, self.block_noise.fill(E, sums))
 
     def start(self):
-        """The parent's records at x^1, the first grid point."""
+        """The records at x^1, the first grid point."""
         if self.acc is not None:
             self.acc.start(self.X1)
         self._record(self.X1[None], None)
 
     def consume(self, b0: int, rows: np.ndarray, step_sizes: np.ndarray):
-        """The parent's side of a block: its final rows x^{b0}..x^{b0+n}
+        """The caller's side of a block: its final rows x^{b0}..x^{b0+n}
         (rows 0..n), reached with the step sizes a_{b0}..a_{b0+n-1}."""
         n = len(step_sizes)
         if self.sn_ok is not None:
@@ -587,12 +516,12 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
               partition: win.WindowPartition | None = None) -> RunBatch:
     """Run one trajectory per seed, vectorized across seeds.
 
-    The work is split over two processes (POSIX fork): a forked noise
-    child draws the noise, and this one runs the momentum steps and the
-    divergence scan and then consumes each finished block; see
-    _BlockConsumer.  The noise child reuses a ring slot only after this
-    process sends it "slot free".  As with any fork, call it from a
-    process whose other threads hold no locks the child could need.
+    The work is split over two threads: a noise thread draws the noise,
+    and the calling thread runs the momentum steps and the divergence scan
+    and then consumes each finished block; see _BlockConsumer.  The noise
+    thread reuses a ring slot only after the caller frees it.  An exception
+    on either side is raised here, the same object, and the noise thread
+    has ended by the time run_batch returns or raises.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -601,7 +530,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     S, d = len(seeds), problem.dim
     steps = horizon - 1
     if steps:
-        schedule.at(np.array([steps]))  # an exhausted explicit list raises before the fork
+        schedule.at(np.array([steps]))  # an exhausted explicit list raises before any draw
     if x0 is None:
         x0 = np.ones(d)
     x0 = np.asarray(x0, dtype=float)
@@ -613,7 +542,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
               "noise": noise, "x0": x0.copy(), "horizon": horizon}
 
     from . import _ckernel      # at the first run: importing sgdmlab stays as before
-    lib = _ckernel.load()       # here, not in a child, where a load would die with it
+    lib = _ckernel.load()
     acc = None
     if partition is not None:
         if partition.horizon != horizon:
@@ -644,10 +573,8 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
 
     B = max(rp.block_size, 2)
     blocks = [(b0, min(B, steps + 1 - b0)) for b0 in range(1, steps + 1, B)]
-    ring = _ring(max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1), S, d)
-    # the run's noise: built here, drawn from in the noise child only, so
-    # numpy.random loads once per process, not in every run's child
-    block_noise = BlockNoise(noise, d, seeds)
+    ring = np.empty((max(min(RING_SLOTS, len(blocks)), 1), max(min(B, steps), 1) + 1, S, d))
+    block_noise = BlockNoise(noise, d, seeds)       # drawn from on the noise thread only
     consumer = _BlockConsumer(problem, params, block_noise, schedule, blocks,
                               ring, X.copy(), record_grid(horizon, rp), acc,
                               rp.track_step_norms)
@@ -658,10 +585,10 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
     else:
         kernel = _Steps(grad, params, S, d)
     rnorm_buf = np.empty((ring.shape[1] - 1, S))
-    with _forked(consumer.noise) as (rx, tx):
+    with _noise_thread(consumer._draw, len(blocks), len(ring)) as (drawn, free):
         consumer.start()
         for j, (b0, n) in enumerate(blocks):
-            _recv(rx, _NOISE)           # this block's noise is in its slot
+            drawn()                     # this block's noise is in its slot
             rows, E = _slot(ring, j, n)
             if E_hist is not None:
                 E_hist[b0 - 1:b0 - 1 + n] = E
@@ -691,10 +618,7 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
             np.copyto(X, rows[n])
             np.copyto(Xp, rows[n - 1])
             if j + len(ring) < len(blocks):
-                _free(tx)
-        s = _recv(rx, _RESULT)
-    if acc is not None:
-        acc.s_arr = s           # formed by the noise child's copy of acc
+                free()
 
     return RunBatch(
         seeds=seeds, horizon=horizon, config=config, ks=consumer.grid,

@@ -12,8 +12,8 @@ freeze before anything reads them.
 The compiled error sums (the block draw of _cnoise called without states)
 have their own oracle, their numpy twin _cnoise.sums_numpy: the same
 window maxima and carried sum for any segment layout, step sizes, carry
-and special values.  The library loads in the caller of run_batch, once,
-and never in a forked child, and it loads only if its probes pass.
+and special values.  The library loads in the caller of run_batch, once per
+process, and it loads only if its probes pass.
 """
 
 import ctypes
@@ -305,7 +305,7 @@ def _partitioned_run(name, noise, **kw):
 
 
 def test_run_batch_forms_the_error_sums_in_c(library, monkeypatch):
-    # and the window spreads: neither numpy twin runs in either child
+    # and the window spreads: neither numpy twin runs on either thread
     def numpy_scan(*args):
         raise AssertionError("a numpy twin ran although the library loads")
 
@@ -316,9 +316,9 @@ def test_run_batch_forms_the_error_sums_in_c(library, monkeypatch):
 
 @pytest.mark.parametrize("order", [("rosenbrock", "quadratic"), ("quadratic", "rosenbrock")])
 def test_libraries_compile_once_and_never_in_a_child(library, monkeypatch, tmp_path, order):
-    # the first run compiles the one library here, whatever it uses of it (the
-    # rosenbrock run only the scan); a load in a forked child would die with
-    # it, and the next run would compile again
+    # the first run compiles the one library in this process, whatever it uses
+    # of it (the rosenbrock run only the scan), and no later run compiles it
+    # again
     log, compile_library = tmp_path / "compiles", _ckernel.compile_library
 
     def logged(*args):

@@ -5,7 +5,7 @@ same digests, and a run must store the same noise bytes as with the
 library, for both variants that draw normals.
 """
 
-import os
+import threading
 
 import pytest
 
@@ -41,15 +41,18 @@ def numpy_fallback(monkeypatch):
     monkeypatch.setattr(_ckernel, "load", lambda: None)
 
 
-def test_stub_runs_the_numpy_error_scan(monkeypatch, tmp_path):
+def _on_main_thread() -> bool:
+    return threading.current_thread() is threading.main_thread()
+
+
+def test_stub_runs_the_numpy_error_scan(monkeypatch):
     def compiled(*args):
         raise AssertionError("compiled code ran with the library stubbed off")
 
-    log, sums_numpy = tmp_path / "calls", _cnoise.sums_numpy
+    calls, sums_numpy = [], _cnoise.sums_numpy
 
     def spy(*args):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
+        calls.append(_on_main_thread())
         return sums_numpy(*args)
 
     monkeypatch.setattr(_cnoise, "sums_numpy", spy)
@@ -63,15 +66,14 @@ def test_stub_runs_the_numpy_error_scan(monkeypatch, tmp_path):
     batch = run_batch(problem, params, schedule, NoiseModel.gaussian(0.1), [0, 1], 300,
                       partition=part, recording=RecordingPolicy(window_profile=True))
     assert batch.window.n_windows == part.n_windows
-    calls = log.read_text().split()     # one call per block, in the noise child
-    assert len(calls) == 1 and calls[0] != str(os.getpid())
+    assert calls == [False]             # one call per block, on the noise thread
 
 
 def test_stub_runs_the_numpy_window_spreads_in_the_parent(monkeypatch):
     calls, segment_dev_max = [], runner._segment_dev_max
 
     def spy(*args):
-        calls.append(os.getpid())
+        calls.append(_on_main_thread())
         return segment_dev_max(*args)
 
     monkeypatch.setattr(runner, "_segment_dev_max", spy)
@@ -80,8 +82,8 @@ def test_stub_runs_the_numpy_window_spreads_in_the_parent(monkeypatch):
     part = build_partition(schedule, default_window(problem, params), 300)
     run_batch(problem, params, schedule, NoiseModel.gaussian(0.1), [0, 1], 300,
               partition=part, recording=RecordingPolicy(block_size=64))
-    # the x and z rows of each of the five blocks, all in the parent
-    assert calls == [os.getpid()] * 10
+    # the x and z rows of each of the five blocks, all on the caller's thread
+    assert calls == [True] * 10
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

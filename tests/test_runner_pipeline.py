@@ -1,22 +1,25 @@
 """The runner's two-stage block pipeline: divergence freezing across
-blocks, the tokens on the two pipes, and failures in either process.
+blocks, the slots passed between the two threads, and failures on either
+side.
 
-The forked noise child draws each block's noise into the block's row slot;
-the parent runs the momentum steps and the divergence scan over it,
-evaluates the record grid and the window statistics from the finished
-rows, then frees the slot for the noise child to reuse.  run_batch forks
-exactly one child.  A parent that frees a slot and then lags still starts
-every block from its own rows, and a parent that lags before consuming a
-block still reads it as its steps left it.  An exception in the noise child
-must come back with its original type, a dead child must show as an
-exception that names it rather than a hang, and no run, whichever side
-fails, may leave a child process behind.
+The noise thread draws each block's noise into the block's row slot; the
+caller runs the momentum steps and the divergence scan over it, evaluates
+the record grid and the window statistics from the finished rows, then
+frees the slot for the noise thread to reuse.  run_batch forks nothing.  A
+caller that frees a slot and then lags still starts every block from its
+own rows, and a caller that lags before consuming a block still reads it as
+its steps left it.  An exception on either side, a SystemExit included,
+must reach the caller as the same object rather than a hang, a signal must
+stop a caller that waits for noise, and no run, however it ends, may leave
+a thread or a child process behind.
 """
 
+import contextlib
 import dataclasses
-import mmap
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -26,15 +29,21 @@ from sgdmlab import (MomentumParams, NoiseModel, NoiseStream, RecordingPolicy,
                      StepSchedule, build_partition, default_window, make_problem,
                      run_batch, runner)
 from sgdmlab.noise import BlockNoise
-from sgdmlab.runner import RING_SLOTS, PipelineError
+from sgdmlab.runner import RING_SLOTS
 
 QUAD = make_problem("quadratic", 2, mu=1.0, l=1.0)
 SGD_HALF = (MomentumParams.sgd(), StepSchedule.constant(0.5))
 
 
 def _assert_no_children():
+    """No child process and no noise thread outlives the run."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+def _on_noise_thread() -> bool:
+    return threading.current_thread() is not threading.main_thread()
 
 
 @pytest.fixture(autouse=True)
@@ -108,7 +117,7 @@ def _failing(fn, n: int, exc: Exception):
 
 def _assert_raised_as_is(name: str, n: int, exc: Exception):
     """A run whose problem's `name` fails on its n-th call raises exc itself,
-    and leaves the noise child killed and reaped."""
+    and leaves the noise thread stopped and joined."""
     prob = dataclasses.replace(QUAD, **{name: _failing(getattr(QUAD, name), n, exc)})
     rp = RecordingPolicy(block_size=16)
     with pytest.raises(type(exc)) as info:
@@ -118,17 +127,17 @@ def _assert_raised_as_is(name: str, n: int, exc: Exception):
 
 
 def test_parent_exception_kills_and_reaps_child():
-    # the step loop runs in the parent
+    # the step loop runs on the caller's thread
     _assert_raised_as_is("grad_batch", 100, FloatingPointError("step kernel failed"))
 
 
 def test_child_exception_keeps_its_type():
-    # the record grid, once run in a child of its own, runs in the parent:
-    # its failure keeps its type and object, not a pipeline error
+    # the record grid, once run in a child process of its own, runs on the
+    # caller's thread: its failure keeps its type and object
     _assert_raised_as_is("f_batch", 5, ValueError("record-grid evaluation failed"))
 
 
-def test_run_batch_forks_exactly_once(monkeypatch):
+def test_run_batch_forks_nothing(monkeypatch):
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -140,7 +149,7 @@ def test_run_batch_forks_exactly_once(monkeypatch):
                            200)
     run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 200, partition=part,
               recording=RecordingPolicy(block_size=8, track_step_norms=True))
-    assert len(forks) == 1
+    assert forks == []
     _assert_no_children()
 
 
@@ -161,10 +170,10 @@ def test_ring_edges_keep_the_noise_streams():
 @pytest.mark.parametrize("params", [MomentumParams(0.6), MomentumParams.sgd()],
                          ids=["heavy_ball", "sgd"])
 def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypatch):
-    # ten blocks of four steps: once block j's slot is free, the child draws
-    # block j + RING_SLOTS's noise into it, over the rows that held x^t and
-    # x^{t-1}.  A parent that sleeps after every "slot free" lets it do so
-    # before the parent starts block j + 1.
+    # ten blocks of four steps: once block j's slot is free, the noise thread
+    # draws block j + RING_SLOTS's noise into it, over the rows that held x^t
+    # and x^{t-1}.  A caller that sleeps after every "slot free" lets it do
+    # so before the caller starts block j + 1.
     prob = make_problem("quadratic", 2, mu=0.5, l=2.0)
     schedule = StepSchedule.polynomial(0.3, 1.0, 0.6)
     horizon, B, seeds = 41, 4, [3, 4]
@@ -178,15 +187,23 @@ def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypat
 
     plain = run()
     rings, frees = [], []
-    ring, free = runner._ring, runner._free
+    noise_thread, slot = runner._noise_thread, runner._slot
 
-    def delayed_free(tx):
-        free(tx)
-        frees.append(1)
-        time.sleep(0.05)
+    @contextlib.contextmanager
+    def delayed_noise_thread(*args):
+        with noise_thread(*args) as (drawn, free):
+            def delayed_free():
+                free()
+                frees.append(1)
+                time.sleep(0.05)
+            yield drawn, delayed_free
 
-    monkeypatch.setattr(runner, "_ring", lambda *args: rings.append(ring(*args)) or rings[-1])
-    monkeypatch.setattr(runner, "_free", delayed_free)
+    def recorded_slot(ring, j, n):
+        rings.append(ring)
+        return slot(ring, j, n)
+
+    monkeypatch.setattr(runner, "_noise_thread", delayed_noise_thread)
+    monkeypatch.setattr(runner, "_slot", recorded_slot)
     delayed = run()
     _assert_no_children()
 
@@ -200,22 +217,21 @@ def test_delayed_parent_keeps_its_rows_when_the_slot_is_reused(params, monkeypat
             got = getattr(delayed.window, field.name)
             assert got.tobytes() == want.tobytes(), field.name
 
-    # the noise rides in the row slots: one mapping, no separate noise slots
-    (shared,) = rings
+    # the noise rides in the row slots: one ndarray ring, no separate noise
+    # slots, and every block's noise rows are a view of it
+    shared = rings[0]
+    assert all(ring is shared for ring in rings)
+    assert type(shared) is np.ndarray and shared.base is None
+    assert shared.nbytes == RING_SLOTS * (B + 1) * len(seeds) * prob.dim * 8
     for j in range(RING_SLOTS):
-        rows, E = runner._slot(shared, j, B)
-        assert np.shares_memory(E, rows) and np.shares_memory(rows, shared)
-    base = shared
-    while isinstance(base, np.ndarray):
-        base = base.base
-    assert isinstance(base.obj, mmap.mmap)
-    assert len(base.obj) == RING_SLOTS * (B + 1) * len(seeds) * prob.dim * 8
+        rows, E = slot(shared, j, B)
+        assert E.base is shared and rows.base is shared
 
 
 def test_slow_consumer_in_the_parent_gets_every_block_before_its_slot_is_reused(monkeypatch):
-    # ten blocks of four steps: the noise child may draw block j + RING_SLOTS
-    # only into the slot the parent has freed.  A parent that sleeps before
-    # consuming every block lets the noise child run ahead up to that wait.
+    # ten blocks of four steps: the noise thread may draw block j + RING_SLOTS
+    # only into the slot the caller has freed.  A caller that sleeps before
+    # consuming every block lets the noise thread run ahead up to that wait.
     prob = make_problem("quadratic", 2, mu=0.5, l=2.0)
     params, schedule = MomentumParams(0.6), StepSchedule.polynomial(0.3, 1.0, 0.6)
     horizon, B = 41, 4
@@ -248,36 +264,137 @@ def test_slow_consumer_in_the_parent_gets_every_block_before_its_slot_is_reused(
             assert getattr(slow.window, field.name).tobytes() == want.tobytes(), field.name
 
 
-def test_noise_child_exception_keeps_its_type(monkeypatch):
-    parent, calls = os.getpid(), []
-    fill = BlockNoise.fill
+def test_interleaved_threads_keep_the_bits():
+    # a switch interval of 1 us lets the threads interleave almost anywhere:
+    # three runs at once (six threads on fewer cores), in blocks of two steps
+    # that go round the ring 100 times, must each give the bits of a run alone
+    prob = make_problem("quadratic", 2, mu=0.5, l=2.0)
+    params, schedule = MomentumParams(0.6), StepSchedule.polynomial(0.3, 1.0, 0.6)
+    horizon = 601
+    part = build_partition(schedule, default_window(prob, params), horizon)
+    rp = RecordingPolicy(store_vectors=True, store_noise=True, window_profile=True,
+                         block_size=2)
 
-    def failing_fill(self, E, sums=None):       # each block's draw, in the noise child
+    def run():
+        return run_batch(prob, params, schedule, NoiseModel.gaussian(0.1), [3, 4], horizon,
+                         recording=rp, partition=part)
+
+    alone, runs = run(), {}
+    callers = [threading.Thread(target=lambda i=i: runs.update({i: run()})) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(20.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert sorted(runs) == [0, 1, 2]
+    for batch in runs.values():
+        for name in ("X_hist", "E_hist", "x_final", "f", "grad_norm", "xz"):
+            assert getattr(batch, name).tobytes() == getattr(alone, name).tobytes(), name
+        for field in dataclasses.fields(alone.window):
+            want = getattr(alone.window, field.name)
+            if isinstance(want, np.ndarray):
+                got = getattr(batch.window, field.name)
+                assert got.tobytes() == want.tobytes(), field.name
+    _assert_no_children()
+
+
+def test_noise_child_exception_keeps_its_type(monkeypatch):
+    fill, calls = BlockNoise.fill, []
+    exc = KeyError("noise draw failed")
+
+    def failing_fill(self, E, sums=None):       # each block's draw, on the noise thread
         calls.append(1)
-        if os.getpid() != parent and len(calls) == 5:
-            raise KeyError("noise draw failed")
+        if _on_noise_thread() and len(calls) == 5:
+            raise exc
         return fill(self, E, sums)
 
     monkeypatch.setattr(BlockNoise, "fill", failing_fill)
     rp = RecordingPolicy(block_size=8)
-    with pytest.raises(KeyError, match="noise draw failed") as info:
+    with pytest.raises(KeyError) as info:
         run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 200, recording=rp)
-    assert any("noise child process" in note for note in info.value.__notes__)
+    assert info.value is exc
     _assert_no_children()
 
 
 def test_dead_noise_child_raises_promptly(monkeypatch):
-    parent = os.getpid()
+    # a SystemExit on the noise thread ends the run like any exception, in
+    # the caller; it must not end the thread silently and leave the caller
+    # waiting for noise that never comes
     fill = BlockNoise.fill
 
-    def dying_fill(self, E, sums=None):
-        if os.getpid() != parent:
-            os._exit(3)
+    def exiting_fill(self, E, sums=None):
+        if _on_noise_thread():
+            raise SystemExit(3)
         return fill(self, E, sums)
 
-    monkeypatch.setattr(BlockNoise, "fill", dying_fill)
+    monkeypatch.setattr(BlockNoise, "fill", exiting_fill)
     t0 = time.perf_counter()
-    with pytest.raises(PipelineError, match="noise child"):
+    with pytest.raises(SystemExit) as info:
         run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000)
     assert time.perf_counter() - t0 < 10.0
+    assert info.value.code == 3
+    _assert_no_children()
+
+
+def test_caller_exception_while_the_noise_thread_waits_for_a_slot(monkeypatch):
+    # the caller's first consume lags until the noise thread has filled every
+    # slot and waits for a free one, then raises: the run ends promptly, and
+    # the noise thread draws no further block
+    fill, draws = BlockNoise.fill, []
+    exc = ValueError("consume failed")
+
+    def counted_fill(self, E, sums=None):
+        draws.append(1)
+        return fill(self, E, sums)
+
+    def failing_consume(self, *args):
+        t0 = time.perf_counter()
+        while len(draws) < RING_SLOTS and time.perf_counter() - t0 < 10.0:
+            time.sleep(0.01)
+        time.sleep(0.1)             # the noise thread waits for a slot by now
+        raise exc
+
+    monkeypatch.setattr(BlockNoise, "fill", counted_fill)
+    monkeypatch.setattr(runner._BlockConsumer, "consume", failing_consume)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000,
+                  recording=RecordingPolicy(block_size=16))
+    assert time.perf_counter() - t0 < 10.0
+    assert info.value is exc
+    assert len(draws) == RING_SLOTS
+    _assert_no_children()
+
+
+def test_signal_stops_a_caller_that_waits_for_noise(monkeypatch):
+    # the noise thread stalls in block 1's draw and arms a SIGALRM, whose
+    # handler raises in the caller, by then waiting for that block: the
+    # signal must end the wait, and the run then joins the noise thread
+    fill, gate = BlockNoise.fill, threading.Event()
+    calls = []
+
+    def stalled_fill(self, E, sums=None):
+        if _on_noise_thread():
+            calls.append(1)
+            if len(calls) == 2:
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+                gate.wait(10.0)
+        return fill(self, E, sums)
+
+    def expire(signum, frame):
+        gate.set()
+        raise TimeoutError("stopped by a signal")
+
+    monkeypatch.setattr(BlockNoise, "fill", stalled_fill)
+    signal.signal(signal.SIGALRM, expire)       # the deadline fixture restores its own
+    t0 = time.perf_counter()
+    with pytest.raises(TimeoutError, match="stopped by a signal"):
+        run_batch(QUAD, *SGD_HALF, NoiseModel.gaussian(0.1), [0, 1], 5000,
+                  recording=RecordingPolicy(block_size=16))
+    assert time.perf_counter() - t0 < 5.0
     _assert_no_children()
