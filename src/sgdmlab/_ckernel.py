@@ -21,14 +21,27 @@ steps, are one C call per block too (window_spread): the interpolation rows, eac
 window's anchor and each window segment's maximum, in one pass over the
 block's slot, for every problem.
 
-The C loops perform numpy's operations in numpy's order.  They are compiled
-without fast-math and without contraction into fused multiply-adds, so each
-operation is one correctly rounded double operation, as in numpy, and the
-bits are the same.  ``x * 2`` equals numpy's ``2 * x`` bit for bit: with one
-NaN operand the product carries that operand's NaN either way.  A squared
-norm adds its squares in the order of numpy's einsum (sum_sq), and a
-maximum takes NaN as np.maximum does.  Since sqrt is correctly rounded and
-monotone, the root of the largest squared norm is the largest norm.
+The C loops perform numpy's operations in numpy's order.  Each step is one
+loop over the S d elements of a row, with the gradient's coefficients
+tiled to the row; the frozen seeds' zero update follows the loop.  A row's
+differences to its anchors are formed over the whole row too, before its
+norms.  gcc unswitches and vectorizes these loops, and vectorizing them
+changes no operation: each element's arithmetic is its own.  A squared norm
+adds its squares in the order of numpy's einsum (sum_sq), in a two-lane
+vector as numpy's SSE2 loop does, and a maximum takes NaN as np.maximum
+does.  Since sqrt is correctly rounded and monotone, the root of the
+largest squared norm is the largest norm.  ``x * 2`` equals numpy's
+``2 * x`` bit for bit: with one NaN operand the product carries that
+operand's NaN either way.
+
+The library is compiled with ``-O3 -march=native`` (CFLAGS), for the CPU
+that runs it, and that keeps the bits: ``-ffp-contract=off`` forbids
+fused multiply-adds, no fast-math flag allows reassociation, so each
+operation stays one correctly rounded IEEE double operation, as in numpy,
+whatever instructions carry it.  The library is built and probed in the
+process that runs it, so its probes check the code for that CPU.  A ``cc``
+that rejects ``-march=native`` fails the build, and the process falls back
+to numpy, as after any failed build.
 
 SOURCE and _cnoise.SOURCE are one library, compiled with the system ``cc``
 and linked against numpy's libnpyrandom.a once per process, by the first
@@ -39,8 +52,8 @@ block draw, its normals and its error sums (_cnoise.probe_block), and the
 window spreads (probe_spread).  Otherwise every run of the process uses the
 numpy kernel, spreads and error sums and numpy's normals: the same bits.  The
 block draw picks its path when the library loads, and cnoise_lanes()
-tells which: 8 where the CPU runs its AVX-512 code, else 1.  Its header
-<immintrin.h> takes the one cc call from about 0.5 to 1.1 s.
+tells which: 8 where the CPU runs its AVX-512 code, else 1.  The one cc
+call takes about 0.8 s.
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ import os
 
 import numpy as np
 
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 FORMS = {"mul": 0, "cube": 1}
 # the special values of the three probes: +-0, subnormals, values whose
 # squares are subnormal or overflow, +-inf and NaN, among ordinary ones
@@ -59,47 +72,35 @@ SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e-3, -0.7, 1.3,
 
 SOURCE = r"""
 #include <math.h>
+#include <string.h>
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* Element j of a row, by kind: v_j (0); v_j - a_j (1); z_j - a_j (2); z_j - y_j
-   (3).  z_j = v_j c1 - w_j lc1 interpolates from x^t = v and x^{t-1} = w, and
-   y_j = a_j c1 - b_j lc1 from the anchor's row a and the row b before it.
-   Every call passes its kind as a constant, so each inlined copy is one
-   expression. */
-INLINE double elem(int kind, const double *v, const double *w, const double *a,
-                   const double *b, double c1, double lc1, long j)
-{
-    const double u = kind >= 2 ? v[j] * c1 - w[j] * lc1 : v[j];
-    if (kind == 0)
-        return u;
-    return u - (kind == 3 ? a[j] * c1 - b[j] * lc1 : a[j]);
-}
+typedef double pair_t __attribute__((vector_size(16)));
 
 /* The squared norm of a row of d elements, summed in the order of numpy's
-   einsum "...d,...d->..." over contiguous float64 on its SSE baseline: two
-   lanes (even and odd j); each chunk of 8 elements from its last pair to its
-   first; the tail in pairs, the odd element out beside a zero; the lanes
-   added last.  runner._norms is its oracle. */
-INLINE double sum_sq(int kind, const double *v, const double *w, const double *a,
-                     const double *b, double c1, double lc1, long d)
+   einsum "...d,...d->..." over contiguous float64 on its SSE2 baseline: in
+   one two-lane vector (even and odd j), each chunk of 8 elements from its
+   last pair to its first, the tail in pairs, the odd element out beside a
+   zero, the lanes added last.  runner._norms is its oracle. */
+INLINE double sum_sq(const double *v, long d)
 {
-    double l0 = 0.0, l1 = 0.0, u;
+    pair_t q = {0.0, 0.0}, u;
     long i = 0;
     for (; i + 8 <= d; i += 8)
         for (long j = i + 6; j >= i; j -= 2) {
-            u = elem(kind, v, w, a, b, c1, lc1, j);
-            l0 = u * u + l0;
-            u = elem(kind, v, w, a, b, c1, lc1, j + 1);
-            l1 = u * u + l1;
+            memcpy(&u, v + j, sizeof u);
+            q = u * u + q;
         }
-    for (; i < d; i += 2) {
-        u = elem(kind, v, w, a, b, c1, lc1, i);
-        l0 = u * u + l0;
-        u = i + 1 < d ? elem(kind, v, w, a, b, c1, lc1, i + 1) : 0.0;
-        l1 = u * u + l1;
+    for (; i + 2 <= d; i += 2) {
+        memcpy(&u, v + i, sizeof u);
+        q = u * u + q;
     }
-    return l0 + l1;
+    if (i < d) {
+        u = (pair_t){v[i], 0.0};
+        q = u * u + q;
+    }
+    return q[0] + q[1];
 }
 
 /* np.maximum(a, b): NaN if either is */
@@ -109,11 +110,15 @@ INLINE double nan_max(double a, double b)
 }
 
 /* One block of n momentum steps for S seeds in dimension d, as runner._Steps
-   computes it.  rows holds n + 1 rows of S x d doubles; row t + 1 receives
-   x^{t+1}.  Step 0 reads x^t from X and x^{t-1} from Xp, step 1 reads x^{t-1}
-   from X.  E may be rows + S d: each element reads its noise before it
-   writes the iterate over it.  A seed with frozen[s] != 0 gets a zero update.
-   Unless norms is 0, norms[t S + s] receives the norm of seed s's x^{t+1}. */
+   computes it, each step one loop over the S d elements of a row; h holds
+   the gradient's coefficient of each element of a row.  rows holds n + 1
+   rows of S x d doubles; row t + 1 receives x^{t+1}.  Step 0 reads x^t from
+   X and x^{t-1} from Xp, step 1 reads x^{t-1} from X.  E may be rows + S d:
+   each element reads its noise before it writes the iterate over it.  A
+   seed with frozen[s] != 0 gets a zero update after the loop: x + 0.0 with
+   momentum, x - 0.0 without, as numpy adds or subtracts the zeroed update
+   (so a frozen -0.0 becomes +0.0 under momentum only).  Unless norms is 0,
+   norms[t S + s] receives the norm of seed s's x^{t+1}. */
 static double grad(int form, double x, double h)
 {
     return form == 0 ? x * h : ((x * x) * h) * x;
@@ -132,29 +137,25 @@ void sgdm_block(long n, long S, long d, int form, const double *h,
         const double *e = E + t * m;
         double *xn = rows + (t + 1) * m;
         const double at = a[t];
-        for (long s = 0; s < S; s++) {
-            const int fz = frozen != 0 && frozen[s];
-            for (long j = 0; j < d; j++) {
-                const long i = s * d + j;
-                if (momentum) {
-                    double dx = x[i] - xp[i];
-                    const double g = grad(form, look ? x[i] + dx * nu : x[i], h[j]) - e[i];
-                    dx = dx * lam;
-                    dx = dx - g * at;
-                    if (fz)
-                        dx = 0.0;
-                    xn[i] = x[i] + dx;
-                } else {
-                    double g = grad(form, x[i], h[j]) - e[i];
-                    g = g * at;
-                    if (fz)
-                        g = 0.0;
-                    xn[i] = x[i] - g;
-                }
+        for (long i = 0; i < m; i++) {
+            if (momentum) {
+                double dx = x[i] - xp[i];
+                const double g = grad(form, look ? x[i] + dx * nu : x[i], h[i]) - e[i];
+                dx = dx * lam;
+                dx = dx - g * at;
+                xn[i] = x[i] + dx;
+            } else {
+                double g = grad(form, x[i], h[i]) - e[i];
+                g = g * at;
+                xn[i] = x[i] - g;
             }
         }
+        for (long s = 0; frozen && s < S; s++)
+            if (frozen[s])
+                for (long i = s * d; i < (s + 1) * d; i++)
+                    xn[i] = momentum ? x[i] + 0.0 : x[i] - 0.0;
         for (long s = 0; norms && s < S; s++)
-            norms[t * S + s] = sqrt(sum_sq(0, xn + s * d, 0, 0, 0, 0.0, 0.0, d));
+            norms[t * S + s] = sqrt(sum_sq(xn + s * d, d));
     }
 }
 
@@ -169,12 +170,17 @@ void sgdm_block(long n, long S, long d, int form, const double *h,
    distance at segment k's last row.  Unless az is 0, the interpolations
    z^t = x^t c1 - x^{t-1} lc1 (t >= 1) give zmax likewise, with the first
    segment's anchor az and maximum zc carried, and each later anchor formed
-   from its rows lo[k] and lo[k] - 1. */
+   once, from its rows lo[k] and lo[k] - 1.  work holds 3 S d doubles: a
+   row's differences to its anchors, formed over the whole row and then
+   summed seed by seed, and the z anchor. */
 void window_spread(long n, long S, long d, const double *rows, long nseg, const long *lo,
                    const double *ax, const double *xc, double *xmax, double *xlast,
-                   double c1, double lc1, const double *az, const double *zc, double *zmax)
+                   double c1, double lc1, const double *az, const double *zc, double *zmax,
+                   double *work)
 {
     const long m = S * d;
+    double *dx = work, *dz = work + m, *y = work + 2 * m;
+    const double *za = az;
     long k = 0;
     for (long t = 1; t <= n; t++) {
         if (k + 1 < nseg && lo[k + 1] < t)
@@ -182,13 +188,20 @@ void window_spread(long n, long S, long d, const double *rows, long nseg, const 
         const int first = t == lo[k] + 1, last = t == (k + 1 < nseg ? lo[k + 1] : n);
         const double *x = rows + t * m, *xa = k ? rows + lo[k] * m : ax;
         double *qx = xmax + k * S, *qz = az ? zmax + k * S : 0;
+        for (long i = 0; i < m; i++)
+            dx[i] = x[i] - xa[i];
+        if (az && first && k) {
+            for (long i = 0; i < m; i++)
+                y[i] = xa[i] * c1 - xa[i - m] * lc1;
+            za = y;
+        }
+        for (long i = 0; az && i < m; i++)
+            dz[i] = (x[i] * c1 - x[i - m] * lc1) - za[i];
         for (long s = 0; s < S; s++) {
-            const long i = s * d;
-            const double q = sum_sq(1, x + i, 0, xa + i, 0, 0.0, 0.0, d);
+            const double q = sum_sq(dx + s * d, d);
             qx[s] = first ? q : nan_max(qx[s], q);
             if (az) {
-                const double qt = k ? sum_sq(3, x + i, x + i - m, xa + i, xa + i - m, c1, lc1, d)
-                                    : sum_sq(2, x + i, x + i - m, az + i, 0, c1, lc1, d);
+                const double qt = sum_sq(dz + s * d, d);
                 qz[s] = first ? qt : nan_max(qz[s], qt);
             }
             if (!last)
@@ -235,9 +248,10 @@ class Steps:
     def __init__(self, fn, grad, params, S: int, d: int):
         form, h = grad._c_form
         self.fn, self.form, self.S, self.d = fn, FORMS[form], S, d
-        self.h = np.array(h, dtype=float)       # C reads it on every call
-        if self.h.shape != (d,):
+        h = np.array(h, dtype=float)
+        if h.shape != (d,):
             raise ValueError(f"_c_form coefficients must have shape ({d},)")
+        self.h = np.tile(h, S)          # one per element of a row; C reads it on every call
         self.lam, self.nu = float(params.lam), float(params.nu)
         self.momentum = int(params.lam != 0.0 or params.nu != 0.0)
         self.look = int(params.nu != 0.0)
@@ -278,9 +292,10 @@ class Spreads:
         xmax = np.empty((len(lo), S))
         zmax = np.empty_like(xmax) if self.z else None
         xlast = np.empty_like(xmax) if last else None
+        work = np.empty(3 * S * d)
         self.fn(n, S, d, rows.ctypes.data, len(lo), lo.ctypes.data, ax.ctypes.data,
                 xc.ctypes.data, xmax.ctypes.data, _address(xlast), self.c1, self.lc1,
-                _address(az), _address(zc), _address(zmax))
+                _address(az), _address(zc), _address(zmax), work.ctypes.data)
         return xmax, xmax if zmax is None else zmax, xlast
 
 
@@ -331,7 +346,7 @@ def build():
     for fn, argtypes in ((lib.sgdm_block, [c_long] * 3 + [c_int, ptr, c_int, c_int, c_double,
                                                           c_double] + [ptr] * 7),
                          (lib.window_spread, [c_long] * 3 + [ptr, c_long] + [ptr] * 5
-                          + [c_double] * 2 + [ptr] * 3),
+                          + [c_double] * 2 + [ptr] * 4),
                          (lib.cnoise_init, []),
                          (lib.cnoise_block, [c_long] * 3 + [ptr, c_double, ptr, ptr, c_long]
                           + [ptr] * 4)):
@@ -394,13 +409,15 @@ def probe(fn) -> bool:
 
 def probe_spread(fn) -> bool:
     """Whether fn, the compiled window_spread, reproduces runner._Spreads,
-    its maxima and its last rows' distances, in blocks of d in (1, 2, 3, 9,
-    10, 17) that mix smooth values with +-0, subnormals, squares that
-    overflow, +-inf and NaN; segments all of length one, one long segment
-    and mixed lengths; carried anchors and maxima; lam = 0 and 0.9."""
+    its maxima and its last rows' distances, in blocks of 3 seeds with d in
+    (1, 2, 3, 9, 10, 17) and of 11 seeds with d in (1, 10), rows of S d
+    elements that leave a vector's tail, that mix smooth values with +-0,
+    subnormals, squares that overflow, +-inf and NaN; segments all of
+    length one, one long segment and mixed lengths; carried anchors and
+    maxima; lam = 0 and 0.9."""
     from .runner import _Spreads
-    S, n = 3, 23
-    for d in (1, 2, 3, 9, 10, 17):
+    n = 23
+    for S, d in [*((3, d) for d in (1, 2, 3, 9, 10, 17)), (11, 1), (11, 10)]:
         k = np.arange((n + 3) * S * d)
         for shift in (0, 5):
             values = np.where(k % 5 == 0, np.resize(np.roll(SPECIAL, shift), len(k)),

@@ -19,9 +19,9 @@ the same normals, bit for bit, with less work per normal.
   code.  Either way the ten rounds are written out, as in numpy's philox.h,
   and the words are numpy's words in numpy's order; a batch of counters
   that would carry out of ctr[0] takes the scalar rounds.  The AVX-512
-  code is compiled for its target by a function attribute, so the flags
-  of the library stay as they are, and the source defines CNOISE_SCALAR
-  to leave it out (the tests build both paths).
+  code is compiled for its target by a function attribute, so the library
+  builds on a host whose -march has no AVX-512 too, and the source defines
+  CNOISE_SCALAR to leave it out (the tests build both paths).
 - Then the ziggurat over the word buffer, eight words per vector on the
   AVX-512 path (the table lookups are gathers).  Its fast path takes 99%
   of the draws: x = rabs * wi[idx], returned when rabs < ki[idx].  Its
@@ -104,8 +104,9 @@ static int lanes = 1;           /* 8 where the AVX-512 path runs; set by cnoise_
 #define ZBUF 512                /* normals drawn ahead of their copy into the rows */
 
 /* one Philox4x64 round on c0..c3 with key k0, k1, the key bump that
-   separates two rounds, and numpy's ten rounds of philox.h written out
-   (gcc -O2 keeps a loop over them, at about twice the cost per word) */
+   separates two rounds, and numpy's ten rounds of philox.h written out,
+   so that no optimization level keeps a loop over them (gcc -O2 did, at
+   about twice the cost per word) */
 #define PHILOX_ROUND(c0, c1, c2, c3)                                    \
     do {                                                                \
         const __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * c0; \
@@ -491,7 +492,7 @@ void cnoise_block(long n, long S, long d, philox_t *st, double scale, double *E,
             const int last = t + 1 == (k + 1 < nseg ? lo[k + 1] : n);
             double *q = smax + k * S;
             for (long s = 0; s < S; s++) {
-                const double qs = sum_sq(0, psum + s * d, 0, 0, 0, 0.0, 0.0, d);
+                const double qs = sum_sq(psum + s * d, d);
                 q[s] = first ? qs : nan_max(q[s], qs);
                 if (!last)
                     continue;

@@ -228,14 +228,11 @@ def test_build_raises_when_the_ziggurat_tables_are_not_read(library, monkeypatch
 
 
 SUM_SQ = re.compile(r"INLINE double sum_sq\(.*?\n}\n", re.S)
-SEQUENTIAL_SUM_SQ = """INLINE double sum_sq(int kind, const double *v, const double *w,
-                     const double *a, const double *b, double c1, double lc1, long d)
+SEQUENTIAL_SUM_SQ = """INLINE double sum_sq(const double *v, long d)
 {
     double q = 0.0;
-    for (long j = 0; j < d; j++) {
-        const double u = elem(kind, v, w, a, b, c1, lc1, j);
-        q = u * u + q;
-    }
+    for (long j = 0; j < d; j++)
+        q = v[j] * v[j] + q;
     return q;
 }
 """
@@ -243,6 +240,18 @@ SEQUENTIAL_SUM_SQ = """INLINE double sum_sq(int kind, const double *v, const dou
 
 PROBES = {"probe": (_ckernel, "step kernel"), "probe_spread": (_ckernel, "window spreads"),
           "probe_block": (_cnoise, "block draw")}
+
+
+def _build_rejects(monkeypatch, mutate, probe):
+    # the probe alone must see the mutation: the other two pass unchecked
+    compile_library = _ckernel.compile_library
+    monkeypatch.setattr(_ckernel, "compile_library",
+                        lambda source: compile_library(mutate(source)))
+    for other, (module, _) in PROBES.items():
+        if other != probe:
+            monkeypatch.setattr(module, other, lambda fn: True)
+    with pytest.raises(RuntimeError, match=PROBES[probe][1]):
+        _ckernel.build()
 
 
 @pytest.mark.parametrize("mutation, probe", [
@@ -253,20 +262,25 @@ PROBES = {"probe": (_ckernel, "step kernel"), "probe_spread": (_ckernel, "window
     ("drops_nan", "probe_block"),       # their maxima
 ])
 def test_build_raises_on_a_wrong_norm_or_maximum(library, monkeypatch, mutation, probe):
-    # each probe alone must see it: the other two pass unchecked
-    compile_library = _ckernel.compile_library
     assert len(SUM_SQ.findall(_ckernel.SOURCE)) == 1
     nan_max = ("return a != a || a >= b ? a : b;", "return a >= b ? a : b;")
     assert _ckernel.SOURCE.count(nan_max[0]) == 1
     mutate = {"sequential": lambda source: SUM_SQ.sub(SEQUENTIAL_SUM_SQ, source),
               "drops_nan": lambda source: source.replace(*nan_max)}[mutation]
-    monkeypatch.setattr(_ckernel, "compile_library",
-                        lambda source: compile_library(mutate(source)))
-    for other, (module, _) in PROBES.items():
-        if other != probe:
-            monkeypatch.setattr(module, other, lambda fn: True)
-    with pytest.raises(RuntimeError, match=PROBES[probe][1]):
-        _ckernel.build()
+    _build_rejects(monkeypatch, mutate, probe)
+
+
+FROZEN_UPDATE = "xn[i] = momentum ? x[i] + 0.0 : x[i] - 0.0;"
+
+
+@pytest.mark.parametrize("old, new", [
+    # a frozen -0.0 kept under momentum, where numpy's x + 0.0 makes it +0.0
+    (FROZEN_UPDATE, FROZEN_UPDATE.replace(" + 0.0", "")),
+    ("if (frozen[s])", "if (frozen[(s + 1) % S])"),     # the next seed's update zeroed
+])
+def test_build_raises_on_a_wrong_frozen_update(library, monkeypatch, old, new):
+    assert _ckernel.SOURCE.count(old) == 1
+    _build_rejects(monkeypatch, lambda source: source.replace(old, new), "probe")
 
 
 @pytest.mark.parametrize("mutation", [

@@ -41,7 +41,7 @@ def _bits_equal(a, b):
 def spread_blocks(draw):
     """A block of iterate rows cut into segments, the state carried into it
     and the rows before it."""
-    d, S = draw(st.sampled_from([1, 2, 3, 9, 10, 17])), draw(st.integers(1, 6))
+    d, S = draw(st.sampled_from([1, 2, 3, 9, 10, 17])), draw(st.integers(1, 20))
     n = draw(st.integers(1, 48))
     layout = draw(st.sampled_from(["ones", "one", "mixed"]))
     if layout == "ones":
