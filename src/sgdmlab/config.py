@@ -304,8 +304,9 @@ def parse_config(text: str) -> ExperimentConfig:
         except OverflowError:
             tmax = 0.0
         if not tmax > 0:
-            errors.append("the window budget (1-lambda)^3 / (50 L (1+2 nu)^2) underflows "
-                          "to 0: problem.l or opt.nu is too large")
+            errors.append(f"the window budget (1-lambda)^3 / (50 L (1+2 nu)^2) underflows "
+                          f"to 0: {problem.name}'s L = {problem.L:g} or opt.nu = {nu:g} "
+                          "is too large")
         elif wT is not None and wT <= 0:
             errors.append("window.t must be > 0")
         elif wT is not None and wT > tmax * (1 + 1e-12):

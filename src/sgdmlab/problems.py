@@ -267,26 +267,15 @@ def make_problem(name: str, dim: int | None = None, **params) -> Problem:
         dim = default_dim if default_dim is not None else 2
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    return maker(dim, **params)
+    try:
+        return maker(dim, **params)
+    except OverflowError:       # a finite parameter whose power leaves the float range
+        raise ValueError(f"{name}: a constant computed from {params} overflows "
+                         "a float") from None
 
 
 def problem_names() -> list[str]:
     return sorted(_REGISTRY)
-
-
-def fd_gradient_check(problem: Problem, x, h: float) -> float:
-    """Worst per-coordinate relative deviation of central differences."""
-    if h <= 0:
-        raise ValueError("h must be > 0")
-    x = np.asarray(x, dtype=float)
-    g = problem.grad(x)
-    worst = 0.0
-    for i in range(problem.dim):
-        e = np.zeros(problem.dim)
-        e[i] = h
-        fd = (problem.f(x + e) - problem.f(x - e)) / (2 * h)
-        worst = max(worst, abs(fd - g[i]) / (1.0 + abs(g[i])))
-    return worst
 
 
 def loja_residual(problem: Problem, x) -> float:

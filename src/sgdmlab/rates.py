@@ -27,19 +27,6 @@ def _min_with_unbounded(a: float, b: float | None) -> float:
     return a if b is None else min(a, b)
 
 
-def rate_psi_phi(theta: float, r: float) -> tuple[float, float]:
-    """General-schedule decay exponents on the accumulated-step scale:
-    psi = min(2r, 1/(2 theta - 1)) for the value gap and squared gradient,
-    phi = min(r - 1/2, (1-theta)/(2 theta - 1)) for the iterate distance."""
-    if not 0.5 <= theta < 1.0:
-        raise ValueError("theta must lie in [1/2, 1)")
-    if not r > 0.5:
-        raise ValueError("r must be > 1/2")
-    psi = _min_with_unbounded(2.0 * r, _loja_branch(theta, 1.0))
-    phi = _min_with_unbounded(r - 0.5, _loja_branch(theta, 1.0 - theta))
-    return psi, phi
-
-
 def transition_theta(gamma: float) -> float:
     """theta at which the two branches of the value-gap exponent meet."""
     return gamma / (4.0 * gamma - 2.0)
@@ -119,44 +106,6 @@ def log_rate_case(alpha: float, C: float) -> LogRateDecision:
         return LogRateDecision(True, alpha, C, thr,
                                dist_rate=(0.5, 0.5), gap_rate=(1.0, 1.0))
     return LogRateDecision(False, alpha, C, thr)
-
-
-@dataclass(frozen=True)
-class RatePrediction:
-    """Closed-form exponent bundle for a problem/schedule pairing."""
-
-    theta: float
-    regime: str                      # "general", "polynomial", "log"
-    psi: float | None = None
-    phi: float | None = None
-    Phi_rate: float | None = None
-    Psi_rate: float | None = None
-    theta_transition: float | None = None
-    gamma_star: float | None = None
-    phi_circ: float | None = None    # momentum-free comparison exponent
-    log_factor: bool = False
-
-    @classmethod
-    def from_polynomial(cls, gamma: float, theta: float) -> "RatePrediction":
-        Phi, Psi = rate_Phi_Psi(gamma, theta)
-        og = optimal_gamma(theta)
-        pc = tadic_Phi(gamma, theta) if 0.75 < gamma < 1.0 else None
-        return cls(theta=theta, regime="polynomial", Phi_rate=Phi, Psi_rate=Psi,
-                   theta_transition=transition_theta(gamma),
-                   gamma_star=og.gamma_star, phi_circ=pc)
-
-    @classmethod
-    def from_general(cls, r: float, theta: float) -> "RatePrediction":
-        psi, phi = rate_psi_phi(theta, r)
-        return cls(theta=theta, regime="general", psi=psi, phi=phi)
-
-    @classmethod
-    def from_log_case(cls, alpha: float, C: float) -> "RatePrediction":
-        dec = log_rate_case(alpha, C)
-        return cls(theta=0.5, regime="log",
-                   Psi_rate=1.0 if dec.accepted else None,
-                   Phi_rate=0.5 if dec.accepted else None,
-                   log_factor=dec.accepted)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 """Reference recomputations of the window statistics from a stored
 iterate history.
 
-Each function loops over the windows of a partition and reads the full
-iterate history ``traj.X_hist`` (and the noise log ``traj.E_hist``, or a
-replay of the seed's noise stream), so it shares no code path with the
-streaming window engine in ``sgdmlab.runner``.  The tests compare the
-engine's ``WindowTrace`` against these, and feed ``window_quantities``
-to ``judge_windows`` to check ``check_windows``.
+Each window function loops over the windows of a partition and reads
+the full iterate history ``traj.X_hist`` (and the noise log
+``traj.E_hist``, or a replay of the seed's noise stream), so it shares
+no code path with the streaming window engine in ``sgdmlab.runner``.
+The tests compare the engine's ``WindowTrace`` against these, and feed
+``window_quantities`` to ``judge_windows`` to check ``check_windows``.
+
+``z_rows``, ``merit_value`` and ``merit_gradient`` are the one test copy
+of the interpolation z and of the merit function M(x, z) and its
+gradient; the two merit functions take one point or rows of points.
+``window_quantities`` reads M and grad M from them, and test_optimizer
+checks them by hand values and finite differences.
 """
 
 import numpy as np
@@ -16,8 +22,12 @@ from sgdmlab.trajectory import decade_of, n_decades
 from sgdmlab.windows import CauchyProfile
 
 
+def _sq_norms(A):
+    return np.einsum("...d,...d->...", A, A)
+
+
 def _norms(A):
-    return np.sqrt(np.einsum("nd,nd->n", A, A))
+    return np.sqrt(_sq_norms(A))
 
 
 def _history(traj, partition):
@@ -37,6 +47,17 @@ def z_rows(X, lam):
     Z[0] = X[0]
     Z[1:] = X[1:] * c - (lam * c) * X[:-1]
     return Z
+
+
+def merit_value(problem, params, X, Z):
+    """M(x, z) = f(z) + zeta * ||z - x||^2 with zeta = 3L/(1-lam), per row."""
+    return problem.f_batch(Z) + merit_zeta(problem, params) * _norms(Z - X)**2
+
+
+def merit_gradient(problem, params, X, Z):
+    """Both blocks of grad M per row: (2*zeta*(x-z), grad f(z) + 2*zeta*(z-x))."""
+    two_zeta = 2.0 * merit_zeta(problem, params)
+    return two_zeta * (X - Z), problem.grad_batch(Z) + two_zeta * (Z - X)
 
 
 def aggregate_errors(traj, partition):
@@ -91,15 +112,13 @@ def window_quantities(traj, partition, problem, params):
     Z = z_rows(X, params.lam)
     anchors = partition.gammas - 1          # rows of the anchor iterates
     ax, az = X[anchors], Z[anchors]
-    diff = az - ax
-    zx = _norms(diff)
-    gzv = problem.grad_batch(az)
-    zeta = merit_zeta(problem, params)
-    merit = problem.f_batch(az) + zeta * zx**2
-    gblock = gzv + (2.0 * zeta) * diff
-    merit_grad_sq = (4.0 * zeta**2) * zx**2 + np.einsum("nd,nd->n", gblock, gblock)
+    zx = _norms(az - ax)
+    _, gz_block = merit_gradient(problem, params, ax, az)
+    # ||grad_x M||^2 = 4 zeta^2 ||z - x||^2, rounded in the engine's order
+    merit_grad_sq = (4.0 * merit_zeta(problem, params)**2) * zx**2 + _sq_norms(gz_block)
     return (1, aggregate_errors(traj, partition), iterate_spread(traj, partition, params.lam),
-            zx, _norms(gzv), merit, merit_grad_sq)
+            zx, _norms(problem.grad_batch(az)), merit_value(problem, params, ax, az),
+            merit_grad_sq)
 
 
 def cauchy_profile(traj, partition):

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import sgdmlab as sl
+from sgdmlab import config
 from sgdmlab.config import parse_config
 from sgdmlab.harness import emit_rate_curves, run_experiment
 from suites import BASE_SEED, HORIZON, SEEDS, config_text, matrix
+from test_golden_outputs import CONFIGS as GOLDEN_CONFIGS
 
 # suites.matrix key -> config_hash, recorded before the table moved to suites
 MATRIX_HASHES = {
@@ -45,6 +47,23 @@ def _matrix_config(pname, method, gamma, extra=""):
 
 def test_matrix_configs_are_frozen():
     assert {key: _matrix_config(*key).config_hash for key in matrix} == MATRIX_HASHES
+
+
+def test_a_new_schema_key_moves_no_hash_unless_its_default_is_set(monkeypatch):
+    # parse_config writes only the keys whose value is not None into the
+    # canonical text, so an opt-in key with default None keeps every hash
+    def hashes():
+        return ({key: _matrix_config(*key).config_hash for key in matrix},
+                {name: parse_config(text).config_hash
+                 for name, (text, _) in GOLDEN_CONFIGS.items()})
+
+    _, golden = hashes()
+    for default, moved in ((None, False), (0.0, True)):
+        monkeypatch.setattr(config, "_SCHEMA",
+                            {**config._SCHEMA, "noise.sigma1": (config._parse_float, default)})
+        got_matrix, got_golden = hashes()
+        assert [got_matrix[key] != MATRIX_HASHES[key] for key in matrix] == [moved] * 18
+        assert [got_golden[name] != golden[name] for name in golden] == [moved] * len(golden)
 
 
 @functools.lru_cache(maxsize=1)

@@ -336,14 +336,20 @@ def test_cli_rejects_non_finite_float_values(tmp_path, capsys, key, value):
     assert f"bad value for {key}: not a finite number" in err, err
 
 
-@pytest.mark.parametrize("key, value", [("opt.nu", "1e200"), ("problem.l", "1e308")])
-def test_cli_rejects_a_window_budget_that_underflows(tmp_path, capsys, key, value):
-    # finite, but (1+2 nu)^2 overflows or 50 L does: a traceback before
+@pytest.mark.parametrize("name, key, value, L", [
+    pytest.param("quadratic", "opt.nu", "1e200", "L = 1", id="opt.nu-1e200"),
+    pytest.param("quadratic", "problem.l", "1e308", "L = 1e+308", id="problem.l-1e308"),
+    pytest.param("rosenbrock", "problem.b", "1e308", "L = inf", id="rosenbrock-problem.b-1e308"),
+])
+def test_cli_rejects_a_window_budget_that_underflows(tmp_path, capsys, name, key, value, L):
+    # finite, but (1+2 nu)^2 overflows or 50 L does: a traceback before;
+    # the message names the problem's L, which no key sets for rosenbrock
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("problem.name = quadratic\nproblem.dim = 2\nopt.lambda = 0.5\n"
+    cfg_path.write_text(f"problem.name = {name}\nproblem.dim = 2\nopt.lambda = 0.5\n"
                         f"run.horizon = 2001\n{key} = {value}\n")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-    assert "window budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "window budget" in err and f"{name}'s {L} or opt.nu" in err, err
 
 
 def test_cli_exit_code_two_on_violated_target(tmp_path):
@@ -538,6 +544,37 @@ def test_library_constructors_reject_non_finite_values(name):
     # each of these constructed before, and nu = nan diverged every seed
     with pytest.raises(ValueError):
         NON_FINITE_CONSTRUCTIONS[name]()
+
+
+# finite parameters whose powers overflow a Python float in the problem makers
+OVERFLOWING_PARAMETERS = [
+    ("even_power", "p", 1e300),
+    ("even_power", "box_radius", 1e200),
+    ("rosenbrock", "box_radius", 1e200),
+    ("shifted_quartic", "box_radius", 1e200),
+    ("rosenbrock", "a", 1e200),
+]
+
+
+@pytest.mark.parametrize("name, key, value", OVERFLOWING_PARAMETERS)
+def test_make_problem_rejects_parameters_whose_constants_overflow(name, key, value):
+    # each raised OverflowError, which parse_config let through as a traceback
+    with pytest.raises(ValueError, match="overflows a float"):
+        make_problem(name, **{key: value})
+
+
+@pytest.mark.parametrize("name, key, value", OVERFLOWING_PARAMETERS)
+def test_cli_rejects_parameters_whose_constants_overflow(tmp_path, capsys, name, key, value):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"problem.name = {name}\nproblem.{key} = {value!r}\n"
+                        "run.horizon = 100\n")
+    with pytest.raises(ConfigError, match="overflows a float"):
+        parse_config(cfg_path.read_text())
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert "config rejected" in err and "overflows a float" in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_box_radius_still_means_no_box():

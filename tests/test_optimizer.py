@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import merit_gradient, merit_value, z_rows
 from sgdmlab import (MomentumParams, NoiseModel, NoiseStream, RecordingPolicy,
-                     StepSchedule, auxiliary_z, make_problem, merit_gradient,
-                     merit_value, merit_zeta, run_batch, run_trajectory)
+                     StepSchedule, make_problem, merit_zeta, run_batch, run_trajectory)
 
 QUAD1 = make_problem("quadratic", 1, mu=1.0)
 
@@ -36,9 +36,9 @@ def test_momentum_params_domain():
 
 
 def test_auxiliary_z_values():
-    assert auxiliary_z(np.array([0.9]), 0.0, np.array([1.0]))[0] == 0.9
-    z = auxiliary_z(np.array([0.9]), 0.5, np.array([1.0]))
-    assert z[0] == pytest.approx(0.8, abs=1e-15)
+    X = np.array([[1.0], [0.9]])
+    assert z_rows(X, 0.0)[1, 0] == 0.9
+    assert z_rows(X, 0.5)[1, 0] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_auxiliary_z_recursion_both_forms():
@@ -46,7 +46,7 @@ def test_auxiliary_z_recursion_both_forms():
     z = 0.8
     z_next_recursion = z - 0.1 * 0.9 / 0.5
     x_next = 0.76
-    z_next_direct = auxiliary_z(np.array([x_next]), 0.5, np.array([0.9]))[0]
+    z_next_direct = z_rows(np.array([[0.9], [x_next]]), 0.5)[1, 0]
     assert z_next_recursion == pytest.approx(0.62, abs=1e-15)
     assert z_next_direct == pytest.approx(0.62, abs=1e-12)
 
@@ -142,9 +142,10 @@ def test_z_recursion_along_noisy_run():
     X, E = t.X_hist, t.E_hist
     alphas = sched.prefix(399)
     lam = params.lam
-    z_prev = X[0].copy()
+    Z = z_rows(X, lam)
+    z_prev = Z[0]
     for k in range(1, 399):
-        z_next = auxiliary_z(X[k], lam, X[k - 1])
+        z_next = Z[k]
         look = X[k - 1] + params.nu * (X[k - 1] - (X[k - 2] if k > 1 else X[0]))
         g = prob.grad(look) - E[k - 1]
         resid = np.linalg.norm(z_next - z_prev + alphas[k - 1] * g / (1 - lam))

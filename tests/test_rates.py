@@ -4,28 +4,7 @@ import numpy as np
 import pytest
 
 from sgdmlab import (chung_bound_check, estimate_exponent, log_rate_case,
-                     optimal_gamma, rate_Phi_Psi, rate_psi_phi, tadic_Phi,
-                     transition_theta)
-
-
-def test_general_rates_at_flat_sharpness():
-    psi, phi = rate_psi_phi(0.5, 1.0)
-    # the 1/(2 theta - 1) branch is unbounded; the r-branch wins
-    assert psi == 2.0
-    assert phi == 0.5
-
-
-def test_general_rates_examples():
-    psi, phi = rate_psi_phi(0.75, 1.0)
-    assert psi == pytest.approx(2.0)
-    assert phi == pytest.approx(0.5)
-    psi, phi = rate_psi_phi(0.9, 0.6)
-    assert psi == pytest.approx(1.2)
-    assert phi == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        rate_psi_phi(0.4, 1.0)
-    with pytest.raises(ValueError):
-        rate_psi_phi(0.6, 0.5)
+                     optimal_gamma, rate_Phi_Psi, tadic_Phi, transition_theta)
 
 
 def test_polynomial_rates_examples():
@@ -95,24 +74,6 @@ def test_log_rate_case_threshold():
     assert log_rate_case(1e12, 0.001).accepted
     with pytest.raises(ValueError):
         log_rate_case(1.0, 0.0)
-
-
-def test_rate_prediction_bundles():
-    from sgdmlab import RatePrediction
-    pred = RatePrediction.from_polynomial(0.9, 0.5)
-    assert pred.regime == "polynomial"
-    assert pred.Psi_rate == pytest.approx(0.8)
-    assert pred.Phi_rate == pytest.approx(0.35)
-    assert pred.theta_transition == pytest.approx(transition_theta(0.9))
-    assert pred.gamma_star == pytest.approx(1.0)
-    assert pred.phi_circ == pytest.approx(tadic_Phi(0.9, 0.5))
-    pred = RatePrediction.from_general(1.0, 0.75)
-    assert pred.psi == pytest.approx(2.0)
-    assert pred.phi == pytest.approx(0.5)
-    accepted = RatePrediction.from_log_case(101.0, math.sqrt(2.0))
-    assert accepted.log_factor and accepted.Psi_rate == 1.0
-    rejected = RatePrediction.from_log_case(50.0, math.sqrt(2.0))
-    assert not rejected.log_factor and rejected.Psi_rate is None
 
 
 def test_estimate_exponent_recovers_power_laws():
