@@ -13,9 +13,9 @@ from .noise import NoiseModel, NoiseStream, DimensionMismatchError
 from .problems import (Problem, UnknownProblemError, OutOfRegionError,
                        make_problem, problem_names, loja_residual)
 from .optimizer import MomentumParams, merit_zeta
-from .trajectory import (RecordingPolicy, Trajectory, RunBatch, WindowTrace,
+from .trajectory import (RecordingPolicy, RunBatch, WindowTrace,
                          InsufficientRecordingError)
-from .runner import run_batch, run_trajectory
+from .runner import run_batch
 from .windows import (WindowPartition, WindowCapError, WindowReport, default_window,
                       build_partition, verify_window_lengths, applicability_index,
                       judge_windows, check_windows,

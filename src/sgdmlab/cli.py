@@ -86,11 +86,11 @@ def _cmd_windows(args) -> int:
         print("error: windows need run.horizon >= 2", file=sys.stderr)
         return 1
     partition = win.build_partition(cfg.schedule, cfg.window_T, cfg.horizon)
-    K_obs, rep = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
+    rep = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
     K_T = win.applicability_index(partition, cfg.schedule, cfg.problem, cfg.params)
     print(f"T = {cfg.window_T:g}, windows = {partition.n_windows}, horizon = {cfg.horizon}")
     print(f"first indices: {partition.gammas[:6].tolist()}")
-    print(f"K_delta (observed) = {K_obs}, K_guarantee = {rep.K_guarantee}, "
+    print(f"K_delta (observed) = {rep.K_delta}, K_guarantee = {rep.K_guarantee}, "
           f"K_T = {K_T}")
     print(f"length violations: {rep.n_violations} total, "
           f"{rep.n_violations_after_guarantee} past the guarantee index")

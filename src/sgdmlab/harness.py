@@ -19,8 +19,7 @@ from .config import ConfigError, ExperimentConfig
 from .rates import _MIN_TAIL_POINTS, estimate_exponent, rate_Phi_Psi
 from .runner import run_batch
 from .schedules import ScheduleExhaustedError
-from .trajectory import (RecordingPolicy, RunBatch, Trajectory, decade_of, n_decades,
-                         record_grid)
+from .trajectory import RecordingPolicy, RunBatch, decade_of, n_decades, record_grid
 
 MONOTONE_SLACK = 1e-9
 
@@ -62,10 +61,10 @@ def _window_verdicts(batch: RunBatch, cfg: ExperimentConfig) -> dict:
     """Window lengths, and the window report reduced over the seeds that
     did not diverge."""
     partition = batch.window.partition
-    K_obs, wl = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
+    wl = win.verify_window_lengths(partition, cfg.schedule, cfg.window_delta)
     return {
         "n_windows": partition.n_windows,
-        "K_delta": K_obs,
+        "K_delta": wl.K_delta,
         "K_guarantee": wl.K_guarantee,
         "length_violations": wl.n_violations,
         "length_violations_after_guarantee": wl.n_violations_after_guarantee,
@@ -245,23 +244,24 @@ def emit_outputs(summary: RunSummary, batch: RunBatch, cfg: ExperimentConfig,
         written.append(path)
     if "window_csv" in cfg.out_formats and batch.window is not None:
         path = os.path.join(outdir, "windows.csv")
-        _write_window_csv(path, batch.trajectory(0))
+        _write_window_csv(path, batch)
         written.append(path)
     return written
 
 
-def _write_window_csv(path: str, run: Trajectory):
-    """Per-window diagnostics of one seed's run over the stored range."""
-    rep = win.check_windows(run)
-    trace = run.window
+def _write_window_csv(path: str, batch: RunBatch):
+    """Per-window diagnostics of the batch's first seed over the stored
+    range: column 0 of the batch's window trace and of its report."""
+    rep = win.check_windows(batch)
+    trace = batch.window
     partition = trace.partition
     with open(path, "w") as fh:
         fh.write("k,gamma_k,gamma_next,Delta,s_k,d_k,u_k,M_k,gradM_norm,"
                  "res_36,res_37,res_descent,applicable_flag\n")
-        s, spread = trace.s, trace.spread
-        M, gm2 = trace.merit, trace.merit_grad_sq
-        u = rep.u
-        rs, rg, rd = rep.res_spread, rep.res_gap, rep.res_descent
+        s, spread = trace.s[:, 0], trace.spread[:, 0]
+        M, gm2 = trace.merit[:, 0], trace.merit_grad_sq[:, 0]
+        u = rep.u[:, 0]
+        rs, rg, rd = rep.res_spread[:, 0], rep.res_gap[:, 0], rep.res_descent[:, 0]
         for j, k in enumerate(rep.windows.tolist()):
             g0, g1 = partition.window_range(k)
             fh.write(",".join([

@@ -215,12 +215,13 @@ def _make_rosenbrock(dim, a=1.0, b=100.0, box_radius=2.0, **_):
     # absorb third-order terms on a ball of radius rho = 3e-5.
     hess = np.array([[2 + 8 * b * a**2, -4 * b * a],
                      [-4 * b * a, 2 * b]])
+    # (a rounded lam_min <= 0 gives C_f = 0, which make_problem rejects)
     lam_min = float(np.linalg.eigvalsh(hess).min())
     rho = 3e-5
     return Problem(
         name="rosenbrock", dim=2, f_batch=f_batch, grad_batch=grad_batch,
         L=float(L), f_star=0.0, x_star=np.array([a, a**2]),
-        theta=0.5, C_f=0.8 * math.sqrt(2 * lam_min), eta=1e-7, rho=rho,
+        theta=0.5, C_f=0.8 * math.sqrt(max(2 * lam_min, 0.0)), eta=1e-7, rho=rho,
         lower_bound=0.0, box_radius=box_radius, params={"a": a, "b": b})
 
 
@@ -268,10 +269,16 @@ def make_problem(name: str, dim: int | None = None, **params) -> Problem:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     try:
-        return maker(dim, **params)
+        problem = maker(dim, **params)
     except OverflowError:       # a finite parameter whose power leaves the float range
         raise ValueError(f"{name}: a constant computed from {params} overflows "
                          "a float") from None
+    # the sharpness certificate ||grad f|| >= C_f |f - f_star|^theta says
+    # nothing unless C_f is a finite positive number (L = inf means no box)
+    if not 0.0 < problem.C_f < math.inf:
+        raise ValueError(f"{name} with {params} has the sharpness constant "
+                         f"C_f = {problem.C_f!r}; it must be a finite number > 0")
+    return problem
 
 
 def problem_names() -> list[str]:

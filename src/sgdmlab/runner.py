@@ -3,8 +3,9 @@
 Trajectories are pure functions of (seed, config): every seed owns a
 counter-addressed noise stream, the batched update applies the same
 elementwise operations to every seed's row, and independent seeds
-evolve side by side in one array without interacting.  Running a
-seed alone or inside a batch yields bitwise-identical records.
+evolve side by side in one array without interacting.  A seed's run
+alone, run_batch(..., [seed], ...), and its column of any batch are
+bitwise identical.
 
 Per-window statistics (aggregated error, iterate spread, merit ledger at
 anchors) are accumulated streaming so that million-step runs never hold
@@ -49,8 +50,8 @@ from .noise import BlockNoise, NoiseModel
 from .optimizer import MomentumParams, merit_zeta
 from .problems import Problem
 from .schedules import StepSchedule
-from .trajectory import (RecordingPolicy, RunBatch, Trajectory, WindowTrace,
-                         decade_of, n_decades, record_grid)
+from .trajectory import (RecordingPolicy, RunBatch, WindowTrace, decade_of, n_decades,
+                         record_grid)
 
 STEP_NORM_TOL = 1e-12
 
@@ -427,7 +428,9 @@ class _BlockConsumer:
         if self.sn_ok is not None:
             dn = _norms(np.diff(rows, axis=0))
             self.sn_ok += (dn >= step_sizes[:, None] - STEP_NORM_TOL).sum(axis=0)
-            self.sn_total += dn.sum(axis=0)
+            # each seed's norms summed as one contiguous row, pairwise, as a
+            # lone seed's are: a sum down axis 0 is pairwise only at S = 1
+            self.sn_total += np.ascontiguousarray(dn.T).sum(axis=1)
 
         if self.acc is not None:
             self.acc.process_block(b0, rows, n)
@@ -628,13 +631,3 @@ def run_batch(problem: Problem, params: MomentumParams, schedule: StepSchedule,
         window=acc.finish() if acc is not None else None,
         X_hist=X_hist, E_hist=E_hist,
         step_norm_ok=consumer.sn_ok, step_norm_total=consumer.sn_total)
-
-
-def run_trajectory(problem: Problem, params: MomentumParams, schedule: StepSchedule,
-                   noise: NoiseModel, seed: int, horizon: int, x0=None,
-                   recording: RecordingPolicy | None = None,
-                   partition: win.WindowPartition | None = None) -> Trajectory:
-    """Single-seed run; identical to the matching slice of any batch."""
-    batch = run_batch(problem, params, schedule, noise, [seed], horizon,
-                      x0=x0, recording=recording, partition=partition)
-    return batch.trajectory(0)

@@ -1,4 +1,9 @@
-"""Trajectory records produced by the runner.
+"""Run records produced by the runner.
+
+A run is one ``RunBatch`` whatever its number of seeds: every array
+carries a trailing seed axis, and a single-seed run is a one-seed batch,
+``run_batch(..., [seed], ...)``, bitwise equal to that seed's column of
+any batch.
 
 Memory policy: per-step records are scalars sampled on a (geometric and/or
 strided) index grid; full iterate vectors are kept only when explicitly
@@ -97,32 +102,6 @@ class WindowTrace:
 
 
 @dataclass
-class Trajectory:
-    """Deterministic-given-seed record of one run."""
-
-    seed: int
-    horizon: int
-    config: dict
-    ks: np.ndarray                      # record grid, strictly increasing
-    f: np.ndarray
-    grad_norm: np.ndarray
-    dist: np.ndarray | None             # ||x - x_star||, when known
-    xz: np.ndarray                      # ||x - z||
-    x_final: np.ndarray
-    diverged_at: int = 0                # step of divergence, 0 if none
-    box_exits: int = 0                  # steps with ||x|| (Euclidean) above the L-box
-    window: WindowTrace | None = None
-    X_hist: np.ndarray | None = None    # (horizon, d) when store_vectors
-    E_hist: np.ndarray | None = None    # (horizon-1, d) when store_noise
-    step_norm_ok: int | None = None     # steps with ||dx|| >= alpha_k - 1e-12
-    step_norm_total: float | None = None
-
-    @property
-    def diverged(self) -> bool:
-        return self.diverged_at > 0
-
-
-@dataclass
 class RunBatch:
     """Seed-vectorized run results; arrays carry a trailing seed axis."""
 
@@ -140,44 +119,12 @@ class RunBatch:
     window: WindowTrace | None = None
     X_hist: np.ndarray | None = None    # (horizon, S, d)
     E_hist: np.ndarray | None = None
-    step_norm_ok: np.ndarray | None = None
-    step_norm_total: np.ndarray | None = None
+    step_norm_ok: np.ndarray | None = None      # (S,)
+    step_norm_total: np.ndarray | None = None   # (S,)
 
     @property
     def n_seeds(self) -> int:
         return len(self.seeds)
-
-    def trajectory(self, i: int) -> Trajectory:
-        """Single-seed view (copies the slices)."""
-        wt = None
-        if self.window is not None:
-            w = self.window
-            wt = WindowTrace(
-                n_windows=w.n_windows, detail_lo=w.detail_lo,
-                s=w.s[:, i].copy(), xdev=w.xdev[:, i].copy(),
-                zdev=w.zdev[:, i].copy(), zx=w.zx[:, i].copy(),
-                gz=w.gz[:, i].copy(),
-                merit=w.merit[:, i].copy(), merit_grad_sq=w.merit_grad_sq[:, i].copy(),
-                boundary_step=None if w.boundary_step is None else w.boundary_step[:, i].copy(),
-                decade_d_sum=w.decade_d_sum[:, i].copy(), decade_d_cnt=w.decade_d_cnt,
-                boundary_x=None if w.boundary_x is None else w.boundary_x[:, i].copy(),
-                boundary_x_prev=None if w.boundary_x_prev is None
-                else w.boundary_x_prev[:, i].copy(),
-                partition=w.partition, K_T=w.K_T)
-        return Trajectory(
-            seed=self.seeds[i], horizon=self.horizon, config=self.config,
-            ks=self.ks,
-            f=self.f[:, i].copy(), grad_norm=self.grad_norm[:, i].copy(),
-            dist=None if self.dist is None else self.dist[:, i].copy(),
-            xz=self.xz[:, i].copy(),
-            x_final=self.x_final[i].copy(),
-            diverged_at=int(self.diverged_at[i]), box_exits=int(self.box_exits[i]),
-            window=wt,
-            X_hist=None if self.X_hist is None else self.X_hist[:, i].copy(),
-            E_hist=None if self.E_hist is None else self.E_hist[:, i].copy(),
-            step_norm_ok=None if self.step_norm_ok is None else int(self.step_norm_ok[i]),
-            step_norm_total=None if self.step_norm_total is None else float(self.step_norm_total[i]),
-        )
 
 
 def decade_of(k) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from .optimizer import MomentumParams
 from .problems import Problem
 from .schedules import StepSchedule, ScheduleExhaustedError
-from .trajectory import InsufficientRecordingError, RunBatch, Trajectory, WindowTrace
+from .trajectory import InsufficientRecordingError, RunBatch, WindowTrace
 
 
 class WindowCapError(ValueError):
@@ -213,9 +213,10 @@ class WindowLengthReport:
 
 
 def verify_window_lengths(partition: WindowPartition, schedule: StepSchedule,
-                          delta: float) -> tuple[int | None, WindowLengthReport]:
-    """Smallest window index after which delta*T <= Delta_k <= T holds for
-    the remaining complete windows, with the violation list."""
+                          delta: float) -> WindowLengthReport:
+    """The complete windows whose length leaves [delta*T, T], and ``K_delta``,
+    the smallest window index after which delta*T <= Delta_k <= T holds for
+    the remaining complete windows."""
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     T = partition.T
@@ -228,11 +229,10 @@ def verify_window_lengths(partition: WindowPartition, schedule: StepSchedule,
     small = np.nonzero(schedule.at(partition.gammas[:-1]) <= (1.0 - delta) * T)[0]
     K_gua = int(small[0]) + 1 if small.size else None
     after = len(bad) if K_gua is None else int(np.searchsorted(bad, K_gua - 1))
-    report = WindowLengthReport(
+    return WindowLengthReport(
         T=T, delta=delta, K_delta=K_obs, K_guarantee=K_gua,
         violation_windows=bad + 1, violation_lengths=lengths[bad],
         first_after_guarantee=after, n_checked=int(partition.complete.sum()))
-    return K_obs, report
 
 
 def applicability_index(partition: WindowPartition, schedule: StepSchedule,
@@ -406,20 +406,20 @@ def judge_windows(partition: WindowPartition, K_T: int | None, lo: int,
 
 
 # ---------------------------------------------------------------------------
-# trajectory-facing diagnostics
+# run-facing diagnostics
 
-def _window_trace(run: Trajectory | RunBatch) -> WindowTrace:
+def _window_trace(run: RunBatch) -> WindowTrace:
     if run.window is None:
         raise InsufficientRecordingError(
             "window diagnostics need the streaming trace of a run over a partition")
     return run.window
 
 
-def check_windows(run: Trajectory | RunBatch, tol: float = DIAG_TOL) -> WindowReport:
+def check_windows(run: RunBatch, tol: float = DIAG_TOL) -> WindowReport:
     """The window verdict of a run (see ``judge_windows``), read from its
     streaming window trace with the partition, K_T, problem and momentum
-    weights the run was recorded with; a batch report's columns equal the
-    one-seed reports bitwise.
+    weights the run was recorded with.  The report's arrays are (window,
+    seed); column i equals the report of seed i's one-seed run bitwise.
 
     Windows at or past the applicability index must have residual
     >= -tol * scale and the ledger M + u must not rise from there on;
@@ -441,14 +441,13 @@ class CauchyProfile:
     boundary_steps: np.ndarray          # ||x^{gamma_{k+1}} - x^{gamma_k}||
     boundary_cumsum: np.ndarray
     intra_max: np.ndarray               # max_{t in Gamma_k} ||x^t - x^{gamma_k}||
-    step_norm_ok: int | np.ndarray | None = None       # (seed,) arrays for a batch
-    step_norm_total: float | np.ndarray | None = None
+    step_norm_ok: np.ndarray | None = None      # (seed,)
+    step_norm_total: np.ndarray | None = None
 
 
-def cauchy_profile(run: Trajectory | RunBatch) -> CauchyProfile:
+def cauchy_profile(run: RunBatch) -> CauchyProfile:
     """Boundary-sum partial sums and intra-window max deviations, read from
-    a run recorded with a window profile ((window,) arrays for one seed,
-    (window, seed) for a batch).
+    a run recorded with a window profile, as (window, seed) arrays.
 
     The per-step lower-bound summary (count of steps moving at least
     alpha_k, total path length) is attached when the run tracked it.

@@ -1,10 +1,11 @@
 """Reference recomputations of the window statistics from a stored
 iterate history.
 
-Each window function loops over the windows of a partition and reads
-the full iterate history ``traj.X_hist`` (and the noise log
-``traj.E_hist``, or a replay of the seed's noise stream), so it shares
-no code path with the streaming window engine in ``sgdmlab.runner``.
+Each window function takes a run batch and a seed column ``i``, loops
+over the windows of a partition and reads that column of the full
+iterate history ``batch.X_hist`` (and of the noise log ``batch.E_hist``,
+or a replay of the seed's noise stream), so it shares no code path with
+the streaming window engine in ``sgdmlab.runner``.
 The tests compare the engine's ``WindowTrace`` against these, and feed
 ``window_quantities`` to ``judge_windows`` to check ``check_windows``.
 
@@ -30,12 +31,12 @@ def _norms(A):
     return np.sqrt(_sq_norms(A))
 
 
-def _history(traj, partition):
-    if traj.horizon != partition.horizon:
-        raise ValueError("partition horizon does not match trajectory horizon")
-    if traj.X_hist is None:
+def _history(batch, i, partition):
+    if batch.horizon != partition.horizon:
+        raise ValueError("partition horizon does not match the run horizon")
+    if batch.X_hist is None:
         raise InsufficientRecordingError("the oracles need stored vectors")
-    return traj.X_hist
+    return batch.X_hist[:, i]
 
 
 def z_rows(X, lam):
@@ -60,18 +61,20 @@ def merit_gradient(problem, params, X, Z):
     return two_zeta * (X - Z), problem.grad_batch(Z) + two_zeta * (Z - X)
 
 
-def aggregate_errors(traj, partition):
-    """s_k = max_{t in Gamma_k} || sum_{i=gamma_k}^{t-1} alpha_i e^i || per window.
+def aggregate_errors(batch, i, partition):
+    """s_k = max_{t in Gamma_k} || sum_{j=gamma_k}^{t-1} alpha_j e^j || per window,
+    for the seed of column i.
 
-    Uses the stored noise log when present, otherwise replays the stream.
+    Uses the stored noise log when present, otherwise replays the seed's stream.
     """
-    if traj.horizon != partition.horizon:
-        raise ValueError("partition horizon does not match trajectory horizon")
-    alphas = traj.config["schedule"].prefix(traj.horizon - 1)
-    if traj.E_hist is not None:
-        fetch = lambda lo, n: traj.E_hist[lo - 1:lo - 1 + n]
+    if batch.horizon != partition.horizon:
+        raise ValueError("partition horizon does not match the run horizon")
+    alphas = batch.config["schedule"].prefix(batch.horizon - 1)
+    if batch.E_hist is not None:
+        fetch = lambda lo, n: batch.E_hist[lo - 1:lo - 1 + n, i]
     else:
-        stream = NoiseStream(traj.config["noise"], traj.config["problem"].dim, traj.seed)
+        stream = NoiseStream(batch.config["noise"], batch.config["problem"].dim,
+                             batch.seeds[i])
         fetch = lambda lo, n: stream.take(n)
     out = np.empty(partition.n_windows)
     for k in range(partition.n_windows):
@@ -81,9 +84,9 @@ def aggregate_errors(traj, partition):
     return out
 
 
-def iterate_spread(traj, partition, lam):
+def iterate_spread(batch, i, partition, lam):
     """d_k = max over the window of the deviations of x and z from the anchor."""
-    X = _history(traj, partition)
+    X = _history(batch, i, partition)
     Z = z_rows(X, lam)
     out = np.empty(partition.n_windows)
     for k in range(partition.n_windows):
@@ -93,22 +96,22 @@ def iterate_spread(traj, partition, lam):
     return out
 
 
-def decade_spread_sums(traj, partition, lam):
+def decade_spread_sums(batch, i, partition, lam):
     """Per decade of the window starts gamma_k, the spreads d_k of its
     windows summed one at a time in window order, and their number."""
-    d = iterate_spread(traj, partition, lam)
+    d = iterate_spread(batch, i, partition, lam)
     dec = decade_of(partition.gammas[:-1])
-    sums, counts = np.zeros(n_decades(traj.horizon)), np.zeros(n_decades(traj.horizon))
+    sums, counts = np.zeros(n_decades(batch.horizon)), np.zeros(n_decades(batch.horizon))
     for k in range(partition.n_windows):
         sums[dec[k]] += d[k]
         counts[dec[k]] += 1.0
     return sums, counts
 
 
-def window_quantities(traj, partition, problem, params):
-    """(lo, s, spread, zx, gz, merit, merit_grad_sq) for windows 1..W and
-    anchors 1..W+1, in the argument order of ``judge_windows``."""
-    X = _history(traj, partition)
+def window_quantities(batch, i, partition, problem, params):
+    """(lo, s, spread, zx, gz, merit, merit_grad_sq) of column i for windows
+    1..W and anchors 1..W+1, in the argument order of ``judge_windows``."""
+    X = _history(batch, i, partition)
     Z = z_rows(X, params.lam)
     anchors = partition.gammas - 1          # rows of the anchor iterates
     ax, az = X[anchors], Z[anchors]
@@ -116,15 +119,16 @@ def window_quantities(traj, partition, problem, params):
     _, gz_block = merit_gradient(problem, params, ax, az)
     # ||grad_x M||^2 = 4 zeta^2 ||z - x||^2, rounded in the engine's order
     merit_grad_sq = (4.0 * merit_zeta(problem, params)**2) * zx**2 + _sq_norms(gz_block)
-    return (1, aggregate_errors(traj, partition), iterate_spread(traj, partition, params.lam),
+    return (1, aggregate_errors(batch, i, partition),
+            iterate_spread(batch, i, partition, params.lam),
             zx, _norms(problem.grad_batch(az)), merit_value(problem, params, ax, az),
             merit_grad_sq)
 
 
-def cauchy_profile(traj, partition):
+def cauchy_profile(batch, i, partition):
     """Boundary steps ||x^{gamma_{k+1}} - x^{gamma_k}|| and intra-window
-    maxima ||x^t - x^{gamma_k}|| from the iterate history."""
-    X = _history(traj, partition)
+    maxima ||x^t - x^{gamma_k}|| of column i from the iterate history."""
+    X = _history(batch, i, partition)
     anchors = partition.gammas - 1
     bs = _norms(X[anchors[1:]] - X[anchors[:-1]])
     intra = np.empty(partition.n_windows)

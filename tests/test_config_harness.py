@@ -339,7 +339,8 @@ def test_cli_rejects_non_finite_float_values(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("name, key, value, L", [
     pytest.param("quadratic", "opt.nu", "1e200", "L = 1", id="opt.nu-1e200"),
     pytest.param("quadratic", "problem.l", "1e308", "L = 1e+308", id="problem.l-1e308"),
-    pytest.param("rosenbrock", "problem.b", "1e308", "L = inf", id="rosenbrock-problem.b-1e308"),
+    pytest.param("rosenbrock", "problem.box_radius", "1e154", "L = inf",
+                 id="rosenbrock-problem.box_radius-1e154"),
 ])
 def test_cli_rejects_a_window_budget_that_underflows(tmp_path, capsys, name, key, value, L):
     # finite, but (1+2 nu)^2 overflows or 50 L does: a traceback before;
@@ -573,6 +574,33 @@ def test_cli_rejects_parameters_whose_constants_overflow(tmp_path, capsys, name,
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert "config rejected" in err and "overflows a float" in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
+
+
+# finite rosenbrock parameters that leave its sharpness constant C_f nan or 0
+DEGENERATE_SHARPNESS = [
+    ("b", 1e308),       # the Hessian overflows: eigvalsh gives nan
+    ("b", 1e200),       # the least eigenvalue rounds to 0
+    ("a", 1e150),
+    ("a", 1e100),       # it rounds below 0, where math.sqrt has no value
+]
+
+
+@pytest.mark.parametrize("key, value", DEGENERATE_SHARPNESS)
+def test_make_problem_rejects_a_degenerate_sharpness_constant(key, value):
+    with pytest.raises(ValueError, match="sharpness constant C_f") as info:
+        make_problem("rosenbrock", **{key: value})
+    assert f"'{key}': {value!r}" in str(info.value)
+
+
+def test_cli_rejects_a_degenerate_sharpness_constant(tmp_path, capsys):
+    # C_f = 0 certifies nothing: the config is rejected before any run
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("problem.name = rosenbrock\nproblem.b = 1e200\nrun.horizon = 100\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert "config rejected" in err and "sharpness constant C_f = 0.0" in err, err
     assert "Traceback" not in out + err
     assert not (tmp_path / "out").exists()
 

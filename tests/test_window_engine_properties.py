@@ -96,25 +96,24 @@ def test_streaming_engine_matches_history_oracles(lam, nu, schedule, diverge, bl
     assert (batch.diverged_at > 0).all() == diverge
     nd = W - lo + 1                         # stored windows, and one anchor more
     anchors = slice(lo - 1, lo + nd if nd else lo - 1)
+    w = batch.window
+    bare = dataclasses.replace(batch, window=None)
+    assert w.detail_lo == lo and w.K_T == K_T
+    cp_stream = cauchy_profile(batch) if profile else None
     for i in range(batch.n_seeds):
-        traj = batch.trajectory(i)
-        w = traj.window
-        bare = dataclasses.replace(traj, window=None)
-        assert w.detail_lo == lo and w.K_T == K_T
-        assert np.array_equal(w.s, oracles.aggregate_errors(traj, part)[lo - 1:])
-        assert np.array_equal(w.spread,
-                              oracles.iterate_spread(bare, part, params.lam)[lo - 1:])
+        assert np.array_equal(w.s[:, i], oracles.aggregate_errors(batch, i, part)[lo - 1:])
+        assert np.array_equal(w.spread[:, i],
+                              oracles.iterate_spread(bare, i, part, params.lam)[lo - 1:])
         if profile:
-            cp_stream = cauchy_profile(traj)
-            cp_hist = oracles.cauchy_profile(bare, part)
-            assert np.array_equal(cp_stream.boundary_steps, cp_hist.boundary_steps)
-            assert np.array_equal(cp_stream.intra_max, cp_hist.intra_max)
-        _, s, spread, zx, gz, merit, gm2 = oracles.window_quantities(bare, part, PROBLEM,
+            cp_hist = oracles.cauchy_profile(bare, i, part)
+            assert np.array_equal(cp_stream.boundary_steps[:, i], cp_hist.boundary_steps)
+            assert np.array_equal(cp_stream.intra_max[:, i], cp_hist.intra_max)
+        _, s, spread, zx, gz, merit, gm2 = oracles.window_quantities(bare, i, part, PROBLEM,
                                                                      params)
-        assert np.array_equal(w.zx, zx[anchors])
-        assert np.array_equal(w.gz, gz[anchors])
-        assert np.array_equal(w.merit, merit[anchors])
-        assert np.array_equal(w.merit_grad_sq, gm2[anchors])
+        assert np.array_equal(w.zx[:, i], zx[anchors])
+        assert np.array_equal(w.gz[:, i], gz[anchors])
+        assert np.array_equal(w.merit[:, i], merit[anchors])
+        assert np.array_equal(w.merit_grad_sq[:, i], gm2[anchors])
 
 
 def test_error_scan_skips_blocks_before_the_detail_range():
@@ -127,9 +126,9 @@ def test_error_scan_skips_blocks_before_the_detail_range():
     part = build_partition(schedule, T, HORIZON)
     K_T = applicability_index(part, schedule, PROBLEM, params)
     rp = RecordingPolicy(store_vectors=True, store_noise=True)
-    traj = run_batch(PROBLEM, params, schedule, NoiseModel.gaussian(0.1), [5], HORIZON,
-                     recording=rp, partition=part).trajectory(0)
-    X, E = traj.X_hist[:, None], traj.E_hist[:, None]
+    batch = run_batch(PROBLEM, params, schedule, NoiseModel.gaussian(0.1), [5], HORIZON,
+                      recording=rp, partition=part)
+    X, E = batch.X_hist, batch.E_hist
     a = schedule.prefix(HORIZON - 1)
 
     acc = _WindowAccumulator(part, K_T, PROBLEM, params, 1, K_T, False, HORIZON)
@@ -148,7 +147,7 @@ def test_error_scan_skips_blocks_before_the_detail_range():
         skipped += last < K_T
     assert K_T > 1 and skipped >= 2
     trace = acc.finish()
-    assert np.array_equal(trace.s[:, 0], oracles.aggregate_errors(traj, part)[K_T - 1:])
+    assert np.array_equal(trace.s[:, 0], oracles.aggregate_errors(batch, 0, part)[K_T - 1:])
 
 
 VALUES = [0.0, -0.0, 5e-324, 1e-160, 1e154, 1.7e308, -1e300, np.inf, -np.inf, np.nan]
@@ -203,10 +202,9 @@ def test_decade_sums_match_sequential_window_sums(block, seeds):
     rp = RecordingPolicy(store_vectors=True, block_size=block)
     batch = run_batch(PROBLEM, params, schedule, NoiseModel.gaussian(0.1), seeds, horizon,
                       recording=rp, partition=part)
+    bare = dataclasses.replace(batch, window=None)
     for i in range(batch.n_seeds):
-        traj = batch.trajectory(i)
-        sums, counts = oracles.decade_spread_sums(dataclasses.replace(traj, window=None),
-                                                  part, params.lam)
-        assert np.array_equal(traj.window.decade_d_sum, sums)
-        assert np.array_equal(traj.window.decade_d_cnt, counts)
+        sums, counts = oracles.decade_spread_sums(bare, i, part, params.lam)
+        assert np.array_equal(batch.window.decade_d_sum[:, i], sums)
+        assert np.array_equal(batch.window.decade_d_cnt, counts)
     assert counts.tolist() == [10, 90, 900, 1594]
